@@ -46,7 +46,8 @@ report = verify_weak_comp(ctx, degree_cap=2)
 print("\nweak comp axioms, algebra side:", "ok" if report.ok else "FAILED",
       f"({len(report.items)} identities)")
 
-# The coalgebra side mirrors everything with pi = 1 (x) Delta.
+# The coalgebra side (cochains C -> A (x) C^m, pi = 1 (x) Delta) is the algebra
+# side of the dual entwining (C*, A*, psi^T), read through f |-> f^T.
 dual = CompContext(kz2, COALGEBRA)
 print("weak comp axioms, coalgebra side:", "ok" if verify_weak_comp(dual, 2).ok else "FAILED")
 

@@ -168,7 +168,7 @@ def cmd_equivariant(args) -> dict:
 
 def cmd_deform(args) -> dict:
     e = _load(args.path)
-    n_max = max(2, min(_max_degree(args), 4))
+    n_max = max(3, min(_max_degree(args), 4))  # H^2 needs the degree-3 space
     report = rep.new_report("deform", e.summary(), args.seed)
     tc = build_CH(e, n_max)
     rep.add_table(report, "total complex dimensions", {n: d for n, d in enumerate(tc.dims)})

@@ -8,8 +8,14 @@ Algebra side: degree-m cochains are maps C (x) A^m -> A, with insertion
 
 realised as  F . K_i(G) . P_i  where K_i(G) inserts G into slot i and
 P_i = rho_R^{(i)} (x) id feeds the twisted coaction.  The distinguished
-pi = eps (x) mu makes this a weak comp algebra; the coalgebra side mirrors
-everything with reversed composition order and pi = 1 (x) Delta.
+pi = eps (x) mu makes this a weak comp algebra.
+
+Coalgebra side: degree-m cochains are maps C -> A (x) C^m with pi = 1 (x) Delta.
+It is not coded separately.  f |-> f^T identifies these cochains with the
+algebra-side cochains of the dual entwining (C*, A*, psi^T), and every
+operation here commutes with that identification; so a coalgebra context runs
+the algebra-side code on dual(e) and transposes at its boundary
+(CompContext.to_base / from_base).
 
 The axiom verifier does not loop over basis tuples: each axiom is multilinear
 in its cochain slots, so it holds for all tuples exactly when a slot-free
@@ -24,19 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .complexes import (
-    build_ApsiCV,
-    build_CpsiAM,
-    cohomology,
-    comodule_differential,
-    module_differential,
-)
-from .entwining import (
-    EntwiningStructure,
-    rho_L_coaction,
-    rho_R_action,
-    rho_R_coaction,
-)
+from .complexes import build_CpsiAM, cohomology, module_differential
+from .entwining import EntwiningStructure, dual, rho_L_coaction, rho_R_coaction
 from .errors import (
     DegreeError,
     InconsistentQuotientError,
@@ -46,14 +41,7 @@ from .errors import (
 )
 from .homspace import middle_operator, unvec, vec
 from .linalg import Mat, from_columns, kernel_basis, kron, solve
-from .structures import (
-    LinearMap,
-    compose,
-    identity_map,
-    regular_bicomodule,
-    regular_bimodule,
-    tensor,
-)
+from .structures import LinearMap, compose, identity_map, regular_bimodule, tensor
 
 ALGEBRA = "algebra"
 COALGEBRA = "coalgebra"
@@ -112,11 +100,6 @@ class ChecksReport:
     def failures(self):
         return [(n, d) for n, ok, d in self.items if not ok]
 
-    def as_rows(self):
-        return [
-            {"check": n, "passed": ok, "detail": d} for n, ok, d in self.items
-        ]
-
     def __str__(self):
         lines = [f"{self.subject}: {'ok' if self.ok else 'FAILED'}"]
         for name, ok, detail in self.items:
@@ -126,32 +109,48 @@ class ChecksReport:
 
 
 class CompContext:
-    """Entwining structure plus a side and the distinguished 2-cochain pi."""
+    """Entwining structure plus a side and the distinguished 2-cochain pi.
+
+    base is the entwining the algebra-side code runs on: e itself, or dual(e)
+    for the coalgebra side, whose cochains are the transposes of base's.
+    """
 
     def __init__(self, e: EntwiningStructure, side: str):
         if side not in (ALGEBRA, COALGEBRA):
             raise ShapeMismatchError(f"unknown side {side!r}")
         self.e = e
         self.side = side
+        self.base = e if side == ALGEBRA else dual(e)
         self._diff_ops: dict[int, Mat] = {}
         self._cohomology: dict[int, object] = {}
         self._feeds: dict = {}
-        a, c = e.algebra, e.coalgebra
-        if side == ALGEBRA:
-            pi_map = LinearMap((c.dim, a.dim, a.dim), (a.dim,), tensor(c.counit, a.mult).mat)
-        else:
-            pi_map = LinearMap((c.dim,), (a.dim, c.dim, c.dim), tensor(a.unit_map(), c.comult).mat)
-        self.pi = Cochain(side, 2, pi_map)
+        b = self.base
+        self.pi = self.from_base(2, tensor(b.coalgebra.counit, b.algebra.mult).mat)
         if comp_i(self, self.pi, 0, self.pi) != comp_i(self, self.pi, 1, self.pi):
             raise InternalConsistencyError("pi o_0 pi != pi o_1 pi")
 
+    # -- the f <-> f^T boundary -------------------------------------------------
+
+    def _flip(self, f: LinearMap) -> LinearMap:
+        return f if self.side == ALGEBRA else f.transpose()
+
+    def to_base(self, f: Cochain) -> LinearMap:
+        """f as an algebra-side cochain of base."""
+        return self._flip(f.map_)
+
+    def from_base(self, degree, mat: Mat) -> Cochain:
+        """The cochain whose algebra-side matrix on base is mat."""
+        return Cochain(self.side, degree, self._flip(LinearMap(*self._base_shapes(degree), mat)))
+
     # -- degree bookkeeping -------------------------------------------------
 
+    def _base_shapes(self, m):
+        a, c = self.base.algebra, self.base.coalgebra
+        return (c.dim,) + (a.dim,) * m, (a.dim,)
+
     def space_shapes(self, m):
-        a, c = self.e.algebra, self.e.coalgebra
-        if self.side == ALGEBRA:
-            return ((c.dim,) + (a.dim,) * m, (a.dim,))
-        return ((c.dim,), (a.dim,) + (c.dim,) * m)
+        dom, cod = self._base_shapes(m)
+        return (dom, cod) if self.side == ALGEBRA else (cod, dom)
 
     def space_dim(self, m):
         dom, cod = self.space_shapes(m)
@@ -172,8 +171,8 @@ class CompContext:
         return Cochain(self.side, degree, LinearMap(dom, cod, map_.mat))
 
     def from_vec(self, degree, column: Mat) -> Cochain:
-        dom, cod = self.space_shapes(degree)
-        return Cochain(self.side, degree, unvec(column, dom, cod))
+        """Inverse of vec(to_base(.)), the coordinates self_complex works in."""
+        return Cochain(self.side, degree, self._flip(unvec(column, *self._base_shapes(degree))))
 
     def basis(self, degree) -> list[Cochain]:
         dom, cod = self.space_shapes(degree)
@@ -193,53 +192,32 @@ class CompContext:
     # -- structure operators --------------------------------------------------
 
     def P(self, i, s) -> Mat:
-        """rho_R^{(i)} (x) id_{A^{s-i}}, acting on C (x) A^s (algebra side)."""
+        """rho_R^{(i)} (x) id_{A^{s-i}}, acting on C (x) A^s of base."""
         key = ("P", i, s)
         if key not in self._feeds:
-            da = self.e.algebra.dim
+            b = self.base
             self._feeds[key] = kron(
-                rho_R_coaction(self.e, i).mat, Mat.identity(self.e.field, da ** (s - i))
-            )
-        return self._feeds[key]
-
-    def Q(self, i, trailing) -> Mat:
-        """rho_i^R (x) id_{C^trailing} (coalgebra side)."""
-        key = ("Q", i, trailing)
-        if key not in self._feeds:
-            dc = self.e.coalgebra.dim
-            self._feeds[key] = kron(
-                rho_R_action(self.e, i).mat, Mat.identity(self.e.field, dc**trailing)
+                rho_R_coaction(b, i).mat, Mat.identity(b.field, b.algebra.dim ** (s - i))
             )
         return self._feeds[key]
 
     def K(self, i, g: Cochain, outer_degree) -> Mat:
-        """Insertion of g into slot i of a degree-outer_degree cochain."""
-        a, c = self.e.algebra, self.e.coalgebra
-        if self.side == ALGEBRA:
-            left = Mat.identity(self.e.field, c.dim * a.dim**i)
-            right = Mat.identity(self.e.field, a.dim ** (outer_degree - i - 1))
-        else:
-            left = Mat.identity(self.e.field, a.dim * c.dim**i)
-            right = Mat.identity(self.e.field, c.dim ** (outer_degree - i - 1))
-        return kron(kron(left, g.map_.mat), right)
+        """Insertion of g into slot i of a degree-outer_degree cochain of base."""
+        a, c = self.base.algebra, self.base.coalgebra
+        left = Mat.identity(self.e.field, c.dim * a.dim**i)
+        right = Mat.identity(self.e.field, a.dim ** (outer_degree - i - 1))
+        return kron(kron(left, self.to_base(g).mat), right)
 
     def differential_operator(self, m) -> Mat:
-        """The complexes-module differential, cached per degree."""
+        """The complexes-module differential of base, cached per degree."""
         if m not in self._diff_ops:
-            if self.side == ALGEBRA:
-                self._diff_ops[m] = module_differential(
-                    self.e, regular_bimodule(self.e.algebra), m
-                )
-            else:
-                self._diff_ops[m] = comodule_differential(
-                    self.e, regular_bicomodule(self.e.coalgebra), m
-                )
+            self._diff_ops[m] = module_differential(
+                self.base, regular_bimodule(self.base.algebra), m
+            )
         return self._diff_ops[m]
 
     def self_complex(self, n_max):
-        if self.side == ALGEBRA:
-            return build_CpsiAM(self.e, regular_bimodule(self.e.algebra), n_max)
-        return build_ApsiCV(self.e, regular_bicomodule(self.e.coalgebra), n_max)
+        return build_CpsiAM(self.base, regular_bimodule(self.base.algebra), n_max)
 
     def cohomology_at(self, n):
         if n not in self._cohomology:
@@ -258,12 +236,8 @@ def comp_i(ctx: CompContext, f: Cochain, i: int, g: Cochain) -> Cochain:
     m, n = f.degree, g.degree
     if i < 0 or i >= m or f.map_ is None or g.map_ is None:
         return ctx.zero(m + n - 1)
-    if ctx.side == ALGEBRA:
-        mat = f.map_.mat @ ctx.K(i, g, m) @ ctx.P(i, m + n - 1)
-    else:
-        mat = ctx.Q(i, m + n - 1 - i) @ ctx.K(i, g, m) @ f.map_.mat
-    dom, cod = ctx.space_shapes(m + n - 1)
-    return Cochain(ctx.side, m + n - 1, LinearMap(dom, cod, mat))
+    mat = ctx.to_base(f).mat @ ctx.K(i, g, m) @ ctx.P(i, m + n - 1)
+    return ctx.from_base(m + n - 1, mat)
 
 
 def diamond(ctx, f: Cochain, g: Cochain) -> Cochain:
@@ -277,42 +251,34 @@ def diamond(ctx, f: Cochain, g: Cochain) -> Cochain:
 
 
 def _direct_cup(ctx, f: Cochain, g: Cochain) -> Cochain:
-    """mu o (f (x) g) o (rho^m_R (x) A^n), and its formal dual."""
-    e = ctx.e
-    a = e.algebra
+    """mu o (f (x) g) o (rho^m_R (x) A^n), on base."""
+    e = ctx.base
     m, n = f.degree, g.degree
-    if ctx.side == ALGEBRA:
-        feed = kron(rho_R_coaction(e, m).mat, Mat.identity(e.field, a.dim**n))
-        mat = a.mult.mat @ kron(f.map_.mat, g.map_.mat) @ feed
-    else:
-        dc = e.coalgebra.dim
-        out = kron(rho_R_action(e, m).mat, Mat.identity(e.field, dc**n))
-        mat = out @ kron(f.map_.mat, g.map_.mat) @ e.coalgebra.comult.mat
-    dom, cod = ctx.space_shapes(m + n)
-    return Cochain(ctx.side, m + n, LinearMap(dom, cod, mat))
+    feed = kron(rho_R_coaction(e, m).mat, Mat.identity(e.field, e.algebra.dim**n))
+    mat = e.algebra.mult.mat @ kron(ctx.to_base(f).mat, ctx.to_base(g).mat) @ feed
+    return ctx.from_base(m + n, mat)
 
 
 def _direct_sqcup(ctx, f: Cochain, g: Cochain) -> Cochain:
-    """mu o (A (x) g) o (psi (x) A^n) o (C (x) f (x) A^n) o (Delta (x) A^{m+n})."""
-    e = ctx.e
+    """mu o (A (x) g) o (psi (x) A^n) o (C (x) f (x) A^n) o (Delta (x) A^{m+n}), on base."""
+    e = ctx.base
     a, c = e.algebra, e.coalgebra
     m, n = f.degree, g.degree
     ida_n = identity_map(e.field, (a.dim,) * n)
     chain = compose(
         a.mult,
         compose(
-            tensor(a.identity(), LinearMap(g.map_.domain_shape, (a.dim,), g.map_.mat)),
+            tensor(a.identity(), ctx.to_base(g)),
             compose(
                 tensor(e.psi, ida_n),
                 compose(
-                    tensor(tensor(c.identity(), f.map_), ida_n),
+                    tensor(tensor(c.identity(), ctx.to_base(f)), ida_n),
                     tensor(c.comult, identity_map(e.field, (a.dim,) * (m + n))),
                 ),
             ),
         ),
     )
-    dom, cod = ctx.space_shapes(m + n)
-    return Cochain(ctx.side, m + n, LinearMap(dom, cod, chain.mat))
+    return ctx.from_base(m + n, chain.mat)
 
 
 def cup(ctx, f: Cochain, g: Cochain) -> Cochain:
@@ -327,14 +293,12 @@ def cup(ctx, f: Cochain, g: Cochain) -> Cochain:
 
 
 def sqcup(ctx, f: Cochain, g: Cochain) -> Cochain:
-    """f sqcup g = (pi o_1 g) o_0 f, cross-checked on the algebra side."""
+    """f sqcup g = (pi o_1 g) o_0 f, cross-checked against the direct formula."""
     if f.map_ is None or g.map_ is None:
         return ctx.zero(f.degree + g.degree)
     routed = comp_i(ctx, comp_i(ctx, ctx.pi, 1, g), 0, f)
-    if ctx.side == ALGEBRA:
-        direct = _direct_sqcup(ctx, f, g)
-        if routed != direct:
-            raise InternalConsistencyError("sqcup: comp route and direct formula disagree")
+    if routed != _direct_sqcup(ctx, f, g):
+        raise InternalConsistencyError("sqcup: comp route and direct formula disagree")
     return routed
 
 
@@ -347,8 +311,8 @@ def coboundary(ctx, f: Cochain) -> Cochain:
     result = lin_comb(
         ctx, m + 1, [(sign, diamond(ctx, ctx.pi, f)), (-1, diamond(ctx, f, ctx.pi))]
     )
-    expected = ctx.differential_operator(m) @ vec(f.map_)
-    if expected != vec(result.map_):
+    expected = ctx.differential_operator(m) @ vec(ctx.to_base(f))
+    if expected != vec(ctx.to_base(result)):
         raise InternalConsistencyError(
             "comp-algebra coboundary disagrees with the complex differential"
         )
@@ -357,11 +321,8 @@ def coboundary(ctx, f: Cochain) -> Cochain:
 
 def eps_tensor_id(ctx) -> Cochain:
     """The degree-1 cochain eps (x) A (resp. 1 (x) C on the coalgebra side)."""
-    e = ctx.e
-    a, c = e.algebra, e.coalgebra
-    if ctx.side == ALGEBRA:
-        return ctx.cochain(1, LinearMap((c.dim, a.dim), (a.dim,), tensor(c.counit, a.identity()).mat))
-    return ctx.cochain(1, LinearMap((c.dim,), (a.dim, c.dim), tensor(a.unit_map(), c.identity()).mat))
+    b = ctx.base
+    return ctx.from_base(1, tensor(b.coalgebra.counit, b.algebra.identity()).mat)
 
 
 # -- axiom verification -----------------------------------------------------------
@@ -369,29 +330,18 @@ def eps_tensor_id(ctx) -> Cochain:
 
 def _cond2_core(ctx, m, n, p, i, j) -> bool:
     """Slot-free matrix identity equivalent to condition (2) at (m,n,p,i,j)."""
-    e = ctx.e
+    e = ctx.base
     da, dc = e.algebra.dim, e.coalgebra.dim
     D = m + n + p - 2
-    if ctx.side == ALGEBRA:
-        lhs = kron(
-            rho_R_coaction(e, i).mat,
-            Mat.identity(e.field, da ** (j - i) * dc * da ** (D - j)),
-        ) @ ctx.P(j, D)
-        inner = kron(
-            kron(Mat.identity(e.field, dc * da**i), rho_R_coaction(e, j - i).mat),
-            Mat.identity(e.field, da ** (D - j)),
-        )
-        rhs = inner @ ctx.P(i, D)
-        return lhs == rhs
-    lhs = ctx.Q(j, p + m + n - 2 - j) @ kron(
-        rho_R_action(e, i).mat,
-        Mat.identity(e.field, dc ** (j - i) * da * dc ** (p + m + n - 2 - j)),
-    )
+    lhs = kron(
+        rho_R_coaction(e, i).mat,
+        Mat.identity(e.field, da ** (j - i) * dc * da ** (D - j)),
+    ) @ ctx.P(j, D)
     inner = kron(
-        kron(Mat.identity(e.field, da * dc**i), ctx.Q(j - i, p + n - j + i - 1)),
-        Mat.identity(e.field, dc ** (m - i - 1)),
+        kron(Mat.identity(e.field, dc * da**i), rho_R_coaction(e, j - i).mat),
+        Mat.identity(e.field, da ** (D - j)),
     )
-    rhs = ctx.Q(i, n + p - 1 + m - i - 1) @ inner
+    rhs = inner @ ctx.P(i, D)
     return lhs == rhs
 
 
@@ -400,83 +350,47 @@ def _cond3_operators(ctx, m, free_degree, i, j, pi: Cochain, pi_first: bool):
 
     pi_first=False (h = pi): (f o_i g) o_j pi = (f o_j pi) o_{i+1} g with g free.
     pi_first=True  (g = pi): (f o_i pi) o_j h = (f o_j h) o_{i+p-1} pi with h free.
-    Both for j < i; f is stripped by linearity.
+    Both for j < i; f is stripped by linearity.  The operators act on the
+    flattened free cochain of base.
     """
-    e = ctx.e
+    e = ctx.base
     field = e.field
     da, dc = e.algebra.dim, e.coalgebra.dim
     k = free_degree
-    if ctx.side == ALGEBRA:
-        g_rows, g_cols = da, dc * da**k
-        if not pi_first:
-            lhs = middle_operator(
-                Mat.identity(field, dc * da**m),
-                dc * da**i,
-                g_rows,
-                g_cols,
-                da ** (m - i - 1),
-                ctx.P(i, m + k - 1) @ ctx.K(j, pi, m + k - 1) @ ctx.P(j, m + k),
-            )
-            rhs = middle_operator(
-                ctx.K(j, pi, m) @ ctx.P(j, m + 1),
-                dc * da ** (i + 1),
-                g_rows,
-                g_cols,
-                da ** (m - i - 1),
-                ctx.P(i + 1, m + k),
-            )
-            return lhs, rhs
-        lhs = middle_operator(
-            ctx.K(i, pi, m) @ ctx.P(i, m + 1),
-            dc * da**j,
-            g_rows,
-            g_cols,
-            da ** (m - j),
-            ctx.P(j, m + k),
-        )
-        rhs = middle_operator(
-            Mat.identity(field, dc * da**m),
-            dc * da**j,
-            g_rows,
-            g_cols,
-            da ** (m - j - 1),
-            ctx.P(j, m + k - 1) @ ctx.K(i + k - 1, pi, m + k - 1) @ ctx.P(i + k - 1, m + k),
-        )
-        return lhs, rhs
-    g_rows, g_cols = da * dc**k, dc
+    g_rows, g_cols = da, dc * da**k
     if not pi_first:
         lhs = middle_operator(
-            ctx.Q(j, m + k - j) @ ctx.K(j, pi, m + k - 1) @ ctx.Q(i, k + m - i - 1),
-            da * dc**i,
+            Mat.identity(field, dc * da**m),
+            dc * da**i,
             g_rows,
             g_cols,
-            dc ** (m - i - 1),
-            Mat.identity(field, da * dc**m),
+            da ** (m - i - 1),
+            ctx.P(i, m + k - 1) @ ctx.K(j, pi, m + k - 1) @ ctx.P(j, m + k),
         )
         rhs = middle_operator(
-            ctx.Q(i + 1, k + m - i - 1),
-            da * dc ** (i + 1),
+            ctx.K(j, pi, m) @ ctx.P(j, m + 1),
+            dc * da ** (i + 1),
             g_rows,
             g_cols,
-            dc ** (m - i - 1),
-            ctx.Q(j, m - j + 1) @ ctx.K(j, pi, m),
+            da ** (m - i - 1),
+            ctx.P(i + 1, m + k),
         )
         return lhs, rhs
     lhs = middle_operator(
-        ctx.Q(j, k + m - j),
-        da * dc**j,
+        ctx.K(i, pi, m) @ ctx.P(i, m + 1),
+        dc * da**j,
         g_rows,
         g_cols,
-        dc ** (m - j),
-        ctx.Q(i, m - i + 1) @ ctx.K(i, pi, m),
+        da ** (m - j),
+        ctx.P(j, m + k),
     )
     rhs = middle_operator(
-        ctx.Q(i + k - 1, m - i + 1) @ ctx.K(i + k - 1, pi, m + k - 1) @ ctx.Q(j, k + m - j - 1),
-        da * dc**j,
+        Mat.identity(field, dc * da**m),
+        dc * da**j,
         g_rows,
         g_cols,
-        dc ** (m - j - 1),
-        Mat.identity(field, da * dc**m),
+        da ** (m - j - 1),
+        ctx.P(j, m + k - 1) @ ctx.K(i + k - 1, pi, m + k - 1) @ ctx.P(i + k - 1, m + k),
     )
     return lhs, rhs
 
@@ -651,7 +565,7 @@ def graded_commutativity(ctx, m: int, n: int) -> ChecksReport:
             eta = ctx.from_vec(n, eta_vec)
             residual = lin_comb(ctx, m + n, [(1, cup(ctx, xi, eta)), (-sign, sqcup(ctx, eta, xi))])
             try:
-                coords = target.reduce(vec(residual.map_))
+                coords = target.reduce(vec(ctx.to_base(residual)))
             except InconsistentQuotientError:
                 report.add(f"class pair #{pairs}", False, "residual is not a cocycle")
                 pairs += 1

@@ -7,7 +7,9 @@ The module-valued complex has degree-n space Hom(C (x) A^n, M) with
         + (-1)^{n+1} rightact o (f (x) A)
 
 and the comodule-valued complex has degree-n space Hom(V, A (x) C^n) with the
-dual differential.  Cochains are flattened row-major; differentials are sparse
+dual differential.  The latter is not coded separately: f |-> f^T identifies
+it with the module-valued complex of the dual entwining (C*, A*, psi^T) with
+coefficients V*.  Cochains are flattened row-major; differentials are sparse
 operators on those coordinates.
 
 Two independent reference builders (the Hochschild complex of an algebra and
@@ -18,14 +20,21 @@ for the degenerate cases C = k resp. A = k.
 
 from __future__ import annotations
 
-from .entwining import EntwiningStructure
+from .entwining import EntwiningStructure, dual, dual_bimodule
 from .errors import (
     DegreeError,
     InternalConsistencyError,
     MissingTranslationMapError,
     ShapeMismatchError,
 )
-from .homspace import middle_operator, op_postcompose, op_precompose, unvec, vec
+from .homspace import (
+    middle_operator,
+    op_postcompose,
+    op_precompose,
+    unvec,
+    vec,
+    vec_transpose_index,
+)
 from .linalg import (
     Mat,
     kernel_basis,
@@ -132,24 +141,16 @@ def module_differential(e: EntwiningStructure, m: Bimodule, n: int) -> Mat:
 
 
 def comodule_differential(e: EntwiningStructure, v: Bicomodule, n: int) -> Mat:
-    """Operator of d^n on Hom(V, A (x) C^n), flattened."""
-    a, c = e.algebra, e.coalgebra
-    da, dc, dv = a.dim, c.dim, v.dim
-    cod = da * dc**n
-    idc_n = identity_map(e.field, (dc,) * n)
-    psi_cn = tensor(e.psi, idc_n)
-    term = middle_operator(psi_cn.mat, dc, cod, dv, 1, v.left.mat)
-    total = term
-    for k in range(1, n + 1):
-        ins = tensor(
-            tensor(identity_map(e.field, (da,) + (dc,) * (k - 1)), c.comult),
-            identity_map(e.field, (dc,) * (n - k)),
-        )
-        op = op_postcompose(ins.mat, dv)
-        total = total + op if k % 2 == 0 else total - op
-    last = middle_operator(Mat.identity(e.field, cod * dc), 1, cod, dv, dc, v.right.mat)
-    total = total + last if (n + 1) % 2 == 0 else total - last
-    return total
+    """Operator of d^n on Hom(V, A (x) C^n), flattened.
+
+    This is the module-valued d^n of dual(e) with coefficients V*, which acts
+    on f^T in Hom(A* (x) C*^n, V*), re-indexed along f <-> f^T.
+    """
+    cod = e.algebra.dim * e.coalgebra.dim**n
+    d = module_differential(dual(e), dual_bimodule(v), n)
+    return d.select_rows(vec_transpose_index(cod * e.coalgebra.dim, v.dim)).select_columns(
+        vec_transpose_index(cod, v.dim)
+    )
 
 
 def build_CpsiAM(e: EntwiningStructure, m: Bimodule, n_max: int = 3) -> CochainComplex:

@@ -23,7 +23,6 @@ first-order pentagons under this matching, as the deformation tests confirm).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 from .complexes import (
     CochainComplex,
@@ -40,9 +39,8 @@ from .errors import (
     CocycleConditionError,
     DegreeError,
     InternalConsistencyError,
-    ShapeMismatchError,
 )
-from .homspace import unvec, vec
+from .homspace import unvec
 from .linalg import Mat, kron
 from .structures import (
     Bicomodule,
@@ -200,16 +198,6 @@ class TotalComplex:
                 m, k = tag
                 out[("mid", tag)] = unvec(piece, (dc,) + (da,) * m, (da,) + (dc,) * k)
         return out
-
-    def assemble(self, n, pieces: dict) -> Mat:
-        triples = []
-        for kind, tag, off, dim in self.offsets(n):
-            lm = pieces[(kind, tag)]
-            if lm.domain_dim * lm.codomain_dim != dim:
-                raise ShapeMismatchError(f"component {(kind, tag)} has wrong size")
-            for i, _, v in vec(lm).triples():
-                triples.append((off + i, 0, v))
-        return Mat.from_triples(self.e.field, self.dims[n], 1, triples)
 
 
 def build_CH(e: EntwiningStructure, n_max: int = 3) -> TotalComplex:

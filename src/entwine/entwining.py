@@ -128,6 +128,35 @@ class EntwiningStructure:
         return f"EntwiningStructure(dim_A={self.algebra.dim}, dim_C={self.coalgebra.dim})"
 
 
+# -- duality ---------------------------------------------------------------------
+
+
+def dual(e: EntwiningStructure) -> EntwiningStructure:
+    """The dual entwining (C*, A*, psi^T) in the dual bases, cached on e.
+
+    Transposing Delta, eps gives the product and unit of C*, transposing mu, 1
+    the coproduct and counit of A*, and the four bow-tie relations of psi^T
+    are the transposes of those of psi; so no second validation pass is needed.
+    """
+
+    def build():
+        a, c = e.algebra, e.coalgebra
+        algebra = FiniteAlgebra(
+            e.field, c.basis_labels, c.comult.transpose(), c.counit.mat.transpose()
+        )
+        coalgebra = FiniteCoalgebra(
+            e.field, a.basis_labels, a.mult.transpose(), a.unit_map().transpose()
+        )
+        return EntwiningStructure.unchecked(algebra, coalgebra, e.psi.transpose())
+
+    return e._cached(("dual",), build)
+
+
+def dual_bimodule(v: Bicomodule) -> Bimodule:
+    """V* as a C*-bimodule: each coaction transposes into an action."""
+    return Bimodule(v.dim, v.left.transpose(), v.right.transpose(), labels=v.labels)
+
+
 def psi_up(e: EntwiningStructure, n: int) -> LinearMap:
     """psi^n: C (x) A^n -> A^n (x) C; psi^1 = psi."""
     if n < 1:

@@ -38,6 +38,11 @@ def unvec(column: Mat, domain_shape, codomain_shape) -> LinearMap:
     return LinearMap(domain_shape, codomain_shape, Mat.from_triples(column.field, rows, cols, triples))
 
 
+def vec_transpose_index(rows: int, cols: int) -> list[int]:
+    """Position of vec(F)[k] inside vec(F^T), for each k, when F is rows x cols."""
+    return [(k % cols) * rows + k // cols for k in range(rows * cols)]
+
+
 def op_postcompose(w: Mat, f_cols: int) -> Mat:
     """Operator of F |--> w @ F on flattened coordinates."""
     return kron(w, Mat.identity(w.field, f_cols))

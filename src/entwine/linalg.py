@@ -57,7 +57,12 @@ class FieldSpec:
             if self.p is not None:
                 raise ValueError("rationals carry no characteristic")
         elif self.kind == "Fp":
-            if self.p is None or self.p < 2 or not _is_prime(self.p):
+            if self.p is None or self.p < 2:
+                raise ValueError(f"not a prime: {self.p}")
+            if self.p * self.p >= _I64_GUARD:
+                # a product of two reduced entries must fit the int64 fast path
+                raise ValueError(f"prime {self.p} too large: need p < 2^31")
+            if not _is_prime(self.p):
                 raise ValueError(f"not a prime: {self.p}")
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
@@ -576,13 +581,6 @@ def kron(a: Mat, b: Mat) -> Mat:
     data = (A.data[:, None] * B.data[None, :]).ravel()
     num = sp.csr_matrix((data, (row, col)), shape=shape)
     return Mat(a.field, num, a._den * b._den).normalized()
-
-
-def kron_all(mats: list[Mat]) -> Mat:
-    out = mats[0]
-    for m in mats[1:]:
-        out = kron(out, m)
-    return out
 
 
 def quotient_with_projection(sub: list[Mat], big: list[Mat], field=None, length=None):

@@ -74,6 +74,10 @@ class LinearMap:
     def scale(self, value) -> "LinearMap":
         return LinearMap(self.domain_shape, self.codomain_shape, self.mat.scale(value))
 
+    def transpose(self) -> "LinearMap":
+        """The dual map Y* -> X* in the dual bases."""
+        return LinearMap(self.codomain_shape, self.domain_shape, self.mat.transpose())
+
     def __repr__(self):
         return f"LinearMap({self.codomain_shape} <- {self.domain_shape})"
 
@@ -93,13 +97,6 @@ def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
         f.codomain_shape + g.codomain_shape,
         kron(f.mat, g.mat),
     )
-
-
-def tensor_all(maps: list[LinearMap]) -> LinearMap:
-    out = maps[0]
-    for m in maps[1:]:
-        out = tensor(out, m)
-    return out
 
 
 def identity_map(field: FieldSpec, shape) -> LinearMap:

@@ -115,6 +115,25 @@ def test_deform_command(tmp_path):
     }
 
 
+def test_deform_low_max_degree_still_classifies_degree_two(tmp_path):
+    # H^2 needs the degree-3 space, so lower caps are raised to 3
+    default = tmp_path / "default.json"
+    assert run(["deform", FIXTURES / "z2.json", "--json", default]) == 0
+    expected = json.loads(default.read_text())["tables"]["degree-2 classification"]
+    for cap in ("0", "1", "2"):
+        out = tmp_path / f"cap{cap}.json"
+        assert run(["deform", FIXTURES / "z2.json", "--max-degree", cap, "--json", out]) == 0
+        assert json.loads(out.read_text())["tables"]["degree-2 classification"] == expected
+
+
+def test_oversized_prime_is_parse_error(tmp_path):
+    doc = json.loads((FIXTURES / "trivial-k.json").read_text())
+    doc["field"] = f"Fp:{2**61 - 1}"
+    path = tmp_path / "huge-p.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", path]) == 2
+
+
 def test_example_round_trip(tmp_path):
     target = tmp_path / "z3.json"
     assert run(["example", "z3", "--out", target]) == 0

@@ -25,14 +25,19 @@ from entwine.complexes import (
     module_differential,
     projectivity_witness,
 )
+from entwine.entwining import bicomodule_on_C_An, check_bowtie, dual
 from entwine.errors import DegreeError, MissingTranslationMapError
-from entwine.homspace import vec
+from entwine.homspace import middle_operator, op_postcompose, vec
 from entwine.linalg import QQ, Mat, from_columns, rank, solve
 from entwine.structures import (
     LinearMap,
     compose,
+    identity_map,
     regular_bicomodule,
     regular_bimodule,
+    tensor,
+    validate_algebra,
+    validate_coalgebra,
 )
 from entwine.zoo import (
     bialgebra_self_entwining,
@@ -85,6 +90,63 @@ def test_cartier_oracle_with_trivial_A(n_group):
     assert twisted.space_dims == oracle.space_dims
     for d_t, d_o in zip(twisted.differentials, oracle.differentials):
         assert d_t == d_o
+
+
+# -- the comodule-valued complex is the module-valued one of the dual -----------
+
+
+def direct_comodule_differential(e, v, n):
+    """d^n on Hom(V, A (x) C^n) coded directly from the comodule-valued formula."""
+    a, c = e.algebra, e.coalgebra
+    da, dc, dv = a.dim, c.dim, v.dim
+    cod = da * dc**n
+    psi_cn = tensor(e.psi, identity_map(e.field, (dc,) * n))
+    total = middle_operator(psi_cn.mat, dc, cod, dv, 1, v.left.mat)
+    for k in range(1, n + 1):
+        ins = tensor(
+            tensor(identity_map(e.field, (da,) + (dc,) * (k - 1)), c.comult),
+            identity_map(e.field, (dc,) * (n - k)),
+        )
+        op = op_postcompose(ins.mat, dv)
+        total = total + op if k % 2 == 0 else total - op
+    last = middle_operator(Mat.identity(e.field, cod * dc), 1, cod, dv, dc, v.right.mat)
+    return total + last if (n + 1) % 2 == 0 else total - last
+
+
+@pytest.mark.parametrize(
+    "name", ["trivial-k", "trivial-z2", "z2", "z3", "sweedler", "graded-z2"]
+)
+def test_comodule_differential_matches_direct_formula(examples, name):
+    e = examples[name]
+    towers = [regular_bicomodule(e.coalgebra)] + [bicomodule_on_C_An(e, m) for m in (1, 2)]
+    for v in towers:
+        for n in range(4):
+            assert comodule_differential(e, v, n) == direct_comodule_differential(e, v, n), (
+                name,
+                v.dim,
+                n,
+            )
+
+
+def test_dual_entwining_is_valid(examples):
+    for name, e in examples.items():
+        d = dual(e)
+        assert validate_algebra(d.algebra).ok, name
+        assert validate_coalgebra(d.coalgebra).ok, name
+        assert check_bowtie(d.algebra, d.coalgebra, d.psi).ok, name
+        assert (d.algebra.dim, d.coalgebra.dim) == (e.coalgebra.dim, e.algebra.dim)
+
+
+def test_dual_is_an_involution(examples):
+    for name, e in examples.items():
+        dd = dual(dual(e))
+        assert dd.algebra.mult == e.algebra.mult, name
+        assert dd.algebra.unit == e.algebra.unit, name
+        assert dd.coalgebra.comult == e.coalgebra.comult, name
+        assert dd.coalgebra.counit == e.coalgebra.counit, name
+        assert dd.psi == e.psi, name
+        assert dd.psi.domain_shape == e.psi.domain_shape
+        assert dd.psi.codomain_shape == e.psi.codomain_shape
 
 
 def test_one_dim_everything(triv_k):

@@ -1,5 +1,6 @@
 """Exact linear algebra kernel: ranks, kernels, quotients, Kronecker products."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,17 @@ def test_field_spec_parse_and_str():
         FieldSpec.parse("Fp:4")
     with pytest.raises(StructureParseError):
         FieldSpec.parse("R")
+
+
+def test_prime_field_bound():
+    # p < 2^31 keeps a product of two reduced entries inside int64
+    assert FieldSpec.parse("Fp:2147483647").p == 2**31 - 1
+    started = time.perf_counter()
+    with pytest.raises(StructureParseError, match="too large"):
+        FieldSpec.parse(f"Fp:{2**61 - 1}")
+    assert time.perf_counter() - started < 1.0
+    with pytest.raises(ValueError):
+        FieldSpec.prime(4294967311)
 
 
 def test_parse_coeff():
