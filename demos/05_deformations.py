@@ -59,4 +59,4 @@ try:
     deformation_from_cocycle(kz2, z_bad, tc)
 except CocycleConditionError as exc:
     print("\nrandom 2-cochain rejected:", exc)
-print("its failing laws:", [n for n, _ in first_order_checks(kz2, split_degree2(tc, z_bad)).failures()])
+print("its failing laws:", [n for n, _ in first_order_checks(kz2, split_degree2(tc, z_bad)).failures])

@@ -57,19 +57,22 @@ EXIT_MATH = 1
 EXIT_IO = 2
 
 
-def _load(path, validate=True):
-    return load(path, validate=validate)
+def _capped(args, degree, what):
+    """degree if it is non-negative and within the degree-4 cap (or the cap is lifted)."""
+    if degree < 0:
+        raise StructureParseError(f"{what} must be non-negative")
+    if degree > 4 and not args.unsafe_degree:
+        raise StructureParseError(f"{what} is hard-capped at 4 (pass --unsafe-degree to lift)")
+    return degree
 
 
 def _max_degree(args):
-    if args.max_degree > 4 and not args.unsafe_degree:
-        raise StructureParseError("--max-degree is hard-capped at 4 (pass --unsafe-degree to lift)")
-    return args.max_degree
+    return _capped(args, args.max_degree, "--max-degree")
 
 
 def cmd_verify(args) -> dict:
     # load unchecked: this command's whole point is reporting what fails
-    e = _load(args.path, validate=False)
+    e = load(args.path, validate=False)
     report = rep.new_report("verify", e.summary(), args.seed)
     alg = validate_algebra(e.algebra)
     rep.add_check(report, "algebra axioms", alg.ok, str(alg) if not alg.ok else "")
@@ -77,12 +80,8 @@ def cmd_verify(args) -> dict:
     rep.add_check(report, "coalgebra axioms", coalg.ok, str(coalg) if not coalg.ok else "")
     if alg.ok and coalg.ok:
         bowtie = check_bowtie(e.algebra, e.coalgebra, e.psi)
-        failed = dict(bowtie.failures)
-        for name in ("left pentagon", "left triangle", "right pentagon", "right triangle"):
-            if name in failed:
-                rep.add_check(report, f"bow-tie: {name}", False, f"witness {failed[name]}")
-            else:
-                rep.add_check(report, f"bow-tie: {name}", True)
+        for name, ok, witness in bowtie.items:
+            rep.add_check(report, f"bow-tie: {name}", ok, "" if ok else f"witness {witness}")
         if e.hopf is not None:
             rep.add_check(report, "bialgebra compatibility", validate_bialgebra(e.hopf).ok)
             rep.add_check(report, "antipode axioms", validate_antipode(e.hopf).ok)
@@ -95,7 +94,7 @@ def cmd_verify(args) -> dict:
 
 
 def cmd_cohom(args) -> dict:
-    e = _load(args.path)
+    e = load(args.path)
     n_max = _max_degree(args)
     report = rep.new_report("cohom", e.summary(), args.seed)
     if args.values.startswith("file:"):
@@ -117,8 +116,9 @@ def cmd_cohom(args) -> dict:
 
 
 def cmd_cup(args) -> dict:
-    e = _load(args.path)
-    m, n = args.deg
+    m, n = (_capped(args, d, "--deg") for d in args.deg)
+    _capped(args, m + n + 1, "--deg M N builds degree M+N+1, which")
+    e = load(args.path)
     report = rep.new_report("cup", e.summary(), args.seed)
     ctx = CompContext(e, ALGEBRA)
     hm, hn = ctx.cohomology_at(m), ctx.cohomology_at(n)
@@ -135,9 +135,10 @@ def cmd_cup(args) -> dict:
         xi = ctx.from_vec(m, xv)
         for j, ev in enumerate(hn.class_reps):
             eta = ctx.from_vec(n, ev)
-            cup_class = target.reduce(vec(cup(ctx, xi, eta).map_))
-            sq_class = target.reduce(vec(sqcup(ctx, eta, xi).map_))
-            residual = lin_comb(ctx, m + n, [(1, cup(ctx, xi, eta)), (-sign, sqcup(ctx, eta, xi))])
+            product, twisted = cup(ctx, xi, eta), sqcup(ctx, eta, xi)
+            cup_class = target.reduce(vec(product.map_))
+            sq_class = target.reduce(vec(twisted.map_))
+            residual = lin_comb(ctx, m + n, [(1, product), (-sign, twisted)])
             resid_zero = all(v == 0 for v in target.reduce(vec(residual.map_)))
             all_ok = all_ok and resid_zero
             rows.append(
@@ -154,7 +155,7 @@ def cmd_cup(args) -> dict:
 
 
 def cmd_equivariant(args) -> dict:
-    e = _load(args.path)
+    e = load(args.path)
     n_max = _max_degree(args)
     report = rep.new_report("equivariant", e.summary(), args.seed)
     ctx = CompContext(e, ALGEBRA)
@@ -167,7 +168,7 @@ def cmd_equivariant(args) -> dict:
 
 
 def cmd_deform(args) -> dict:
-    e = _load(args.path)
+    e = load(args.path)
     n_max = max(3, min(_max_degree(args), 4))  # H^2 needs the degree-3 space
     report = rep.new_report("deform", e.summary(), args.seed)
     tc = build_CH(e, n_max)

@@ -17,6 +17,11 @@ operation here commutes with that identification; so a coalgebra context runs
 the algebra-side code on dual(e) and transposes at its boundary
 (CompContext.to_base / from_base).
 
+Each product has one formula here: cup and sqcup go through the insertions,
+the coboundary through the cached complex differential.  The alternatives
+(_direct_cup, _direct_sqcup, and the coboundary as (-1)^{m-1} pi <> f - f <> pi)
+are oracles in tests/test_compalg.py, which compares them on the fixtures.
+
 The axiom verifier does not loop over basis tuples: each axiom is multilinear
 in its cochain slots, so it holds for all tuples exactly when a slot-free
 composite of the structure operators holds as one matrix identity.  Those
@@ -35,13 +40,12 @@ from .entwining import EntwiningStructure, dual, rho_L_coaction, rho_R_coaction
 from .errors import (
     DegreeError,
     InconsistentQuotientError,
-    InternalConsistencyError,
     MissingTranslationMapError,
     ShapeMismatchError,
 )
 from .homspace import middle_operator, unvec, vec
 from .linalg import Mat, from_columns, kernel_basis, kron, solve
-from .structures import LinearMap, compose, identity_map, regular_bimodule, tensor
+from .structures import CheckReport, LinearMap, compose, identity_map, regular_bimodule, tensor
 
 ALGEBRA = "algebra"
 COALGEBRA = "coalgebra"
@@ -83,31 +87,6 @@ def lin_comb(ctx, degree, terms) -> Cochain:
     return Cochain(ctx.side, degree, LinearMap(dom, cod, total))
 
 
-class ChecksReport:
-    """Ordered list of named boolean checks with optional detail."""
-
-    def __init__(self, subject):
-        self.subject = subject
-        self.items: list[tuple[str, bool, str]] = []
-
-    def add(self, name, ok, detail=""):
-        self.items.append((name, bool(ok), detail))
-
-    @property
-    def ok(self):
-        return all(ok for _, ok, _ in self.items)
-
-    def failures(self):
-        return [(n, d) for n, ok, d in self.items if not ok]
-
-    def __str__(self):
-        lines = [f"{self.subject}: {'ok' if self.ok else 'FAILED'}"]
-        for name, ok, detail in self.items:
-            mark = "pass" if ok else "FAIL"
-            lines.append(f"  [{mark}] {name}" + (f" ({detail})" if detail else ""))
-        return "\n".join(lines)
-
-
 class CompContext:
     """Entwining structure plus a side and the distinguished 2-cochain pi.
 
@@ -126,8 +105,6 @@ class CompContext:
         self._feeds: dict = {}
         b = self.base
         self.pi = self.from_base(2, tensor(b.coalgebra.counit, b.algebra.mult).mat)
-        if comp_i(self, self.pi, 0, self.pi) != comp_i(self, self.pi, 1, self.pi):
-            raise InternalConsistencyError("pi o_0 pi != pi o_1 pi")
 
     # -- the f <-> f^T boundary -------------------------------------------------
 
@@ -251,7 +228,7 @@ def diamond(ctx, f: Cochain, g: Cochain) -> Cochain:
 
 
 def _direct_cup(ctx, f: Cochain, g: Cochain) -> Cochain:
-    """mu o (f (x) g) o (rho^m_R (x) A^n), on base."""
+    """Reference formula for cup, on base: mu o (f (x) g) o (rho^m_R (x) A^n)."""
     e = ctx.base
     m, n = f.degree, g.degree
     feed = kron(rho_R_coaction(e, m).mat, Mat.identity(e.field, e.algebra.dim**n))
@@ -260,7 +237,8 @@ def _direct_cup(ctx, f: Cochain, g: Cochain) -> Cochain:
 
 
 def _direct_sqcup(ctx, f: Cochain, g: Cochain) -> Cochain:
-    """mu o (A (x) g) o (psi (x) A^n) o (C (x) f (x) A^n) o (Delta (x) A^{m+n}), on base."""
+    """Reference formula for sqcup, on base:
+    mu o (A (x) g) o (psi (x) A^n) o (C (x) f (x) A^n) o (Delta (x) A^{m+n})."""
     e = ctx.base
     a, c = e.algebra, e.coalgebra
     m, n = f.degree, g.degree
@@ -282,41 +260,35 @@ def _direct_sqcup(ctx, f: Cochain, g: Cochain) -> Cochain:
 
 
 def cup(ctx, f: Cochain, g: Cochain) -> Cochain:
-    """f cup g = (pi o_0 f) o_m g, cross-checked against the direct formula."""
+    """f cup g = (pi o_0 f) o_m g.
+
+    tests/test_compalg.py checks it against _direct_cup on the fixtures.
+    """
     if f.map_ is None or g.map_ is None:
         return ctx.zero(f.degree + g.degree)
-    routed = comp_i(ctx, comp_i(ctx, ctx.pi, 0, f), f.degree, g)
-    direct = _direct_cup(ctx, f, g)
-    if routed != direct:
-        raise InternalConsistencyError("cup: comp route and direct formula disagree")
-    return routed
+    return comp_i(ctx, comp_i(ctx, ctx.pi, 0, f), f.degree, g)
 
 
 def sqcup(ctx, f: Cochain, g: Cochain) -> Cochain:
-    """f sqcup g = (pi o_1 g) o_0 f, cross-checked against the direct formula."""
+    """f sqcup g = (pi o_1 g) o_0 f.
+
+    tests/test_compalg.py checks it against _direct_sqcup on the fixtures.
+    """
     if f.map_ is None or g.map_ is None:
         return ctx.zero(f.degree + g.degree)
-    routed = comp_i(ctx, comp_i(ctx, ctx.pi, 1, g), 0, f)
-    if routed != _direct_sqcup(ctx, f, g):
-        raise InternalConsistencyError("sqcup: comp route and direct formula disagree")
-    return routed
+    return comp_i(ctx, comp_i(ctx, ctx.pi, 1, g), 0, f)
 
 
 def coboundary(ctx, f: Cochain) -> Cochain:
-    """d f = (-1)^{m-1} pi <> f - f <> pi; must equal the complex differential."""
+    """d f, by the cached complex differential of base.
+
+    In comp terms d f = (-1)^{m-1} pi <> f - f <> pi; tests/test_compalg.py
+    checks the two against each other on the fixtures.
+    """
     m = f.degree
     if f.map_ is None:
         return ctx.zero(m + 1)
-    sign = -1 if (m - 1) % 2 else 1
-    result = lin_comb(
-        ctx, m + 1, [(sign, diamond(ctx, ctx.pi, f)), (-1, diamond(ctx, f, ctx.pi))]
-    )
-    expected = ctx.differential_operator(m) @ vec(ctx.to_base(f))
-    if expected != vec(ctx.to_base(result)):
-        raise InternalConsistencyError(
-            "comp-algebra coboundary disagrees with the complex differential"
-        )
-    return result
+    return ctx.from_vec(m + 1, ctx.differential_operator(m) @ vec(ctx.to_base(f)))
 
 
 def eps_tensor_id(ctx) -> Cochain:
@@ -416,7 +388,7 @@ def _random_cochain(ctx, degree, rng):
     return Cochain(ctx.side, degree, LinearMap(dom, cod, Mat.from_triples(ctx.e.field, rows, cols, triples)))
 
 
-def verify_weak_comp(ctx: CompContext, degree_cap: int = 2, pi: Cochain | None = None, seed: int = 0) -> ChecksReport:
+def verify_weak_comp(ctx: CompContext, degree_cap: int = 2, pi: Cochain | None = None, seed: int = 0) -> CheckReport:
     """Check the weak comp algebra axioms exhaustively up to degree_cap.
 
     Conditions are multilinear in their cochain slots, so each is verified as
@@ -427,7 +399,7 @@ def verify_weak_comp(ctx: CompContext, degree_cap: int = 2, pi: Cochain | None =
     if degree_cap > 3:
         raise DegreeError("degree_cap tops out at 3")
     pi = pi or ctx.pi
-    report = ChecksReport(f"weak comp axioms [{ctx.side}]")
+    report = CheckReport(f"weak comp axioms [{ctx.side}]")
 
     ok1 = True
     for m in range(degree_cap + 1):
@@ -496,9 +468,9 @@ def verify_weak_comp(ctx: CompContext, degree_cap: int = 2, pi: Cochain | None =
     return report
 
 
-def check_prelie_identities(ctx, f: Cochain, g: Cochain, h: Cochain) -> ChecksReport:
+def check_prelie_identities(ctx, f: Cochain, g: Cochain, h: Cochain) -> CheckReport:
     """Associator symmetries with pi and the cup/sqcup commutator identity."""
-    report = ChecksReport("pre-Lie identities")
+    report = CheckReport("pre-Lie identities")
     m, n, p = f.degree, g.degree, h.degree
 
     if ctx.pi in (f, g, h):
@@ -551,9 +523,9 @@ def check_prelie_identities(ctx, f: Cochain, g: Cochain, h: Cochain) -> ChecksRe
     return report
 
 
-def graded_commutativity(ctx, m: int, n: int) -> ChecksReport:
+def graded_commutativity(ctx, m: int, n: int) -> CheckReport:
     """xi cup eta - (-1)^{mn} eta sqcup xi is a coboundary, per class pair."""
-    report = ChecksReport(f"graded commutativity at degrees ({m},{n})")
+    report = CheckReport(f"graded commutativity at degrees ({m},{n})")
     hm = ctx.cohomology_at(m)
     hn = ctx.cohomology_at(n)
     target = ctx.cohomology_at(m + n)
@@ -631,10 +603,10 @@ def _span_equal(field, length, vs, ws) -> bool:
     )
 
 
-def equivariant_checks(ctx, degree_cap: int = 2) -> ChecksReport:
+def equivariant_checks(ctx, degree_cap: int = 2) -> CheckReport:
     """Closure, cup agreement, differential stability, commutativity, and the
     Hopf translation-map criterion for the equivariant subcomplex."""
-    report = ChecksReport("equivariant subcomplex")
+    report = CheckReport("equivariant subcomplex")
     bases = {n: equivariant_basis(ctx, n) for n in range(degree_cap + 1)}
     ops = {n: equivariance_operator(ctx, n) for n in range(degree_cap + 2)}
 
@@ -687,9 +659,9 @@ def equivariant_checks(ctx, degree_cap: int = 2) -> ChecksReport:
     return report
 
 
-def _equivariant_graded_commutativity(ctx, bases, degree_cap) -> ChecksReport:
+def _equivariant_graded_commutativity(ctx, bases, degree_cap) -> CheckReport:
     """Subcomplex cocycle classes commute up to equivariant coboundaries."""
-    report = ChecksReport("equivariant graded commutativity")
+    report = CheckReport("equivariant graded commutativity")
     field = ctx.e.field
     sub_d = {}
     for m in range(degree_cap):

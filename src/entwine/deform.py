@@ -45,12 +45,11 @@ from .linalg import Mat, kron
 from .structures import (
     Bicomodule,
     Bimodule,
+    CheckReport,
     LinearMap,
     regular_bicomodule,
     regular_bimodule,
 )
-
-from .compalg import ChecksReport
 
 
 def _row_bimodule(e, n) -> Bimodule:
@@ -229,7 +228,7 @@ def split_degree2(tc: TotalComplex, z: Mat) -> InfinitesimalDeformation:
     return InfinitesimalDeformation(mu1=mu1, delta1=-d2, psi1=-w)
 
 
-def first_order_checks(e: EntwiningStructure, deformation: InfinitesimalDeformation) -> ChecksReport:
+def first_order_checks(e: EntwiningStructure, deformation: InfinitesimalDeformation) -> CheckReport:
     """All structure laws of the deformed triple, at the t^1 coefficient.
 
     The deformed unit is 1 - t mu1(1,1) and the deformed counit is
@@ -242,7 +241,7 @@ def first_order_checks(e: EntwiningStructure, deformation: InfinitesimalDeformat
     mu1, delta1, psi1 = deformation.mu1.mat, deformation.delta1.mat, deformation.psi1.mat
     ia, ic = Mat.identity(e.field, da), Mat.identity(e.field, dc)
     unit, counit = a.unit, c.counit.mat
-    report = ChecksReport("first-order deformation laws")
+    report = CheckReport("first-order deformation laws")
 
     lhs = mu1 @ kron(mu, ia) + mu @ kron(mu1, ia)
     rhs = mu1 @ kron(ia, mu) + mu @ kron(ia, mu1)
@@ -297,7 +296,7 @@ def deformation_from_cocycle(e: EntwiningStructure, z: Mat, tc: TotalComplex | N
     report = first_order_checks(e, deformation)
     if not report.ok:
         raise CocycleConditionError(
-            "first-order law failed: " + ", ".join(n for n, _ in report.failures())
+            "first-order law failed: " + ", ".join(n for n, _ in report.failures)
         )
     return deformation
 
@@ -316,7 +315,7 @@ def coboundary_equivalence(e: EntwiningStructure, z: Mat, w: Mat, tc: TotalCompl
     mu, delta, psi = a.mult.mat, c.comult.mat, e.psi.mat
     ia = Mat.identity(e.field, a.dim)
     ic = Mat.identity(e.field, c.dim)
-    report = ChecksReport("first-order equivalence to the trivial deformation")
+    report = CheckReport("first-order equivalence to the trivial deformation")
     lhs = alpha1.mat @ mu + deformation.mu1.mat
     rhs = mu @ kron(alpha1.mat, ia) + mu @ kron(ia, alpha1.mat)
     report.add("product transported", lhs == rhs)
@@ -327,7 +326,7 @@ def coboundary_equivalence(e: EntwiningStructure, z: Mat, w: Mat, tc: TotalCompl
     report.add("entwining map transported", lhs == rhs)
     if not report.ok:
         raise InternalConsistencyError(
-            "equivalence verification failed: " + ", ".join(n for n, _ in report.failures())
+            "equivalence verification failed: " + ", ".join(n for n, _ in report.failures)
         )
     return alpha1, gamma1
 

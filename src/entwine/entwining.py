@@ -24,60 +24,51 @@ from .errors import BowTieError, DegreeError, ShapeMismatchError
 from .structures import (
     Bicomodule,
     Bimodule,
+    CheckReport,
     FiniteAlgebra,
     FiniteCoalgebra,
     LinearMap,
-    ValidationReport,
     compose,
-    decode_index,
     identity_map,
     tensor,
     validate_algebra,
+    validate_antipode,
+    validate_bialgebra,
     validate_bicomodule,
     validate_bimodule,
     validate_coalgebra,
 )
 
-BOWTIE_RELATIONS = ("left pentagon", "left triangle", "right pentagon", "right triangle")
 
-
-def check_bowtie(a: FiniteAlgebra, c: FiniteCoalgebra, psi: LinearMap) -> ValidationReport:
+def check_bowtie(a: FiniteAlgebra, c: FiniteCoalgebra, psi: LinearMap) -> CheckReport:
     """Evaluate the four bow-tie relations as exact matrix identities."""
     if psi.domain_shape != (c.dim, a.dim) or psi.codomain_shape != (a.dim, c.dim):
         raise ShapeMismatchError("psi must map C(x)A -> A(x)C")
     ida, idc = a.identity(), c.identity()
-    report = ValidationReport("bow-tie")
-
-    def record(name, lhs, rhs, labels):
-        diff = lhs.mat - rhs.mat
-        if not diff.is_zero():
-            first = min(j for _, j, _ in diff.triples())
-            idx = decode_index(lhs.domain_shape, first)
-            report.add_failure(name, tuple(lab[k] for lab, k in zip(labels, idx)))
-
+    report = CheckReport("bow-tie")
     # psi o (C (x) mu) = (mu (x) C) o (A (x) psi) o (psi (x) A)
-    record(
+    report.check(
         "left pentagon",
         compose(psi, tensor(idc, a.mult)),
         compose(tensor(a.mult, idc), compose(tensor(ida, psi), tensor(psi, ida))),
         [c.basis_labels, a.basis_labels, a.basis_labels],
     )
     # psi o (C (x) 1) = 1 (x) C
-    record(
+    report.check(
         "left triangle",
         compose(psi, tensor(idc, a.unit_map())),
         tensor(a.unit_map(), idc),
         [c.basis_labels],
     )
     # (A (x) Delta) o psi = (psi (x) C) o (C (x) psi) o (Delta (x) A)
-    record(
+    report.check(
         "right pentagon",
         compose(tensor(ida, c.comult), psi),
         compose(tensor(psi, idc), compose(tensor(idc, psi), tensor(c.comult, ida))),
         [c.basis_labels, a.basis_labels],
     )
     # (A (x) eps) o psi = eps (x) A
-    record(
+    report.check(
         "right triangle",
         compose(tensor(ida, c.counit), psi),
         tensor(c.counit, ida),
@@ -87,7 +78,12 @@ def check_bowtie(a: FiniteAlgebra, c: FiniteCoalgebra, psi: LinearMap) -> Valida
 
 
 class EntwiningStructure:
-    """Validated triple (A, C, psi) with cached psi towers."""
+    """Validated triple (A, C, psi) with cached psi towers.
+
+    Construction checks each axiom family once and raises on the first that
+    fails: algebra, coalgebra, then bialgebra and antipode when hopf is given,
+    then the bow-tie relations.
+    """
 
     def __init__(self, algebra, coalgebra, psi, hopf=None, _skip_validation=False):
         self.algebra = algebra
@@ -98,6 +94,9 @@ class EntwiningStructure:
         if not _skip_validation:
             validate_algebra(algebra).raise_if_failed()
             validate_coalgebra(coalgebra).raise_if_failed()
+            if hopf is not None:
+                validate_bialgebra(hopf).raise_if_failed()
+                validate_antipode(hopf).raise_if_failed()
             report = check_bowtie(algebra, coalgebra, psi)
             if not report.ok:
                 raise BowTieError(str(report), report=report)
@@ -233,22 +232,29 @@ def rho_R_coaction(e: EntwiningStructure, n: int) -> LinearMap:
 
 
 def bimodule_on_A_Cn(e: EntwiningStructure, n: int) -> Bimodule:
+    """A (x) C^n as an A-bimodule; built and validated once per structure."""
     if n < 1:
         raise DegreeError("bimodule tower needs n >= 1")
-    dim = e.algebra.dim * e.coalgebra.dim**n
-    labels = None
-    m = Bimodule(dim, rho_L_action(e, n), rho_R_action(e, n), labels=labels)
-    validate_bimodule(e.algebra, m).raise_if_failed()
-    return m
+
+    def build():
+        m = Bimodule(e.algebra.dim * e.coalgebra.dim**n, rho_L_action(e, n), rho_R_action(e, n))
+        validate_bimodule(e.algebra, m).raise_if_failed()
+        return m
+
+    return e._cached(("bimod", n), build)
 
 
 def bicomodule_on_C_An(e: EntwiningStructure, n: int) -> Bicomodule:
+    """C (x) A^n as a C-bicomodule; built and validated once per structure."""
     if n < 1:
         raise DegreeError("bicomodule tower needs n >= 1")
-    dim = e.coalgebra.dim * e.algebra.dim**n
-    v = Bicomodule(dim, rho_L_coaction(e, n), rho_R_coaction(e, n))
-    validate_bicomodule(e.coalgebra, v).raise_if_failed()
-    return v
+
+    def build():
+        v = Bicomodule(e.coalgebra.dim * e.algebra.dim**n, rho_L_coaction(e, n), rho_R_coaction(e, n))
+        validate_bicomodule(e.coalgebra, v).raise_if_failed()
+        return v
+
+    return e._cached(("bicomod", n), build)
 
 
 def check_tower_compatibility(e: EntwiningStructure, n: int, j: int):

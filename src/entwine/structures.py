@@ -5,15 +5,15 @@ into matrices of the structure maps.  Multi-indices into tensor powers flatten
 with the leftmost factor most significant, matching left-to-right tensor
 notation; Kronecker products follow the same convention.
 
-Validators check the defining axioms as exact matrix identities and report a
-witness basis tuple for every failure.  Constructors of higher layers demand
-validated inputs.
+Validators check the defining axioms as exact matrix identities and return a
+CheckReport, the one report type of the package, with a witness basis tuple
+for every failed identity.  Constructors of higher layers demand validated
+inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 
 from .errors import ShapeMismatchError, ValidationError
 from .linalg import FieldSpec, Mat, kron
@@ -119,20 +119,39 @@ def decode_index(shape, flat: int):
     return tuple(reversed(idx))
 
 
-# -- validation reports -------------------------------------------------------
+# -- check reports ---------------------------------------------------------------
 
 
-@dataclass
-class ValidationReport:
-    subject: str
-    failures: list = dc_field(default_factory=list)
+class CheckReport:
+    """Named checks on one subject, recorded in order as (name, ok, detail).
+
+    detail is free text, or for a failed identity of maps the first basis
+    tuple (as labels) where the two sides differ.
+    """
+
+    def __init__(self, subject):
+        self.subject = subject
+        self.items: list[tuple[str, bool, object]] = []
+
+    def add(self, name, ok, detail=""):
+        self.items.append((name, bool(ok), detail))
+
+    def check(self, name, lhs: LinearMap, rhs: LinearMap, labels_per_factor):
+        """Record lhs == rhs, with the first differing basis tuple on failure."""
+        diff = lhs.mat - rhs.mat
+        if diff.is_zero():
+            self.add(name, True)
+            return
+        idx = decode_index(lhs.domain_shape, min(j for _, j, _ in diff.triples()))
+        self.add(name, False, tuple(labels[k] for labels, k in zip(labels_per_factor, idx)))
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return all(ok for _, ok, _ in self.items)
 
-    def add_failure(self, axiom: str, witness=None):
-        self.failures.append((axiom, witness))
+    @property
+    def failures(self):
+        return [(name, detail) for name, ok, detail in self.items if not ok]
 
     def raise_if_failed(self):
         if not self.ok:
@@ -140,29 +159,9 @@ class ValidationReport:
 
     def __str__(self):
         if self.ok:
-            return f"{self.subject}: all axioms hold"
-        parts = []
-        for axiom, witness in self.failures:
-            if witness is None:
-                parts.append(axiom)
-            else:
-                parts.append(f"{axiom} at {witness}")
+            return f"{self.subject}: all checks hold"
+        parts = [f"{name} at {detail}" if detail else name for name, detail in self.failures]
         return f"{self.subject}: FAILED " + "; ".join(parts)
-
-
-def _witness(lhs: LinearMap, rhs: LinearMap, labels_per_factor):
-    """First basis tuple where two maps differ, as human-readable labels."""
-    diff = lhs.mat - rhs.mat
-    if diff.is_zero():
-        return None
-    first = min(j for _, j, _ in diff.triples())
-    idx = decode_index(lhs.domain_shape, first)
-    return tuple(labels[k] for labels, k in zip(labels_per_factor, idx))
-
-
-def _check(report, axiom, lhs, rhs, labels_per_factor):
-    if lhs.mat != rhs.mat:
-        report.add_failure(axiom, _witness(lhs, rhs, labels_per_factor))
 
 
 # -- algebras ------------------------------------------------------------------
@@ -209,20 +208,19 @@ class FiniteAlgebra:
         return f"FiniteAlgebra(dim={self.dim}, field={self.field})"
 
 
-def validate_algebra(a: FiniteAlgebra) -> ValidationReport:
-    report = ValidationReport(f"algebra(dim={a.dim})")
+def validate_algebra(a: FiniteAlgebra) -> CheckReport:
+    report = CheckReport(f"algebra(dim={a.dim})")
     ida = a.identity()
     labels3 = [a.basis_labels] * 3
-    _check(
-        report,
+    report.check(
         "associativity",
         compose(a.mult, tensor(a.mult, ida)),
         compose(a.mult, tensor(ida, a.mult)),
         labels3,
     )
     unit = a.unit_map()
-    _check(report, "left unit", compose(a.mult, tensor(unit, ida)), ida, [a.basis_labels])
-    _check(report, "right unit", compose(a.mult, tensor(ida, unit)), ida, [a.basis_labels])
+    report.check("left unit", compose(a.mult, tensor(unit, ida)), ida, [a.basis_labels])
+    report.check("right unit", compose(a.mult, tensor(ida, unit)), ida, [a.basis_labels])
     return report
 
 
@@ -271,19 +269,50 @@ class FiniteCoalgebra:
         return f"FiniteCoalgebra(dim={self.dim}, field={self.field})"
 
 
-def validate_coalgebra(c: FiniteCoalgebra) -> ValidationReport:
-    report = ValidationReport(f"coalgebra(dim={c.dim})")
+def validate_coalgebra(c: FiniteCoalgebra) -> CheckReport:
+    report = CheckReport(f"coalgebra(dim={c.dim})")
     idc = c.identity()
     labels1 = [c.basis_labels]
-    _check(
-        report,
+    report.check(
         "coassociativity",
         compose(tensor(c.comult, idc), c.comult),
         compose(tensor(idc, c.comult), c.comult),
         labels1,
     )
-    _check(report, "left counit", compose(tensor(c.counit, idc), c.comult), idc, labels1)
-    _check(report, "right counit", compose(tensor(idc, c.counit), c.comult), idc, labels1)
+    report.check("left counit", compose(tensor(c.counit, idc), c.comult), idc, labels1)
+    report.check("right counit", compose(tensor(idc, c.counit), c.comult), idc, labels1)
+    return report
+
+
+# -- bialgebras and antipodes --------------------------------------------------------
+
+
+def validate_bialgebra(b) -> CheckReport:
+    """Delta and eps of b.coalgebra must be algebra maps and 1 grouplike."""
+    a, c = b.algebra, b.coalgebra
+    ida = a.identity()
+    report = CheckReport("bialgebra")
+    flip = flip_map(a.field, a.dim, a.dim)
+    lhs = compose(c.comult, a.mult)
+    rhs = compose(
+        tensor(a.mult, a.mult),
+        compose(tensor(tensor(ida, flip), ida), tensor(c.comult, c.comult)),
+    )
+    report.add("comultiplication is an algebra map", lhs == rhs)
+    report.add("grouplike unit", compose(c.comult, a.unit_map()) == tensor(a.unit_map(), a.unit_map()))
+    report.add("counit is an algebra map", compose(c.counit, a.mult) == tensor(c.counit, c.counit))
+    report.add("counit of unit", compose(c.counit, a.unit_map()).mat.entry(0, 0) == 1)
+    return report
+
+
+def validate_antipode(h) -> CheckReport:
+    """S * id = id * S = 1 o eps in the convolution algebra of h."""
+    a, c, s = h.algebra, h.coalgebra, h.antipode
+    ida = a.identity()
+    report = CheckReport("antipode")
+    target = compose(a.unit_map(), c.counit)
+    report.add("left antipode axiom", compose(a.mult, compose(tensor(s, ida), c.comult)) == target)
+    report.add("right antipode axiom", compose(a.mult, compose(tensor(ida, s), c.comult)) == target)
     return report
 
 
@@ -313,30 +342,27 @@ def regular_bimodule(a: FiniteAlgebra) -> Bimodule:
     return Bimodule(a.dim, a.mult, a.mult, labels=a.basis_labels)
 
 
-def validate_bimodule(a: FiniteAlgebra, m: Bimodule) -> ValidationReport:
-    report = ValidationReport(f"bimodule(dim={m.dim})")
+def validate_bimodule(a: FiniteAlgebra, m: Bimodule) -> CheckReport:
+    report = CheckReport(f"bimodule(dim={m.dim})")
     ida = a.identity()
     idm = identity_map(a.field, (m.dim,))
     unit = a.unit_map()
     la, lm = a.basis_labels, m.labels
-    _check(
-        report,
+    report.check(
         "left associativity",
         compose(m.left, tensor(a.mult, idm)),
         compose(m.left, tensor(ida, m.left)),
         [la, la, lm],
     )
-    _check(report, "left unit", compose(m.left, tensor(unit, idm)), idm, [lm])
-    _check(
-        report,
+    report.check("left unit", compose(m.left, tensor(unit, idm)), idm, [lm])
+    report.check(
         "right associativity",
         compose(m.right, tensor(m.right, ida)),
         compose(m.right, tensor(idm, a.mult)),
         [lm, la, la],
     )
-    _check(report, "right unit", compose(m.right, tensor(idm, unit)), idm, [lm])
-    _check(
-        report,
+    report.check("right unit", compose(m.right, tensor(idm, unit)), idm, [lm])
+    report.check(
         "actions commute",
         compose(m.left, tensor(ida, m.right)),
         compose(m.right, tensor(m.left, ida)),
@@ -368,29 +394,26 @@ def regular_bicomodule(c: FiniteCoalgebra) -> Bicomodule:
     return Bicomodule(c.dim, c.comult, c.comult, labels=c.basis_labels)
 
 
-def validate_bicomodule(c: FiniteCoalgebra, v: Bicomodule) -> ValidationReport:
-    report = ValidationReport(f"bicomodule(dim={v.dim})")
+def validate_bicomodule(c: FiniteCoalgebra, v: Bicomodule) -> CheckReport:
+    report = CheckReport(f"bicomodule(dim={v.dim})")
     idc = c.identity()
     idv = identity_map(c.field, (v.dim,))
     lv = [v.labels]
-    _check(
-        report,
+    report.check(
         "left coassociativity",
         compose(tensor(c.comult, idv), v.left),
         compose(tensor(idc, v.left), v.left),
         lv,
     )
-    _check(report, "left counit", compose(tensor(c.counit, idv), v.left), idv, lv)
-    _check(
-        report,
+    report.check("left counit", compose(tensor(c.counit, idv), v.left), idv, lv)
+    report.check(
         "right coassociativity",
         compose(tensor(v.right, idc), v.right),
         compose(tensor(idv, c.comult), v.right),
         lv,
     )
-    _check(report, "right counit", compose(tensor(idv, c.counit), v.right), idv, lv)
-    _check(
-        report,
+    report.check("right counit", compose(tensor(idv, c.counit), v.right), idv, lv)
+    report.check(
         "coactions commute",
         compose(tensor(idc, v.right), v.left),
         compose(tensor(v.left, idc), v.right),

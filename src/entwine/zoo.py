@@ -14,9 +14,10 @@ The file format is a single JSON document:
 mult triples read e_i . e_j += c e_k; comult triples read
 Delta(e_i) += c e_j (x) e_k; psi rows index A (x) C and columns C (x) A in the
 leftmost-most-significant flattening.  Coefficients are decimal integer
-fractions.  Loading validates everything: field spec, index ranges, algebra
-and coalgebra axioms, the bow-tie relations (failures are reported by relation
-name), and the antipode axioms when a hopf section is present.
+fractions.  Loading validates everything: field spec and index ranges, then
+each axiom family once, in the order algebra, coalgebra, bialgebra and antipode
+(when a hopf section is present), bow-tie relations (failures are reported by
+relation name).
 """
 
 from __future__ import annotations
@@ -24,23 +25,20 @@ from __future__ import annotations
 import json
 import warnings
 
-from .entwining import EntwiningStructure, check_bowtie
-from .errors import (
-    BowTieError,
-    PreconditionError,
-    ShapeMismatchError,
-    StructureParseError,
-)
+from .entwining import EntwiningStructure
+from .errors import PreconditionError, ShapeMismatchError, StructureParseError
 from .linalg import FieldSpec, Mat, format_coeff, parse_coeff
 from .structures import (
+    CheckReport,
     FiniteAlgebra,
     FiniteCoalgebra,
     LinearMap,
-    ValidationReport,
     compose,
     flip_map,
     tensor,
     validate_algebra,
+    validate_antipode,
+    validate_bialgebra,
     validate_coalgebra,
 )
 
@@ -83,41 +81,6 @@ class HopfAlgebra(Bialgebra):
             validate_antipode(self).raise_if_failed()
 
 
-def validate_bialgebra(b: Bialgebra) -> ValidationReport:
-    """Delta and eps must be algebra maps and 1 grouplike."""
-    a, c = b.algebra, b.coalgebra
-    ida = a.identity()
-    report = ValidationReport("bialgebra")
-    d = a.dim
-    flip = flip_map(a.field, d, d)
-    lhs = compose(c.comult, a.mult)
-    rhs = compose(
-        tensor(a.mult, a.mult),
-        compose(tensor(tensor(ida, flip), ida), tensor(c.comult, c.comult)),
-    )
-    if lhs != rhs:
-        report.add_failure("comultiplication is an algebra map")
-    if compose(c.comult, a.unit_map()) != tensor(a.unit_map(), a.unit_map()):
-        report.add_failure("grouplike unit")
-    if compose(c.counit, a.mult) != tensor(c.counit, c.counit):
-        report.add_failure("counit is an algebra map")
-    if compose(c.counit, a.unit_map()).mat.entry(0, 0) != 1:
-        report.add_failure("counit of unit")
-    return report
-
-
-def validate_antipode(h: HopfAlgebra) -> ValidationReport:
-    a, c, s = h.algebra, h.coalgebra, h.antipode
-    ida = a.identity()
-    report = ValidationReport("antipode")
-    target = compose(a.unit_map(), c.counit)
-    if compose(a.mult, compose(tensor(s, ida), c.comult)) != target:
-        report.add_failure("left antipode axiom")
-    if compose(a.mult, compose(tensor(ida, s), c.comult)) != target:
-        report.add_failure("right antipode axiom")
-    return report
-
-
 # -- constructors ---------------------------------------------------------------
 
 
@@ -157,24 +120,26 @@ def comodule_algebra_entwining(
     return EntwiningStructure(a, c, psi)
 
 
-def validate_comodule_algebra(c_bialg: Bialgebra, a: FiniteAlgebra, coaction) -> ValidationReport:
+def validate_comodule_algebra(c_bialg: Bialgebra, a: FiniteAlgebra, coaction) -> CheckReport:
     c = c_bialg.coalgebra
     ida, idc = a.identity(), c.identity()
-    report = ValidationReport("comodule algebra")
-    if compose(tensor(coaction, idc), coaction) != compose(tensor(ida, c.comult), coaction):
-        report.add_failure("coaction coassociativity")
-    if compose(tensor(ida, c.counit), coaction) != ida:
-        report.add_failure("coaction counit")
+    report = CheckReport("comodule algebra")
+    report.add(
+        "coaction coassociativity",
+        compose(tensor(coaction, idc), coaction) == compose(tensor(ida, c.comult), coaction),
+    )
+    report.add("coaction counit", compose(tensor(ida, c.counit), coaction) == ida)
     flip = flip_map(a.field, c.dim, a.dim)
     lhs = compose(coaction, a.mult)
     rhs = compose(
         tensor(a.mult, c_bialg.algebra.mult),
         compose(tensor(tensor(ida, flip), idc), tensor(coaction, coaction)),
     )
-    if lhs != rhs:
-        report.add_failure("coaction is an algebra map")
-    if compose(coaction, a.unit_map()) != tensor(a.unit_map(), c_bialg.algebra.unit_map()):
-        report.add_failure("coaction of unit")
+    report.add("coaction is an algebra map", lhs == rhs)
+    report.add(
+        "coaction of unit",
+        compose(coaction, a.unit_map()) == tensor(a.unit_map(), c_bialg.algebra.unit_map()),
+    )
     return report
 
 
@@ -324,6 +289,7 @@ def load(path, validate: bool = True) -> EntwiningStructure:
 
     Parse problems raise StructureParseError; axiom failures raise
     ValidationError; bow-tie failures raise BowTieError naming the relation.
+    The axioms are checked once, by the EntwiningStructure constructor.
     With validate=False the structure is returned unchecked (diagnostics).
     """
     try:
@@ -375,16 +341,11 @@ def load(path, validate: bool = True) -> EntwiningStructure:
         except (KeyError, ValueError, TypeError):
             raise StructureParseError("malformed hopf section") from None
         antipode = LinearMap((da,), (da,), s_mat)
-        hopf = HopfAlgebra(algebra, coalgebra, antipode, _validate=validate)
+        # validated below, with the entwining
+        hopf = HopfAlgebra(algebra, coalgebra, antipode, _validate=False)
 
     if not validate:
         return EntwiningStructure.unchecked(algebra, coalgebra, psi, hopf=hopf)
-
-    validate_algebra(algebra).raise_if_failed()
-    validate_coalgebra(coalgebra).raise_if_failed()
-    report = check_bowtie(algebra, coalgebra, psi)
-    if not report.ok:
-        raise BowTieError(str(report), report=report)
     return EntwiningStructure(algebra, coalgebra, psi, hopf=hopf)
 
 

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from entwine.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -83,6 +85,30 @@ def test_cohom_rejects_bad_values_flag():
 def test_degree_cap_enforced():
     assert run(["cohom", FIXTURES / "trivial-k.json", "--max-degree", "5"]) == 2
     assert run(["cohom", FIXTURES / "trivial-k.json", "--max-degree", "4"]) == 0
+
+
+def test_cup_obeys_degree_cap():
+    # --deg M N builds the degree M+N+1 space, so (2, 2) needs degree 5
+    assert run(["cup", FIXTURES / "trivial-k.json", "--deg", "2", "2"]) == 2
+    assert run(["cup", FIXTURES / "trivial-k.json", "--deg", "4", "0"]) == 2
+    assert run(["cup", FIXTURES / "trivial-k.json", "--deg", "2", "1"]) == 0
+    assert run(["cup", FIXTURES / "trivial-k.json", "--deg", "2", "2", "--unsafe-degree"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cup", "--deg", "-1", "0"],
+        ["cup", "--deg", "0", "-1"],
+        ["cohom", "--max-degree", "-1"],
+        ["cohom", "--side", "C", "--max-degree", "-1"],
+        ["equivariant", "--max-degree", "-1"],
+        ["deform", "--max-degree", "-1"],
+    ],
+)
+def test_negative_degree_is_usage_error(argv):
+    command, *flags = argv
+    assert run([command, FIXTURES / "z2.json", *flags]) == 2
 
 
 def test_cup_products(tmp_path):

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from entwine.compalg import (
@@ -9,6 +10,9 @@ from entwine.compalg import (
     COALGEBRA,
     CompContext,
     _cond2_core,
+    _direct_cup,
+    _direct_sqcup,
+    _random_cochain,
     check_prelie_identities,
     coboundary,
     comp_i,
@@ -157,7 +161,8 @@ def test_derivation_property_small(kz2_ctx):
 
 
 def test_dual_side_cup_routes_agree(kz2_dual):
-    # cup() raises on route mismatch, so evaluating is the assertion
+    # evaluates both products on the dual side; the comparison with the direct
+    # formulas is test_products_match_direct_formulas
     for m in (0, 1):
         for n in (0, 1):
             for f in kz2_dual.basis(m):
@@ -194,7 +199,7 @@ def test_condition3_fails_for_non_pi(kz2_ctx):
     fake = kz2_ctx.basis(2)[6]
     report = verify_weak_comp(kz2_ctx, 2, pi=fake)
     assert not report.ok
-    assert any("condition (3)" in name for name, _ in report.failures())
+    assert any("condition (3)" in name for name, _ in report.failures)
 
 
 def test_core_identity_matches_brute_force(kz2_ctx, kz2_dual):
@@ -307,3 +312,44 @@ def test_equivariant_checks_sweedler():
     ctx = CompContext(named_example("sweedler"), ALGEBRA)
     report = equivariant_checks(ctx, 2)
     assert report.ok, str(report)
+
+
+# -- oracles: the alternative formulas the library no longer evaluates ----------
+
+ORACLE_FIXTURES = ("trivial-k", "trivial-z2", "z2", "z3", "sweedler", "graded-z2")
+
+
+def _oracle_cochains(ctx, rng):
+    """Every basis cochain of degree <= 1, and seeded random ones of degrees 0, 1, 2."""
+    return ctx.basis(0) + ctx.basis(1), [_random_cochain(ctx, d, rng) for d in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("side", (ALGEBRA, COALGEBRA))
+@pytest.mark.parametrize("name", ORACLE_FIXTURES)
+def test_products_match_direct_formulas(examples, name, side):
+    # products are bilinear: every basis cochain meets a random partner in
+    # both slots, and the random cochains meet each other up to degree 2
+    ctx = CompContext(examples[name], side)
+    rng = np.random.default_rng(0)
+    basis, randoms = _oracle_cochains(ctx, rng)
+    pairs = [(f, g) for f in randoms for g in randoms]
+    for f in basis:
+        partner = _random_cochain(ctx, int(rng.integers(0, 2)), rng)
+        pairs += [(f, partner), (partner, f)]
+    for f, g in pairs:
+        assert cup(ctx, f, g) == _direct_cup(ctx, f, g), (name, side, f.degree, g.degree)
+        assert sqcup(ctx, f, g) == _direct_sqcup(ctx, f, g), (name, side, f.degree, g.degree)
+
+
+@pytest.mark.parametrize("side", (ALGEBRA, COALGEBRA))
+@pytest.mark.parametrize("name", ORACLE_FIXTURES)
+def test_coboundary_matches_diamond_formula(examples, name, side):
+    ctx = CompContext(examples[name], side)
+    basis, randoms = _oracle_cochains(ctx, np.random.default_rng(1))
+    for f in basis + randoms:
+        m = f.degree
+        sign = -1 if (m - 1) % 2 else 1
+        expected = lin_comb(
+            ctx, m + 1, [(sign, diamond(ctx, ctx.pi, f)), (-1, diamond(ctx, f, ctx.pi))]
+        )
+        assert coboundary(ctx, f) == expected, (name, side, m)
