@@ -44,6 +44,4 @@ print("cup = sqcup on equivariant cochains:", cup(ctx, f, g) == sqcup(ctx, f, g)
 # The full battery: closure, stability under d, graded commutativity of the
 # subcomplex cohomology, and the translation-map criterion.
 report = equivariant_checks(ctx, 2)
-print("\n" + str(report))
-for name, ok, detail in report.items:
-    print(f"  [{'pass' if ok else 'FAIL'}] {name}" + (f" ({detail})" if detail else ""))
+print(f"\n{report} ({len(report.items)} checks)")

@@ -116,7 +116,9 @@ def cmd_cohom(args) -> dict:
 
 
 def cmd_cup(args) -> dict:
-    m, n = (_capped(args, d, "--deg") for d in args.deg)
+    m, n = args.deg
+    if min(m, n) < 0:
+        raise StructureParseError("--deg must be non-negative")
     _capped(args, m + n + 1, "--deg M N builds degree M+N+1, which")
     e = load(args.path)
     report = rep.new_report("cup", e.summary(), args.seed)
@@ -280,10 +282,7 @@ def main(argv=None) -> int:
     started = time.time()
     try:
         report = args.func(args)
-    except StructureParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (StructureParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except EntwineError as exc:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from entwine.errors import BowTieError, ValidationError
-from entwine.zoo import load
+from entwine.zoo import load, named_example
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -44,6 +44,11 @@ def validator_calls(monkeypatch):
 
 def test_hopf_file_validates_each_family_once(validator_calls):
     load(FIXTURES / "sweedler.json")
+    assert validator_calls == dict.fromkeys(validator_calls, 1)
+
+
+def test_named_hopf_example_validates_each_family_once(validator_calls):
+    named_example("sweedler")
     assert validator_calls == dict.fromkeys(validator_calls, 1)
 
 
