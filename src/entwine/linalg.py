@@ -2,9 +2,10 @@
 
 Matrices are stored as scipy integer sparse matrices together with a single
 positive denominator, so a matrix is num/den entrywise.  All arithmetic is
-exact: products and sums are guarded against int64 overflow and fall back to
-arbitrary-precision Python integers when a bound is exceeded (which does not
-happen for the structure constants handled here, but keeps user input safe).
+exact and guarded against int64 overflow: matrix products fall back to
+arbitrary-precision Python integers when a bound is exceeded, while sums,
+scalings and Kronecker products raise StructureParseError instead (neither
+happens for the structure constants handled here).
 
 Rank / kernel / image / solve go through a sparse reduced row echelon form
 with exact scalar arithmetic (Fraction over Q, modular inverses over F_p).

@@ -1,6 +1,7 @@
 """Comp operations, cup products, weak-comp axioms, equivariant subcomplex."""
 
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from entwine.compalg import (
     cup,
     diamond,
     eps_tensor_id,
+    equivariance_operator,
     equivariant_basis,
     equivariant_checks,
     graded_commutativity,
@@ -26,12 +28,14 @@ from entwine.compalg import (
     sqcup,
     verify_weak_comp,
 )
-from entwine.entwining import convolution_psi
+from entwine.entwining import EntwiningStructure, convolution_psi
 from entwine.errors import DegreeError
 from entwine.homspace import vec
 from entwine.linalg import QQ, Mat
 from entwine.structures import LinearMap, compose, identity_map, tensor
-from entwine.zoo import named_example
+from entwine.zoo import load, named_example
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -294,8 +298,6 @@ def test_equivariant_dims_kz2(kz2_ctx):
 
 
 def test_pi_is_equivariant(kz2_ctx):
-    from entwine.compalg import equivariance_operator
-
     assert (equivariance_operator(kz2_ctx, 2) @ vec(kz2_ctx.pi.map_)).is_zero()
 
 
@@ -310,6 +312,127 @@ def test_equivariant_checks_sweedler():
     ctx = CompContext(named_example("sweedler"), ALGEBRA)
     report = equivariant_checks(ctx, 2)
     assert report.ok, str(report)
+
+
+def _bumped_psi_z2(i, j):
+    """z2 with psi[i, j] raised by 1: no longer an entwining."""
+    e = named_example("z2")
+    rows = e.psi.mat.to_fraction_rows()
+    rows[i][j] += 1
+    psi = LinearMap(e.psi.domain_shape, e.psi.codomain_shape, Mat.from_rows(e.field, rows))
+    return EntwiningStructure.unchecked(e.algebra, e.coalgebra, psi)
+
+
+_BROKEN_Z2 = [
+    ("pi is equivariant", False, ""),
+    ("closure under insertions", False, "violated at m=2 n=2 i=1"),
+    ("cup = sqcup on equivariant cochains", True, ""),
+    ("differential preserves the subcomplex", False, ""),
+    ("graded commutativity of equivariant classes", False, ""),
+]
+_CORRUPTED_PSI_TAIL = [
+    ("closure under insertions", True, "all basis pairs"),
+    ("cup = sqcup on equivariant cochains", True, ""),
+    ("differential preserves the subcomplex", False, ""),
+    ("graded commutativity of equivariant classes", False, ""),
+]
+
+
+# report items recorded with the per-pair loops the battery used to run
+@pytest.mark.parametrize(
+    "build, cap, items",
+    [
+        (lambda: load(FIXTURES / "corrupted-psi.json", validate=False), 1, _CORRUPTED_PSI_TAIL),
+        (
+            lambda: load(FIXTURES / "corrupted-psi.json", validate=False),
+            2,
+            [("pi is equivariant", False, "")] + _CORRUPTED_PSI_TAIL,
+        ),
+        # violations only at (m, n) = (2, 2)
+        (lambda: _bumped_psi_z2(1, 0), 2, _BROKEN_Z2),
+        # violations at m = 2 for n = 0, 1, 2: the detail names the last one
+        (lambda: _bumped_psi_z2(2, 0), 2, _BROKEN_Z2),
+    ],
+    ids=["corrupted-psi-1", "corrupted-psi-2", "z2-psi-1-0", "z2-psi-2-0"],
+)
+def test_equivariant_failure_details_are_pinned(build, cap, items):
+    assert equivariant_checks(CompContext(build(), ALGEBRA), cap).items == items
+
+
+def _per_pair_checks(ctx, bases, cap):
+    """Oracle: closure, cup = sqcup and stability, one basis pair at a time."""
+    ops = {n: equivariance_operator(ctx, n) for n in range(cap + 2)}
+    closure_ok, closure_detail = True, "all basis pairs"
+    for m in range(cap + 1):
+        for n in range(cap + 1):
+            for f in bases[m]:
+                for g in bases[n]:
+                    for i in range(m):
+                        out = comp_i(ctx, f, i, g)
+                        if out.degree <= cap + 1 and not (ops[out.degree] @ vec(out.map_)).is_zero():
+                            closure_ok = False
+                            closure_detail = f"violated at m={m} n={n} i={i}"
+    agree = all(
+        cup(ctx, f, g) == sqcup(ctx, f, g)
+        for m in range(cap + 1)
+        for n in range(cap + 1)
+        if m + n <= cap + 1
+        for f in bases[m]
+        for g in bases[n]
+    )
+    stable = all(
+        (ops[m + 1] @ vec(coboundary(ctx, f).map_)).is_zero()
+        for m in range(cap + 1)
+        for f in bases[m]
+    )
+    return [
+        ("closure under insertions", closure_ok, closure_detail),
+        ("cup = sqcup on equivariant cochains", agree, ""),
+        ("differential preserves the subcomplex", stable, ""),
+    ]
+
+
+# (degree, basis index) of a cochain added to the equivariant basis of z2;
+# None adds nothing and "random" adds a seeded random degree-1 cochain
+@pytest.mark.parametrize("extra", [None, (0, 2), (1, 1), (1, 3), (2, 5), "random"])
+def test_stacked_checks_match_per_pair_checks(monkeypatch, kz2_ctx, extra):
+    # one cochain outside the subcomplex makes the checks fail at some pairs
+    # and not others; the stacked operators must fail exactly where the
+    # per-pair loops do, with the same closure detail
+    import entwine.compalg as compalg
+
+    subsets = {n: list(equivariant_basis(kz2_ctx, n)) for n in range(3)}
+    if extra == "random":
+        subsets[1].insert(1, _random_cochain(kz2_ctx, 1, np.random.default_rng(0)))
+    elif extra is not None:
+        degree, k = extra
+        subsets[degree].insert(1, kz2_ctx.basis(degree)[k])
+    monkeypatch.setattr(compalg, "equivariant_basis", lambda ctx, n: subsets[n])
+    for cap in (1, 2):
+        want = _per_pair_checks(kz2_ctx, subsets, cap)
+        names = {name for name, _, _ in want}
+        got = [item for item in equivariant_checks(kz2_ctx, cap).items if item[0] in names]
+        assert got == want
+
+
+def test_equivariant_checks_work_grows_with_the_basis(monkeypatch):
+    # the battery inserts through one operator per fixed operand: its comp_i
+    # calls are bounded by the basis size, not by the number of basis pairs
+    import entwine.compalg as compalg
+
+    calls = 0
+    original = compalg.comp_i
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(compalg, "comp_i", counting)
+    ctx = CompContext(named_example("sweedler"), ALGEBRA)
+    sizes = [len(equivariant_basis(ctx, n)) for n in (0, 1)]  # 4 and 16
+    assert equivariant_checks(ctx, 1).ok
+    assert calls <= 2 * sum(sizes)
 
 
 # -- oracles: the alternative formulas the library no longer evaluates ----------
