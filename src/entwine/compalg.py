@@ -44,7 +44,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .homspace import middle_operator, op_precompose, unvec, vec
-from .linalg import Mat, from_columns, kernel_basis, kron, solve
+from .linalg import Mat, from_columns, hstack, kernel_basis, kron, rank, solve
 from .structures import CheckReport, LinearMap, compose, identity_map, regular_bimodule, tensor
 
 ALGEBRA = "algebra"
@@ -598,15 +598,9 @@ def hopf_criterion_operator(ctx, n: int) -> Mat:
 
 
 def _span_equal(field, length, vs, ws) -> bool:
-    if len(vs) != len(ws):
-        return False
-    if not vs:
-        return True
-    vmat = from_columns(field, length, vs)
-    wmat = from_columns(field, length, ws)
-    return all(solve(vmat, w) is not None for w in ws) and all(
-        solve(wmat, v) is not None for v in vs
-    )
+    """Whether the columns vs and ws span the same subspace of k^length."""
+    vmat, wmat = from_columns(field, length, vs), from_columns(field, length, ws)
+    return rank(vmat) == rank(wmat) == rank(hstack([vmat, wmat]))
 
 
 def equivariant_checks(ctx, degree_cap: int = 2) -> CheckReport:
@@ -707,11 +701,7 @@ def _equivariant_graded_commutativity(ctx, bases, stacked, degree_cap) -> CheckR
                 report.add("differential restricts to the subcomplex", False, f"degree {m}")
                 return report
             cols.append(x)
-        sub_d[m] = (
-            from_columns(field, len(bases[m + 1]), cols)
-            if cols
-            else Mat.zeros(field, len(bases[m + 1]), 0)
-        )
+        sub_d[m] = from_columns(field, len(bases[m + 1]), cols)
     cocycles = {m: kernel_basis(d) for m, d in sub_d.items()}
     for m in range(degree_cap):
         for n in range(degree_cap):
@@ -719,8 +709,8 @@ def _equivariant_graded_commutativity(ctx, bases, stacked, degree_cap) -> CheckR
                 continue
             for zv in cocycles[m]:
                 for wv in cocycles[n]:
-                    xi = _lift(ctx, bases[m], zv, m)
-                    eta = _lift(ctx, bases[n], wv, n)
+                    xi = ctx.from_vec(m, stacked[m] @ zv)
+                    eta = ctx.from_vec(n, stacked[n] @ wv)
                     sign = -1 if (m * n) % 2 else 1
                     residual = lin_comb(
                         ctx, m + n, [(1, cup(ctx, xi, eta)), (-sign, cup(ctx, eta, xi))]
@@ -740,16 +730,3 @@ def _equivariant_graded_commutativity(ctx, bases, stacked, degree_cap) -> CheckR
         report.add("no equivariant class pairs", True)
     return report
 
-
-def _lift(ctx, basis, coords: Mat, degree) -> Cochain:
-    total = None
-    for k, f in enumerate(basis):
-        c = coords.entry(k, 0)
-        if c == 0:
-            continue
-        part = f.map_.mat.scale(c)
-        total = part if total is None else total + part
-    if total is None:
-        return ctx.zero(degree)
-    dom, cod = ctx.space_shapes(degree)
-    return Cochain(ctx.side, degree, LinearMap(dom, cod, total))

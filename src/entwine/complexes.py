@@ -37,6 +37,7 @@ from .homspace import (
 )
 from .linalg import (
     Mat,
+    hstack,
     kernel_basis,
     image_basis,
     kron,
@@ -270,27 +271,17 @@ def hom_CM_bimodule(e: EntwiningStructure, m: Bimodule) -> Bimodule:
     a, c = e.algebra, e.coalgebra
     da, dc, dm = a.dim, c.dim, m.dim
     dim = dm * dc
-    left_cols = []
+    left_blocks, right_blocks = [], []
     for r in range(da):
-        emb = LinearMap((), (da,), Mat.from_triples(e.field, da, 1, [(r, 0, 1)]))
+        emb = LinearMap((), (da,), Mat.identity(e.field, da).col_vector(r))
         route = compose(e.psi, tensor(c.identity(), emb))
-        left_cols.append(middle_operator(m.left.mat, da, dm, dc, 1, route.mat))
-    left_triples = []
-    for r, block in enumerate(left_cols):
-        for i, j, val in block.triples():
-            left_triples.append((i, r * dim + j, val))
-    left = LinearMap(
-        (da, dim), (dim,), Mat.from_triples(e.field, dim, da * dim, left_triples)
-    )
-    right_triples = []
-    for s in range(da):
-        emb = LinearMap((), (da,), Mat.from_triples(e.field, da, 1, [(s, 0, 1)]))
+        left_blocks.append(middle_operator(m.left.mat, da, dm, dc, 1, route.mat))
         acts = compose(m.right, tensor(identity_map(e.field, (dm,)), emb))
-        block = op_postcompose(acts.mat, dc)
-        for i, j, val in block.triples():
-            right_triples.append((i, j * da + s, val))
+        right_blocks.append(op_postcompose(acts.mat, dc))
+    left = LinearMap((da, dim), (dim,), hstack(left_blocks))
+    # the right action reads its argument as f (x) a: column f * da + a
     right = LinearMap(
-        (dim, da), (dim,), Mat.from_triples(e.field, dim, dim * da, right_triples)
+        (dim, da), (dim,), hstack(right_blocks).select_columns(vec_transpose_index(dim, da))
     )
     hom = Bimodule(dim, left, right)
     validate_bimodule(a, hom).raise_if_failed()

@@ -41,7 +41,7 @@ from .errors import (
     InternalConsistencyError,
 )
 from .homspace import unvec
-from .linalg import Mat, kron
+from .linalg import Mat, from_blocks, kron
 from .structures import (
     Bicomodule,
     Bimodule,
@@ -141,21 +141,17 @@ class TotalComplex:
     def _total_differential(self, n) -> Mat:
         """Block matrix of D at degree n (degree 0 maps out of the zero space)."""
         e = self.e
-        target = self.offsets(n + 1)
-        source = self.offsets(n)
-        rows = self.dims[n + 1]
-        cols = self.dims[n]
+        target = {(kind, tag): off for kind, tag, off, _ in self.offsets(n + 1)}
+        source = {(kind, tag): off for kind, tag, off, _ in self.offsets(n)}
         blocks = []
 
         def place(tgt_kind, tgt_tag, src_kind, src_tag, mat, sign):
-            t = next(o for o in target if o[0] == tgt_kind and o[1] == tgt_tag)
-            s = next(o for o in source if o[0] == src_kind and o[1] == src_tag)
-            blocks.append((t[2], s[2], mat if sign == 1 else -mat))
+            blocks.append((target[tgt_kind, tgt_tag], source[src_kind, src_tag], mat if sign == 1 else -mat))
 
         a, c = e.algebra, e.coalgebra
         reg_bim = regular_bimodule(a)
         reg_bicom = regular_bicomodule(c)
-        for kind, tag, _, _ in source:
+        for kind, tag in source:
             if kind == "hoch":
                 place("hoch", n + 1, "hoch", n, hochschild_differential(a, reg_bim, n), 1)
                 glue = comodule_differential(e, _col_bicomodule(e, n), 0) @ hochschild_inclusion_operator(e, reg_bim, n)
@@ -168,11 +164,7 @@ class TotalComplex:
                 m, k = tag
                 place("mid", (m + 1, k), "mid", (m, k), module_differential(e, _row_bimodule(e, k), m), 1)
                 place("mid", (m, k + 1), "mid", (m, k), comodule_differential(e, _col_bicomodule(e, m), k), -1 if m % 2 else 1)
-        triples = []
-        for roff, coff, mat in blocks:
-            for i, j, v in mat.triples():
-                triples.append((roff + i, coff + j, v))
-        return Mat.from_triples(e.field, rows, cols, triples)
+        return from_blocks(e.field, self.dims[n + 1], self.dims[n], blocks)
 
     def differential(self, n) -> Mat:
         return self.complex.differential(n)
@@ -185,10 +177,7 @@ class TotalComplex:
         da, dc = e.algebra.dim, e.coalgebra.dim
         out = {}
         for kind, tag, off, dim in self.offsets(n):
-            piece = Mat.from_triples(
-                e.field, dim, 1,
-                [(i - off, 0, v) for i, _, v in column.triples() if off <= i < off + dim],
-            )
+            piece = column.select_rows(slice(off, off + dim))
             if kind == "hoch":
                 out[("hoch", tag)] = unvec(piece, (da,) * tag, (da,))
             elif kind == "cart":

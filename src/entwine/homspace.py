@@ -14,6 +14,8 @@ which covers all "apply f in the middle of a tensor expression" patterns.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -24,21 +26,15 @@ from .structures import LinearMap
 
 def vec(f: LinearMap) -> Mat:
     """Row-major flattening of the matrix of f, as a column vector."""
-    m = f.mat
-    triples = [(i * m.cols + j, 0, v) for i, j, v in m.triples()]
-    return Mat.from_triples(m.field, m.rows * m.cols, 1, triples)
+    return f.mat.reshape(f.mat.rows * f.mat.cols, 1)
 
 
 def unvec(column: Mat, domain_shape, codomain_shape) -> LinearMap:
     """Inverse of vec for the given tensor shapes."""
-    import math
-
-    rows = math.prod(codomain_shape) if codomain_shape else 1
-    cols = math.prod(domain_shape) if domain_shape else 1
+    rows, cols = math.prod(codomain_shape), math.prod(domain_shape)
     if column.rows != rows * cols or column.cols != 1:
         raise ShapeMismatchError("flattened vector has wrong length")
-    triples = [(i // cols, i % cols, v) for i, _, v in column.triples()]
-    return LinearMap(domain_shape, codomain_shape, Mat.from_triples(column.field, rows, cols, triples))
+    return LinearMap(domain_shape, codomain_shape, column.reshape(rows, cols))
 
 
 def vec_transpose_index(rows: int, cols: int) -> list[int]:

@@ -7,6 +7,10 @@ arbitrary-precision Python integers when a bound is exceeded, while sums,
 scalings and Kronecker products raise StructureParseError instead (neither
 happens for the structure constants handled here).
 
+Stacking and re-indexing (from_blocks, Mat.reshape) work on the numerators
+over one common denominator; Mat.from_triples and Mat.triples() are the parse
+and serialize boundary, where entries are Fractions.
+
 Rank / kernel / image / solve go through a sparse reduced row echelon form
 with exact scalar arithmetic (Fraction over Q, modular inverses over F_p).
 RREF is canonical, which keeps every downstream computation reproducible
@@ -18,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,7 +85,7 @@ class FieldSpec:
     def parse(text: str) -> "FieldSpec":
         if text == "Q":
             return FieldSpec("Q")
-        if text.startswith("Fp:"):
+        if isinstance(text, str) and text.startswith("Fp:"):
             try:
                 p = int(text[3:])
             except ValueError:
@@ -104,7 +109,7 @@ QQ = FieldSpec.rationals()
 
 def parse_coeff(text) -> Fraction:
     """Parse a coefficient given as 'a' or 'a/b' (decimal integers)."""
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, Fraction):
         return text
@@ -307,9 +312,20 @@ class Mat:
 
     def scale(self, value) -> "Mat":
         n, d = _coeff_to_field(self.field, value)
+        if n == 0:
+            return Mat.zeros(self.field, self.rows, self.cols)
         if abs(n) * self._max_abs() >= _I64_GUARD:
             raise StructureParseError("entry growth beyond engine bounds")
         return Mat(self.field, self._num * n, self._den * d).normalized()
+
+    def reshape(self, rows, cols) -> "Mat":
+        """The same entries read row-major into a rows x cols matrix."""
+        if rows * cols != self.rows * self.cols:
+            raise ShapeMismatchError(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
+        coo = self._num.tocoo()
+        flat = coo.row.astype(np.int64) * self.cols + coo.col
+        num = sp.csr_matrix((coo.data, (flat // cols, flat % cols)), shape=(rows, cols))
+        return Mat(self.field, num, self._den).normalized()
 
     def transpose(self) -> "Mat":
         return Mat(self.field, self._num.transpose().tocsr(), self._den)
@@ -522,48 +538,54 @@ def solve(m: Mat, b: Mat) -> Mat | None:
     return Mat.from_triples(m.field, m.cols, 1, triples)
 
 
+def from_blocks(field, rows, cols, blocks) -> Mat:
+    """The rows x cols matrix holding each (row_off, col_off, m) block at its offset.
+
+    Blocks must not overlap.  The numerators are rescaled to one common
+    denominator, under the same int64 guard as addition.
+    """
+    den = math.lcm(*(m._den for _, _, m in blocks))
+    ii, jj, data = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for r, c, m in blocks:
+        if m.field != field:
+            raise FieldMismatchError(f"{m.field} block in a {field} matrix")
+        if r < 0 or c < 0 or r + m.rows > rows or c + m.cols > cols:
+            raise ShapeMismatchError(f"{m.rows}x{m.cols} block at ({r},{c}) outside {rows}x{cols}")
+        scale = den // m._den
+        if m._max_abs() * scale >= _I64_GUARD:
+            raise StructureParseError("entry growth beyond engine bounds")
+        coo = m._num.tocoo()
+        ii.append(coo.row.astype(np.int64) + r)
+        jj.append(coo.col.astype(np.int64) + c)
+        data.append(coo.data * scale)
+    data = np.concatenate(data)
+    num = sp.csr_matrix((data, (np.concatenate(ii), np.concatenate(jj))), shape=(rows, cols))
+    if num.nnz != data.size:
+        raise ShapeMismatchError("overlapping blocks")
+    num.eliminate_zeros()
+    return Mat(field, num, den).normalized()
+
+
 def from_columns(field, length, columns) -> Mat:
-    if not columns:
-        return Mat.zeros(field, length, 0)
-    triples = []
-    for j, col in enumerate(columns):
-        if col.rows != length or col.cols != 1:
-            raise ShapeMismatchError("column of wrong length")
-        for i, _, v in col.triples():
-            triples.append((i, j, v))
-    return Mat.from_triples(field, length, len(columns), triples)
+    if any(col.rows != length or col.cols != 1 for col in columns):
+        raise ShapeMismatchError("column of wrong length")
+    return from_blocks(field, length, len(columns), [(0, j, col) for j, col in enumerate(columns)])
 
 
 def hstack(mats: list[Mat]) -> Mat:
-    field = mats[0].field
     rows = mats[0].rows
-    triples = []
-    off = 0
-    for m in mats:
-        if m.field != field:
-            raise FieldMismatchError("mixed fields in hstack")
-        if m.rows != rows:
-            raise ShapeMismatchError("mixed heights in hstack")
-        for i, j, v in m.triples():
-            triples.append((i, j + off, v))
-        off += m.cols
-    return Mat.from_triples(field, rows, off, triples)
+    if any(m.rows != rows for m in mats):
+        raise ShapeMismatchError("mixed heights in hstack")
+    offsets = list(accumulate((m.cols for m in mats), initial=0))
+    return from_blocks(mats[0].field, rows, offsets[-1], [(0, off, m) for off, m in zip(offsets, mats)])
 
 
 def vstack(mats: list[Mat]) -> Mat:
-    field = mats[0].field
     cols = mats[0].cols
-    triples = []
-    off = 0
-    for m in mats:
-        if m.field != field:
-            raise FieldMismatchError("mixed fields in vstack")
-        if m.cols != cols:
-            raise ShapeMismatchError("mixed widths in vstack")
-        for i, j, v in m.triples():
-            triples.append((i + off, j, v))
-        off += m.rows
-    return Mat.from_triples(field, off, cols, triples)
+    if any(m.cols != cols for m in mats):
+        raise ShapeMismatchError("mixed widths in vstack")
+    offsets = list(accumulate((m.rows for m in mats), initial=0))
+    return from_blocks(mats[0].field, offsets[-1], cols, [(off, 0, m) for off, m in zip(offsets, mats)])
 
 
 def kron(a: Mat, b: Mat) -> Mat:

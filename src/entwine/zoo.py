@@ -24,11 +24,14 @@ from __future__ import annotations
 
 import json
 import warnings
+from contextlib import contextmanager
 
 from .entwining import EntwiningStructure
 from .errors import PreconditionError, ShapeMismatchError, StructureParseError
 from .linalg import FieldSpec, Mat, format_coeff, parse_coeff
 from .structures import (
+    Bicomodule,
+    Bimodule,
     CheckReport,
     FiniteAlgebra,
     FiniteCoalgebra,
@@ -39,6 +42,8 @@ from .structures import (
     validate_algebra,
     validate_antipode,
     validate_bialgebra,
+    validate_bicomodule,
+    validate_bimodule,
     validate_coalgebra,
 )
 
@@ -281,69 +286,106 @@ def save(e: EntwiningStructure, path) -> None:
         fh.write("\n")
 
 
-def _require(doc, key, context):
-    if key not in doc:
-        raise StructureParseError(f"missing field {key!r} in {context}")
-    return doc[key]
+@contextmanager
+def _section(name):
+    """Name the file section in any parse error raised while reading it."""
+    try:
+        yield
+    except StructureParseError as exc:
+        raise StructureParseError(f"{name}: {exc}") from None
 
 
-def load(path, validate: bool = True) -> EntwiningStructure:
-    """Load and fully validate a structure file.
-
-    Parse problems raise StructureParseError; axiom failures raise
-    ValidationError; bow-tie failures raise BowTieError naming the relation.
-    The axioms are checked once, by the EntwiningStructure constructor.
-    With validate=False the structure is returned unchecked (diagnostics).
-    """
+def _read(path, tag) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise StructureParseError(f"{path}: invalid JSON at line {exc.lineno}") from None
-    if doc.get("format") != FORMAT_TAG:
+    if not isinstance(doc, dict):
+        raise StructureParseError(f"{path}: document must be a JSON object")
+    if doc.get("format") != tag:
         raise StructureParseError(f"{path}: unknown format {doc.get('format')!r}")
-    field = FieldSpec.parse(_require(doc, "field", "document"))
+    return doc
 
-    adoc = _require(doc, "algebra", "document")
-    labels = _require(adoc, "labels", "algebra")
-    if len(labels) != _require(adoc, "dim", "algebra"):
-        raise StructureParseError("algebra dim does not match labels")
-    try:
-        mult = [(i, j, k, parse_coeff(cf)) for i, j, k, cf in _require(adoc, "mult", "algebra")]
-        unit = [parse_coeff(v) for v in _require(adoc, "unit", "algebra")]
-        algebra = FiniteAlgebra.from_structure_constants(field, labels, mult, unit)
-    except (ValueError, TypeError):
-        raise StructureParseError("malformed algebra section") from None
 
-    cdoc = _require(doc, "coalgebra", "document")
-    clabels = _require(cdoc, "labels", "coalgebra")
-    if len(clabels) != _require(cdoc, "dim", "coalgebra"):
-        raise StructureParseError("coalgebra dim does not match labels")
-    try:
-        comult = [(i, j, k, parse_coeff(cf)) for i, j, k, cf in _require(cdoc, "comult", "coalgebra")]
-        counit = [parse_coeff(v) for v in _require(cdoc, "counit", "coalgebra")]
-        coalgebra = FiniteCoalgebra.from_structure_constants(field, clabels, comult, counit)
-    except (ValueError, TypeError):
-        raise StructureParseError("malformed coalgebra section") from None
+def _require(doc, key):
+    if not isinstance(doc, dict):
+        raise StructureParseError("not a JSON object")
+    if key not in doc:
+        raise StructureParseError(f"missing field {key!r}")
+    return doc[key]
 
+
+def _entries(doc, key, bounds):
+    """doc[key] as (index, ..., coeff) tuples, each index an int below its bound."""
+    entries = _require(doc, key)
+    with _section(repr(key)):
+        if not isinstance(entries, list):
+            raise StructureParseError("not a list")
+        for entry in entries:
+            if not (
+                isinstance(entry, list)
+                and len(entry) == len(bounds) + 1
+                and all(type(i) is int and 0 <= i < b for i, b in zip(entry, bounds))
+            ):
+                raise StructureParseError(
+                    f"bad entry {entry!r}: want {len(bounds)} indices in range and a coefficient"
+                )
+        return [(*entry[:-1], parse_coeff(entry[-1])) for entry in entries]
+
+
+def _matrix(doc, key, field, rows, cols) -> Mat:
+    entries = _entries(doc, key, (rows, cols))
+    with _section(repr(key)):
+        return Mat.from_triples(field, rows, cols, entries)
+
+
+def _dim(doc) -> int:
+    dim = _require(doc, "dim")
+    if type(dim) is not int or dim < 0:
+        raise StructureParseError(f"'dim' must be a non-negative integer, not {dim!r}")
+    return dim
+
+
+def _structure_constants(doc, field, cls, name, table, vector):
+    """The algebra or coalgebra section, built by cls.from_structure_constants."""
+    with _section(name):
+        sec = _require(doc, name)
+        labels = _require(sec, "labels")
+        if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+            raise StructureParseError("'labels' must be a list of strings")
+        d = len(labels)
+        if _dim(sec) != d:
+            raise StructureParseError("dim does not match labels")
+        values = _require(sec, vector)
+        if not isinstance(values, list) or len(values) != d:
+            raise StructureParseError(f"{vector!r} must be a list of {d} coefficients")
+        with _section(repr(vector)):
+            values = [parse_coeff(v) for v in values]
+        return cls.from_structure_constants(field, labels, _entries(sec, table, (d, d, d)), values)
+
+
+def load(path, validate: bool = True) -> EntwiningStructure:
+    """Load and fully validate a structure file.
+
+    Parse problems raise StructureParseError naming the section; axiom
+    failures raise ValidationError; bow-tie failures raise BowTieError naming
+    the relation.  The axioms are checked once, by the EntwiningStructure
+    constructor.  With validate=False the structure is returned unchecked
+    (diagnostics).
+    """
+    doc = _read(path, FORMAT_TAG)
+    with _section("field"):
+        field = FieldSpec.parse(_require(doc, "field"))
+    algebra = _structure_constants(doc, field, FiniteAlgebra, "algebra", "mult", "unit")
+    coalgebra = _structure_constants(doc, field, FiniteCoalgebra, "coalgebra", "comult", "counit")
     da, dc = algebra.dim, coalgebra.dim
-    try:
-        psi_mat = Mat.from_triples(
-            field, da * dc, dc * da, [(i, j, parse_coeff(cf)) for i, j, cf in _require(doc, "psi", "document")]
-        )
-    except (ValueError, TypeError):
-        raise StructureParseError("malformed psi section") from None
-    psi = LinearMap((dc, da), (da, dc), psi_mat)
+    psi = LinearMap((dc, da), (da, dc), _matrix(doc, "psi", field, da * dc, dc * da))
 
     hopf = None
     if "hopf" in doc:
-        try:
-            s_mat = Mat.from_triples(
-                field, da, da, [(i, j, parse_coeff(cf)) for i, j, cf in doc["hopf"]["antipode"]]
-            )
-        except (KeyError, ValueError, TypeError):
-            raise StructureParseError("malformed hopf section") from None
-        antipode = LinearMap((da,), (da,), s_mat)
+        with _section("hopf"):
+            antipode = LinearMap((da,), (da,), _matrix(doc["hopf"], "antipode", field, da, da))
         # validated below, with the entwining
         hopf = HopfAlgebra(algebra, coalgebra, antipode, _validate=False)
 
@@ -363,36 +405,18 @@ def load_coefficients(path, e: EntwiningStructure, side: str):
     with left/right the matrices of the (co)action maps; loading validates the
     (co)module axioms against the structure's algebra resp. coalgebra.
     """
-    from .structures import (
-        Bicomodule,
-        Bimodule,
-        validate_bicomodule,
-        validate_bimodule,
-    )
-
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise StructureParseError(f"{path}: invalid JSON at line {exc.lineno}") from None
-    if doc.get("format") != COEFF_FORMAT_TAG:
-        raise StructureParseError(f"{path}: unknown format {doc.get('format')!r}")
-    dim = _require(doc, "dim", "coefficients")
+    doc = _read(path, COEFF_FORMAT_TAG)
     field = e.field
     da, dc = e.algebra.dim, e.coalgebra.dim
-
-    def matrix(key, rows, cols):
-        triples = [(i, j, parse_coeff(cf)) for i, j, cf in _require(doc, key, "coefficients")]
-        return Mat.from_triples(field, rows, cols, triples)
-
+    dim = _dim(doc)
     if side == "A":
-        left = LinearMap((da, dim), (dim,), matrix("left", dim, da * dim))
-        right = LinearMap((dim, da), (dim,), matrix("right", dim, dim * da))
+        left = LinearMap((da, dim), (dim,), _matrix(doc, "left", field, dim, da * dim))
+        right = LinearMap((dim, da), (dim,), _matrix(doc, "right", field, dim, dim * da))
         m = Bimodule(dim, left, right)
         validate_bimodule(e.algebra, m).raise_if_failed()
         return m
-    left = LinearMap((dim,), (dc, dim), matrix("left", dc * dim, dim))
-    right = LinearMap((dim,), (dim, dc), matrix("right", dim * dc, dim))
+    left = LinearMap((dim,), (dc, dim), _matrix(doc, "left", field, dc * dim, dim))
+    right = LinearMap((dim,), (dim, dc), _matrix(doc, "right", field, dim * dc, dim))
     v = Bicomodule(dim, left, right)
     validate_bicomodule(e.coalgebra, v).raise_if_failed()
     return v

@@ -41,6 +41,68 @@ def test_malformed_file_is_io_error(tmp_path):
     assert run(["verify", bad]) == 2
 
 
+def _set(section, key, value):
+    def edit(doc):
+        (doc if section is None else doc[section])[key] = value
+        return doc
+
+    return edit
+
+
+# (edit of fixtures/z2.json, word stderr must contain): each malformed file
+# exits 2 and names the offending section or field
+MALFORMED_STRUCTURES = {
+    "top-level list": (lambda doc: [doc], "document"),
+    "non-string field": (_set(None, "field", 7), "field"),
+    "non-prime field": (_set(None, "field", "Fp:4"), "field"),
+    "non-list labels": (_set("algebra", "labels", 5), "labels"),
+    "string dim": (_set("coalgebra", "dim", "2"), "dim"),
+    "missing psi": (lambda doc: {k: v for k, v in doc.items() if k != "psi"}, "psi"),
+    "short unit": (_set("algebra", "unit", ["1"]), "unit"),
+    "long unit": (_set("algebra", "unit", ["1", "0", "0"]), "unit"),
+    "short counit": (_set("coalgebra", "counit", ["1"]), "counit"),
+    "float index": (_set("algebra", "mult", [[0.0, 0, 0, "1"]]), "mult"),
+    "negative index": (_set(None, "psi", [[-1, 0, "1"]]), "psi"),
+    "index out of range": (_set("coalgebra", "comult", [[0, 2, 0, "1"]]), "comult"),
+    "ragged entry": (_set(None, "psi", [[0, "1"]]), "psi"),
+    "boolean coefficient": (_set("algebra", "unit", [True, "0"]), "unit"),
+    "float coefficient": (_set(None, "psi", [[0, 0, 1.0]]), "psi"),
+    "zero denominator": (_set("hopf", "antipode", [[0, 0, "1/0"]]), "antipode"),
+    "non-object hopf": (_set(None, "hopf", []), "hopf"),
+}
+
+MALFORMED_COEFFICIENTS = {
+    "ragged triple": (_set(None, "left", [[0, 0]]), "left"),
+    "string dim": (_set(None, "dim", "2"), "dim"),
+    "non-list right": (_set(None, "right", 3), "right"),
+    "bad coefficient": (_set(None, "right", [[0, 0, "x"]]), "right"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, case",
+    [("structure", k) for k in MALFORMED_STRUCTURES] + [("coefficients", k) for k in MALFORMED_COEFFICIENTS],
+)
+def test_malformed_file_exits_2_naming_the_field(tmp_path, capsys, kind, case):
+    from entwine.structures import regular_bimodule
+    from entwine.zoo import load, save_coefficients
+
+    structure = FIXTURES / "z2.json"
+    bad = tmp_path / "bad.json"
+    if kind == "structure":
+        edit, word = MALFORMED_STRUCTURES[case]
+        bad.write_text(json.dumps(edit(json.loads(structure.read_text()))))
+        argv = ["cohom", bad]
+    else:
+        edit, word = MALFORMED_COEFFICIENTS[case]
+        save_coefficients(regular_bimodule(load(structure).algebra), bad, "A")
+        bad.write_text(json.dumps(edit(json.loads(bad.read_text()))))
+        argv = ["cohom", structure, "--values", f"file:{bad}"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and word in err, err
+
+
 def test_cohom_betti_table(tmp_path):
     out = tmp_path / "report.json"
     assert run(["cohom", FIXTURES / "z2.json", "--side", "A", "--values", "self",

@@ -14,6 +14,7 @@ from entwine.compalg import (
     _direct_cup,
     _direct_sqcup,
     _random_cochain,
+    _span_equal,
     check_prelie_identities,
     coboundary,
     comp_i,
@@ -306,6 +307,25 @@ def test_equivariant_checks_kz2(kz2_ctx):
     assert report.ok, str(report)
     names = [n for n, _, _ in report.items]
     assert any("translation-map criterion" in n for n in names)
+
+
+@pytest.mark.parametrize(
+    "vs, ws, equal",
+    [
+        ([[1, 0, 0], [0, 1, 0]], [[1, 1, 0], [1, -1, 0]], True),
+        ([], [], True),
+        # equal dimensions, different spans
+        ([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 1]], False),
+        # a proper subspace, on either side
+        ([[1, 1, 0]], [[1, 0, 0], [0, 1, 0]], False),
+        ([[1, 0, 0], [0, 1, 0]], [[1, 1, 0]], False),
+        # spanning sets with a dependent vector
+        ([[1, 0, 0], [2, 0, 0]], [[3, 0, 0]], True),
+    ],
+)
+def test_span_equal(vs, ws, equal):
+    vs, ws = ([Mat.column(QQ, v) for v in vectors] for vectors in (vs, ws))
+    assert _span_equal(QQ, 3, vs, ws) is equal
 
 
 def test_equivariant_checks_sweedler():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from entwine import deform
 from entwine.complexes import module_differential
 from entwine.deform import (
     InfinitesimalDeformation,
@@ -63,6 +64,26 @@ def test_total_dims_match_component_sum(kz2, kz2_ch):
         ) + dc ** (n + 1)
         assert kz2_ch.dims[n] == expected
     assert kz2_ch.dims == [0, 8, 32, 96]
+
+
+def _triples_assembly(field, rows, cols, blocks):
+    """Reference block assembly: every entry as a Fraction triple."""
+    triples = []
+    for roff, coff, mat in blocks:
+        for i, j, v in mat.triples():
+            triples.append((roff + i, coff + j, v))
+    return Mat.from_triples(field, rows, cols, triples)
+
+
+@pytest.mark.parametrize("name", ["sweedler", "graded-z2"])
+def test_total_differential_matches_triples_assembly(monkeypatch, name):
+    e = named_example(name)
+    tc = build_CH(e, 4)
+    monkeypatch.setattr(deform, "from_blocks", _triples_assembly)
+    reference = build_CH(e, 4)
+    for n in range(4):
+        got, want = tc.differential(n), reference.differential(n)
+        assert got == want and got.nnz == want.nnz
 
 
 def test_kz2_total_cohomology(kz2_ch):

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from entwine.errors import (
     FieldMismatchError,
     InconsistentQuotientError,
+    ShapeMismatchError,
     StructureParseError,
 )
 from entwine.linalg import (
     QQ,
     FieldSpec,
     Mat,
+    from_blocks,
     from_columns,
     hstack,
     image_basis,
@@ -25,7 +27,9 @@ from entwine.linalg import (
     quotient_with_projection,
     rank,
     solve,
+    vstack,
 )
+from entwine.structures import LinearMap
 
 F7 = FieldSpec.prime(7)
 
@@ -224,3 +228,149 @@ def test_from_columns_and_hstack():
     m = from_columns(QQ, 2, [c1, c2])
     assert m == mat([[1, 3], [2, 4]])
     assert hstack([c1, c2]) == m
+
+
+@pytest.mark.parametrize("field", [QQ, F7])
+def test_scale_by_zero_stores_nothing(field):
+    m = mat([[1, 2], [0, 3]], field=field)
+    for zero in (0, "0", 7 if field == F7 else "0/5"):
+        z = m.scale(zero)
+        assert z.nnz == 0 and z.is_zero()
+        assert z == Mat.zeros(field, 2, 2)
+    assert LinearMap((2,), (2,), m).scale(0).is_zero()
+
+
+# -- assembly: from_blocks / hstack / vstack / from_columns / reshape against a
+# pure-Fraction reference built from to_fraction_rows
+
+P = 10007
+FIELDS = [QQ, FieldSpec.prime(P)]
+
+
+def _reference(field, rows, cols, blocks):
+    out = [[Fraction(0)] * cols for _ in range(rows)]
+    for r, c, m in blocks:
+        for i, row in enumerate(m.to_fraction_rows()):
+            for j, v in enumerate(row):
+                out[r + i][c + j] += v
+    if field.kind == "Fp":
+        out = [[Fraction(v.numerator * pow(v.denominator, -1, P) % P) for v in row] for row in out]
+    return out
+
+
+def _assert_matches(got: Mat, field, rows, cols, blocks):
+    want = _reference(field, rows, cols, blocks)
+    assert (got.field, got.rows, got.cols) == (field, rows, cols)
+    assert got.to_fraction_rows() == want
+    # no stored zeros, whatever the blocks held
+    assert got.nnz == sum(1 for row in want for v in row if v)
+
+
+# mixed denominators over Q; several zero entries so that all-zero blocks occur
+_coeff = st.one_of(st.just(0), st.builds(Fraction, st.integers(-49, 49), st.integers(1, 12)))
+
+
+@st.composite
+def _matrix(draw, field, rows, cols):
+    entries = [[draw(_coeff) for _ in range(cols)] for _ in range(rows)]
+    if field.kind == "Fp":
+        # keep denominators invertible mod P
+        entries = [[Fraction(v.numerator) for v in row] for row in entries]
+    return Mat.from_triples(
+        field, rows, cols, [(i, j, v) for i, row in enumerate(entries) for j, v in enumerate(row)]
+    )
+
+
+@st.composite
+def _block_layout(draw):
+    """A grid of row heights and column widths (0 allowed) with some cells filled."""
+    field = draw(st.sampled_from(FIELDS))
+    heights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    widths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    blocks = []
+    for a, h in enumerate(heights):
+        for b, w in enumerate(widths):
+            if draw(st.booleans()):
+                m = draw(_matrix(field, h, w))
+                if draw(st.integers(0, 4)) == 0:
+                    m = m.scale(0)
+                blocks.append((sum(heights[:a]), sum(widths[:b]), m))
+    return field, sum(heights), sum(widths), blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(_block_layout())
+def test_from_blocks_matches_fraction_reference(layout):
+    field, rows, cols, blocks = layout
+    _assert_matches(from_blocks(field, rows, cols, blocks), field, rows, cols, blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(0, 3), st.data())
+def test_stacking_matches_fraction_reference(field, size, data):
+    widths = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    mats = [data.draw(_matrix(field, size, w)) for w in widths]
+    offsets = [sum(widths[:k]) for k in range(len(widths))]
+    _assert_matches(
+        hstack(mats), field, size, sum(widths), [(0, off, m) for off, m in zip(offsets, mats)]
+    )
+    tall = [m.transpose() for m in mats]
+    _assert_matches(
+        vstack(tall), field, sum(widths), size, [(off, 0, m) for off, m in zip(offsets, tall)]
+    )
+    columns = [data.draw(_matrix(field, size, 1)) for _ in widths]
+    _assert_matches(
+        from_columns(field, size, columns),
+        field, size, len(columns), [(0, j, c) for j, c in enumerate(columns)],
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_reshape_matches_fraction_reference(field, rows, cols, data):
+    m = data.draw(_matrix(field, rows, cols))
+    flat = [v for row in m.to_fraction_rows() for v in row]
+    new_cols = data.draw(st.sampled_from([d for d in range(1, rows * cols + 1) if rows * cols % d == 0]))
+    got = m.reshape(rows * cols // new_cols, new_cols)
+    assert got.to_fraction_rows() == [
+        flat[k : k + new_cols] for k in range(0, len(flat), new_cols)
+    ]
+    assert got.nnz == m.nnz
+    assert got.reshape(rows, cols) == m
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2**60, 2**62 - 1).filter(lambda n: n % 3))
+def test_stacking_near_the_int64_guard(n):
+    # the common denominator 6 doubles n/3's numerator
+    big = Mat.from_triples(QQ, 1, 1, [(0, 0, Fraction(n, 3))])
+    half = Mat.from_triples(QQ, 1, 1, [(0, 0, Fraction(1, 2))])
+    for assemble in (
+        lambda: hstack([big, half]),
+        lambda: vstack([half, big]),
+        lambda: from_columns(QQ, 1, [big, half]),
+        lambda: from_blocks(QQ, 2, 2, [(0, 0, big), (1, 1, half)]),
+    ):
+        if 2 * n >= 2**62:
+            with pytest.raises(StructureParseError, match="entry growth beyond engine bounds"):
+                assemble()
+        else:
+            got = assemble()
+            assert sorted(v for row in got.to_fraction_rows() for v in row if v) == [
+                Fraction(1, 2),
+                Fraction(n, 3),
+            ]
+
+
+def test_from_blocks_checks_its_blocks():
+    one = mat([[1]])
+    with pytest.raises(ShapeMismatchError):
+        from_blocks(QQ, 1, 1, [(0, 1, one)])
+    with pytest.raises(ShapeMismatchError, match="overlapping"):
+        from_blocks(QQ, 2, 2, [(0, 0, mat([[1, 1]])), (0, 1, one)])
+    with pytest.raises(FieldMismatchError):
+        from_blocks(QQ, 1, 2, [(0, 0, one), (0, 1, mat([[1]], field=F7))])
+    with pytest.raises(ShapeMismatchError):
+        hstack([one, mat([[1], [2]])])
+    with pytest.raises(ShapeMismatchError):
+        mat([[1, 2, 3]]).reshape(2, 2)
