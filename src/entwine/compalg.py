@@ -43,8 +43,8 @@ from .errors import (
     MissingTranslationMapError,
     ShapeMismatchError,
 )
-from .homspace import middle_operator, op_precompose, unvec, vec
-from .linalg import Mat, from_columns, hstack, kernel_basis, kron, rank, solve
+from .homspace import op_precompose, unvec, vec
+from .linalg import Mat, from_columns, hstack, kernel_basis, kron, middle_operator, rank, solve
 from .structures import CheckReport, LinearMap, compose, identity_map, regular_bimodule, tensor
 
 ALGEBRA = "algebra"
@@ -102,6 +102,7 @@ class CompContext:
         self.base = e if side == ALGEBRA else dual(e)
         self._diff_ops: dict[int, Mat] = {}
         self._equivariance_ops: dict[int, Mat] = {}
+        self._equivariant_bases: dict[int, list] = {}
         self._cohomology: dict[int, object] = {}
         self._feeds: dict = {}
         b = self.base
@@ -573,7 +574,11 @@ def equivariance_operator(ctx, n: int) -> Mat:
 
 
 def equivariant_basis(ctx, n: int) -> list[Cochain]:
-    return [ctx.from_vec(n, v) for v in kernel_basis(equivariance_operator(ctx, n))]
+    """Kernel basis of the degree-n equivariance operator, cached on ctx."""
+    if n not in ctx._equivariant_bases:
+        kernel = kernel_basis(equivariance_operator(ctx, n))
+        ctx._equivariant_bases[n] = [ctx.from_vec(n, v) for v in kernel]
+    return ctx._equivariant_bases[n]
 
 
 def hopf_criterion_operator(ctx, n: int) -> Mat:
@@ -680,10 +685,9 @@ def equivariant_checks(ctx, degree_cap: int = 2) -> CheckReport:
     if ctx.e.hopf is not None:
         for n in range(min(degree_cap, 2) + 1):
             crit = kernel_basis(hopf_criterion_operator(ctx, n))
-            eq = kernel_basis(ops[n])
             report.add(
                 f"translation-map criterion at degree {n}",
-                _span_equal(field, ctx.space_dim(n), eq, crit),
+                _span_equal(field, ctx.space_dim(n), [vec(f.map_) for f in bases[n]], crit),
             )
     return report
 

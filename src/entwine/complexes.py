@@ -28,7 +28,6 @@ from .errors import (
     ShapeMismatchError,
 )
 from .homspace import (
-    middle_operator,
     op_postcompose,
     op_precompose,
     unvec,
@@ -41,6 +40,7 @@ from .linalg import (
     kernel_basis,
     image_basis,
     kron,
+    middle_operator,
     quotient_with_projection,
     solve,
     vstack,

@@ -11,10 +11,12 @@ Stacking and re-indexing (from_blocks, Mat.reshape) work on the numerators
 over one common denominator; Mat.from_triples and Mat.triples() are the parse
 and serialize boundary, where entries are Fractions.
 
-Rank / kernel / image / solve go through a sparse reduced row echelon form
-with exact scalar arithmetic (Fraction over Q, modular inverses over F_p).
-RREF is canonical, which keeps every downstream computation reproducible
-bit for bit.
+Rank / kernel / image / solve go through one sparse RREF driver, _rref, for
+both fields (Fraction entries over Q, residues mod p over F_p).  RREF is
+canonical, which keeps every downstream computation reproducible bit for bit.
+
+This module is the only reader of the storage format, so it also builds
+middle_operator (re-exported by homspace) beside kron.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ def _coeff_to_field(field: FieldSpec, value) -> tuple[int, int]:
 
 
 class Mat:
-    """Immutable exact matrix over a FieldSpec."""
+    """Immutable exact matrix over a FieldSpec; no zero entry is stored."""
 
     __slots__ = ("field", "rows", "cols", "_num", "_den", "_rref_cache")
 
@@ -210,8 +212,10 @@ class Mat:
             raise StructureParseError("coefficients too large for the engine")
         m = sp.coo_matrix(
             (np.array(data, dtype=np.int64), (ii, jj)), shape=(rows, cols)
-        )
-        return Mat(field, m.tocsr(), den)
+        ).tocsr()
+        if m.nnz < len(data):
+            m.eliminate_zeros()  # repeated triples summed, maybe to zero
+        return Mat(field, m, den)
 
     @staticmethod
     def from_rows(field, rows_data) -> "Mat":
@@ -247,7 +251,7 @@ class Mat:
             raise FieldMismatchError(f"{self.field} vs {other.field}")
 
     def normalized(self) -> "Mat":
-        if self.field.kind == "Fp" or self._den == 1:
+        if self._den == 1:
             return self
         if self._num.nnz == 0:
             return Mat(self.field, self._num, 1)
@@ -335,7 +339,10 @@ class Mat:
             return NotImplemented
         if self.field != other.field or (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        return (self - other).is_zero()
+        # a normalised matrix is unique (over Q its denominator is the lcm of
+        # its entries' denominators), so equality needs no arithmetic
+        a, b = self.normalized(), other.normalized()
+        return a._den == b._den and (a._num != b._num).nnz == 0
 
     def __hash__(self):
         raise TypeError("Mat is not hashable")
@@ -348,10 +355,7 @@ class Mat:
         return self._num.nnz
 
     def entry(self, i, j) -> Fraction:
-        v = int(self._num[i, j])
-        if self.field.kind == "Fp":
-            return Fraction(v)
-        return Fraction(v, self._den)
+        return Fraction(int(self._num[i, j]), self._den)
 
     def col_vector(self, j) -> "Mat":
         return Mat(self.field, self._num[:, j].tocsr(), self._den)
@@ -382,26 +386,12 @@ class Mat:
     # -- echelon form -------------------------------------------------------
 
     def _row_dicts(self):
+        """One dict col -> non-zero entry per row: Fractions over Q, residues over F_p."""
         csr = self._num
-        rows = []
-        for i in range(self.rows):
-            row = {}
-            for idx in range(csr.indptr[i], csr.indptr[i + 1]):
-                row[int(csr.indices[idx])] = Fraction(int(csr.data[idx]), self._den)
-            rows.append(row)
-        return rows
-
-    def _row_dicts_mod(self):
-        csr = self._num
-        rows = []
-        for i in range(self.rows):
-            row = {}
-            for idx in range(csr.indptr[i], csr.indptr[i + 1]):
-                v = int(csr.data[idx]) % self.field.p
-                if v:
-                    row[int(csr.indices[idx])] = v
-            rows.append(row)
-        return rows
+        ptr, cols, vals = csr.indptr.tolist(), csr.indices.tolist(), csr.data.tolist()
+        if self.field.kind == "Q":
+            vals = [Fraction(v, self._den) for v in vals]
+        return [dict(zip(cols[ptr[i] : ptr[i + 1]], vals[ptr[i] : ptr[i + 1]])) for i in range(self.rows)]
 
     def rref(self):
         """Canonical reduced row echelon data: (pivot_cols, pivot_rows).
@@ -410,62 +400,26 @@ class Mat:
         pivot_cols[k]; pivots are 1 and pivot columns are cleared elsewhere.
         """
         if self._rref_cache is None:
-            if self.field.kind == "Q":
-                self._rref_cache = _rref_q(self._row_dicts(), self.cols)
-            else:
-                self._rref_cache = _rref_p(self._row_dicts_mod(), self.cols, self.field.p)
+            self._rref_cache = _rref(self._row_dicts(), self.cols, self.field.p)
         return self._rref_cache
 
 
-def _rref_q(rowdicts, ncols):
-    pool = [r for r in rowdicts if r]
-    piv: list[tuple[int, dict]] = []
-    for c in range(ncols):
-        best_i, best_key = None, None
-        for i, r in enumerate(pool):
-            v = r.get(c)
-            if v is not None and v != 0:
-                key = (0 if v.denominator == 1 and abs(v.numerator) == 1 else 1, len(r))
-                if best_key is None or key < best_key:
-                    best_key, best_i = key, i
-        if best_i is None:
-            continue
-        row = pool.pop(best_i)
-        pv = row[c]
-        if pv != 1:
-            row = {k: v / pv for k, v in row.items()}
-        for r in pool:
-            v = r.get(c)
-            if v:
-                for k, w in row.items():
-                    nv = r.get(k, 0) - v * w
-                    if nv:
-                        r[k] = nv
-                    elif k in r:
-                        del r[k]
-        for _, prow in piv:
-            v = prow.get(c)
-            if v:
-                for k, w in row.items():
-                    nv = prow.get(k, 0) - v * w
-                    if nv:
-                        prow[k] = nv
-                    elif k in prow:
-                        del prow[k]
-        piv.append((c, row))
-        pool = [r for r in pool if r]
-    piv.sort(key=lambda t: t[0])
-    return tuple(c for c, _ in piv), [r for _, r in piv]
+def _rref(rows, ncols, p=None):
+    """Reduced row echelon form of the row dicts over Q (p None) or F_p.
 
-
-def _rref_p(rowdicts, ncols, p):
-    pool = [r for r in rowdicts if r]
+    Entries are non-zero Fractions over Q and residues in [1, p) over F_p;
+    the rows are consumed.  Each column's pivot is a row holding a unit (+-1)
+    there if any, then the shortest, then the first: that choice only sets
+    the work, because the RREF is unique.
+    """
+    units = (1, -1) if p is None else (1, p - 1)
+    pool = [r for r in rows if r]
     piv: list[tuple[int, dict]] = []
     for c in range(ncols):
         best_i, best_key = None, None
         for i, r in enumerate(pool):
             if c in r:
-                key = (0 if r[c] in (1, p - 1) else 1, len(r))
+                key = (r[c] not in units, len(r))
                 if best_key is None or key < best_key:
                     best_key, best_i = key, i
         if best_i is None:
@@ -473,14 +427,16 @@ def _rref_p(rowdicts, ncols, p):
         row = pool.pop(best_i)
         pv = row[c]
         if pv != 1:
-            inv = pow(pv, p - 2, p)
-            row = {k: v * inv % p for k, v in row.items()}
+            inv = 1 / pv if p is None else pow(pv, p - 2, p)
+            row = {k: v * inv if p is None else v * inv % p for k, v in row.items()}
         for bucket in (pool, [pr for _, pr in piv]):
             for r in bucket:
                 v = r.get(c)
                 if v:
                     for k, w in row.items():
-                        nv = (r.get(k, 0) - v * w) % p
+                        nv = r.get(k, 0) - v * w
+                        if p is not None:
+                            nv %= p
                         if nv:
                             r[k] = nv
                         elif k in r:
@@ -604,6 +560,49 @@ def kron(a: Mat, b: Mat) -> Mat:
     data = (A.data[:, None] * B.data[None, :]).ravel()
     num = sp.csr_matrix((data, (row, col)), shape=shape)
     return Mat(a.field, num, a._den * b._den).normalized()
+
+
+def middle_operator(left: Mat, dl: int, f_rows: int, f_cols: int, dr: int, right: Mat) -> Mat:
+    """Operator of F |--> left @ (I_dl (x) F (x) I_dr) @ right.
+
+    left must have dl * f_rows * dr columns and right dl * f_cols * dr rows;
+    the result maps the row-major flattening vec(F) (length f_rows * f_cols)
+    to that of the composite (left.rows x right.cols).
+
+    Entry ((x, y), (i, j)) is the sum over the identity blocks (a, b) of
+    left[x, (a, i, b)] * right[(a, j, b), y], so the operator is one join of
+    the entries of left and right on (a, b).  Each entry sums at most dl * dr
+    products; past that bound the engine raises like kron does.
+    """
+    if left.cols != dl * f_rows * dr:
+        raise ShapeMismatchError("left factor width mismatch")
+    if right.rows != dl * f_cols * dr:
+        raise ShapeMismatchError("right factor height mismatch")
+    left._check_field(right)
+    field = left.field
+    # over F_p each product is reduced below p before the sum
+    term_bound = field.p - 1 if field.kind == "Fp" else left._max_abs() * right._max_abs()
+    if term_bound * dl * dr >= _I64_GUARD:
+        raise StructureParseError("entry growth beyond engine bounds")
+    lo, ro = left._num.tocoo(), right._num.tocoo()
+    l_key = lo.col // (f_rows * dr) * dr + lo.col % dr
+    r_key = ro.row // (f_cols * dr) * dr + ro.row % dr
+    # pair each entry of left with every entry of right in its block
+    r_order = np.argsort(r_key, kind="stable")
+    r_count = np.bincount(r_key, minlength=dl * dr)
+    r_start = np.cumsum(r_count) - r_count
+    reps = r_count[l_key]
+    li = np.repeat(np.arange(lo.nnz), reps)
+    within = np.arange(li.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    ri = r_order[r_start[l_key[li]] + within]
+    rows = lo.row[li].astype(np.int64) * right.cols + ro.col[ri]
+    cols = (lo.col[li] // dr % f_rows).astype(np.int64) * f_cols + ro.row[ri] // dr % f_cols
+    data = lo.data[li] * ro.data[ri]
+    if field.kind == "Fp":
+        data %= field.p
+    num = sp.csr_matrix((data, (rows, cols)), shape=(left.rows * right.cols, f_rows * f_cols))
+    num.eliminate_zeros()
+    return Mat(field, num, left._den * right._den).normalized()
 
 
 def quotient_with_projection(sub: list[Mat], big: list[Mat], field=None, length=None):

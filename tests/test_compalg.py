@@ -1,6 +1,7 @@
 """Comp operations, cup products, weak-comp axioms, equivariant subcomplex."""
 
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -453,6 +454,32 @@ def test_equivariant_checks_work_grows_with_the_basis(monkeypatch):
     sizes = [len(equivariant_basis(ctx, n)) for n in (0, 1)]  # 4 and 16
     assert equivariant_checks(ctx, 1).ok
     assert calls <= 2 * sum(sizes)
+
+
+def test_equivariant_command_extracts_each_kernel_once(monkeypatch, tmp_path):
+    # the dims table, the battery and the Hopf criterion share one kernel
+    # basis per degree of the equivariance operator
+    import entwine.compalg as compalg
+    from entwine.cli import main
+
+    degree_of, calls = {}, []
+    operator, kernel = compalg.equivariance_operator, compalg.kernel_basis
+
+    def recording_operator(ctx, n):
+        op = operator(ctx, n)
+        degree_of[id(op)] = (n, op)  # holding op keeps its id unique
+        return op
+
+    def counting_kernel(m):
+        calls.append(m)
+        return kernel(m)
+
+    monkeypatch.setattr(compalg, "equivariance_operator", recording_operator)
+    monkeypatch.setattr(compalg, "kernel_basis", counting_kernel)
+    out = tmp_path / "report.json"
+    main(["equivariant", str(FIXTURES / "sweedler.json"), "--max-degree", "2", "--json", str(out)])
+    per_degree = Counter(degree_of[id(m)][0] for m in calls if id(m) in degree_of)
+    assert per_degree == {0: 1, 1: 1, 2: 1}
 
 
 # -- oracles: the alternative formulas the library no longer evaluates ----------

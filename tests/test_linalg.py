@@ -1,10 +1,12 @@
 """Exact linear algebra kernel: ranks, kernels, quotients, Kronecker products."""
 
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entwine.errors import (
@@ -240,6 +242,14 @@ def test_scale_by_zero_stores_nothing(field):
     assert LinearMap((2,), (2,), m).scale(0).is_zero()
 
 
+@pytest.mark.parametrize("field", [QQ, F7])
+def test_cancelling_triples_store_nothing(field):
+    # repeated triples are summed; a sum of zero leaves no stored entry
+    m = Mat.from_triples(field, 2, 2, [(0, 0, 3), (0, 0, -3), (1, 1, 2)])
+    assert m.nnz == 1 and not m.is_zero()
+    assert m.rref() == ((1,), [{1: 1}])
+
+
 # -- assembly: from_blocks / hstack / vstack / from_columns / reshape against a
 # pure-Fraction reference built from to_fraction_rows
 
@@ -374,3 +384,171 @@ def test_from_blocks_checks_its_blocks():
         hstack([one, mat([[1], [2]])])
     with pytest.raises(ShapeMismatchError):
         mat([[1, 2, 3]]).reshape(2, 2)
+
+
+# -- rref: the single driver against the two per-field drivers it replaced,
+# kept here unchanged as the oracle
+
+
+def _rref_q(rowdicts, ncols):
+    pool = [r for r in rowdicts if r]
+    piv: list[tuple[int, dict]] = []
+    for c in range(ncols):
+        best_i, best_key = None, None
+        for i, r in enumerate(pool):
+            v = r.get(c)
+            if v is not None and v != 0:
+                key = (0 if v.denominator == 1 and abs(v.numerator) == 1 else 1, len(r))
+                if best_key is None or key < best_key:
+                    best_key, best_i = key, i
+        if best_i is None:
+            continue
+        row = pool.pop(best_i)
+        pv = row[c]
+        if pv != 1:
+            row = {k: v / pv for k, v in row.items()}
+        for r in pool:
+            v = r.get(c)
+            if v:
+                for k, w in row.items():
+                    nv = r.get(k, 0) - v * w
+                    if nv:
+                        r[k] = nv
+                    elif k in r:
+                        del r[k]
+        for _, prow in piv:
+            v = prow.get(c)
+            if v:
+                for k, w in row.items():
+                    nv = prow.get(k, 0) - v * w
+                    if nv:
+                        prow[k] = nv
+                    elif k in prow:
+                        del prow[k]
+        piv.append((c, row))
+        pool = [r for r in pool if r]
+    piv.sort(key=lambda t: t[0])
+    return tuple(c for c, _ in piv), [r for _, r in piv]
+
+
+def _rref_p(rowdicts, ncols, p):
+    pool = [r for r in rowdicts if r]
+    piv: list[tuple[int, dict]] = []
+    for c in range(ncols):
+        best_i, best_key = None, None
+        for i, r in enumerate(pool):
+            if c in r:
+                key = (0 if r[c] in (1, p - 1) else 1, len(r))
+                if best_key is None or key < best_key:
+                    best_key, best_i = key, i
+        if best_i is None:
+            continue
+        row = pool.pop(best_i)
+        pv = row[c]
+        if pv != 1:
+            inv = pow(pv, p - 2, p)
+            row = {k: v * inv % p for k, v in row.items()}
+        for bucket in (pool, [pr for _, pr in piv]):
+            for r in bucket:
+                v = r.get(c)
+                if v:
+                    for k, w in row.items():
+                        nv = (r.get(k, 0) - v * w) % p
+                        if nv:
+                            r[k] = nv
+                        elif k in r:
+                            del r[k]
+        piv.append((c, row))
+        pool = [r for r in pool if r]
+    piv.sort(key=lambda t: t[0])
+    return tuple(c for c, _ in piv), [r for _, r in piv]
+
+
+def _oracle_rref(m: Mat):
+    rows = [{j: v for j, v in enumerate(row) if v} for row in m.to_fraction_rows()]
+    if m.field.kind == "Q":
+        return _rref_q(rows, m.cols)
+    return _rref_p([{j: int(v) for j, v in row.items()} for row in rows], m.cols, m.field.p)
+
+
+RREF_FIELDS = [QQ, F7, FieldSpec.prime(P), FieldSpec.prime(2**31 - 1)]
+# over Q every entry is k/D for one D, so the numerators stored over the
+# common denominator stay below the guard while the entries' own
+# denominators (the divisors of D) are mixed
+_NEAR_GUARD = st.integers(2**61, 2**62 - 1) | st.integers(-(2**62) + 1, -(2**61))
+
+
+@st.composite
+def _rref_input(draw):
+    field = draw(st.sampled_from(RREF_FIELDS))
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    small = st.integers(-9, 9)
+    if field.kind == "Q":
+        den = draw(st.sampled_from([1, 6, 60, 210]))
+        value = st.builds(lambda k: Fraction(k, den), small | _NEAR_GUARD)
+    else:
+        value = small | st.integers(-(2**62), 2**62) | st.builds(Fraction, small, st.integers(1, 6))
+    density = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    entries = [
+        [draw(value) if draw(st.floats(0, 1)) < density else 0 for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    # rank deficiency: repeat or negate earlier rows
+    for i in range(1, rows):
+        if draw(st.integers(0, 3)) == 0:
+            src = entries[draw(st.integers(0, i - 1))]
+            entries[i] = [-v for v in src] if draw(st.booleans()) else list(src)
+    triples = [(i, j, v) for i, row in enumerate(entries) for j, v in enumerate(row)]
+    return Mat.from_triples(field, rows, cols, triples)
+
+
+_BIG = 2**62 - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rref_input())
+@example(Mat.zeros(QQ, 0, 0))
+@example(Mat.zeros(F7, 0, 4))
+@example(Mat.zeros(FieldSpec.prime(P), 4, 0))
+@example(Mat.zeros(FieldSpec.prime(2**31 - 1), 3, 5))
+@example(
+    Mat.from_triples(
+        QQ, 3, 3,
+        [(0, 0, Fraction(_BIG, 6)), (0, 1, Fraction(1, 2)), (1, 0, Fraction(1, 3)), (1, 2, 5), (2, 0, Fraction(_BIG - 2, 6))],
+    )
+)
+def test_rref_matches_per_field_oracle(m):
+    assert m.rref() == _oracle_rref(m)
+
+
+# -- equality compares stored forms and never overflows
+
+
+def test_equality_does_no_arithmetic():
+    a = Mat.from_triples(QQ, 1, 1, [(0, 0, Fraction(2**40, 3**10))])
+    b = Mat.from_triples(QQ, 1, 1, [(0, 0, Fraction(1, 7**12))])
+    assert (a == b) is False
+    assert a == Mat.from_triples(QQ, 1, 1, [(0, 0, Fraction(2**40, 3**10))])
+
+
+def test_equality_ignores_the_scale_of_storage():
+    m = Mat.from_rows(QQ, [[Fraction(1, 2), Fraction(1, 3)], [1, Fraction(2, 3)]])
+    right = m.select_columns([1])  # still stored over the denominator 6
+    assert right == Mat.column(QQ, [Fraction(1, 3), Fraction(2, 3)])
+    assert right != Mat.column(QQ, [Fraction(1, 3), Fraction(1, 3)])
+    assert m.select_columns([]) == Mat.zeros(QQ, 2, 0)
+
+
+def test_storage_format_stays_inside_linalg():
+    # the numerator/denominator storage of Mat and its int64 guard are read
+    # only by linalg; everything else goes through its public operations
+    src = Path(__file__).resolve().parent.parent / "src" / "entwine"
+    internals = re.compile(r"\._(num|den)\b|_max_abs|_I64_GUARD")
+    hits = [
+        f"{path.name}:{k}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "linalg.py"
+        for k, line in enumerate(path.read_text().splitlines(), 1)
+        if internals.search(line)
+    ]
+    assert hits == []
