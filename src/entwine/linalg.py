@@ -2,18 +2,20 @@
 
 Matrices are stored as scipy integer sparse matrices together with a single
 positive denominator, so a matrix is num/den entrywise.  All arithmetic is
-exact and guarded against int64 overflow: matrix products fall back to
-arbitrary-precision Python integers when a bound is exceeded, while sums,
-scalings and Kronecker products raise StructureParseError instead (neither
-happens for the structure constants handled here).
+exact and guarded against int64 overflow: matrix products and sums fall back
+to arbitrary-precision Python integers when a bound is exceeded (the result
+must still fit the storage), while scalings and Kronecker products raise
+StructureParseError instead (neither happens for the structure constants
+handled here).
 
 Stacking and re-indexing (from_blocks, Mat.reshape) work on the numerators
 over one common denominator; Mat.from_triples and Mat.triples() are the parse
 and serialize boundary, where entries are Fractions.
 
 Rank / kernel / image / solve go through one sparse RREF driver, _rref, for
-both fields (Fraction entries over Q, residues mod p over F_p).  RREF is
-canonical, which keeps every downstream computation reproducible bit for bit.
+both fields: integer rows in (stored numerators over Q, residues over F_p),
+canonical rows out (Fraction entries over Q, residues mod p over F_p).  RREF
+is canonical, which keeps every downstream computation reproducible bit for bit.
 
 This module is the only reader of the storage format, so it also builds
 middle_operator (re-exported by homspace) beside kron.
@@ -294,19 +296,22 @@ class Mat:
                     triples.append((i, j, Fraction(v, self._den * other._den)))
         return Mat.from_triples(self.field, self.rows, other.cols, triples)
 
-    def _aligned(self, other: "Mat"):
-        den = math.lcm(self._den, other._den)
-        fa, fb = den // self._den, den // other._den
-        if max(self._max_abs() * fa, other._max_abs() * fb) >= _I64_GUARD:
-            raise StructureParseError("entry growth beyond engine bounds")
-        return self._num * fa, other._num * fb, den
-
     def __add__(self, other: "Mat") -> "Mat":
         self._check_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatchError("shape mismatch in addition")
-        a, b, den = self._aligned(other)
-        return Mat(self.field, a + b, den).normalized()
+        den = math.lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        if max(self._max_abs() * fa, other._max_abs() * fb) < _I64_GUARD:
+            return Mat(self.field, self._num * fa + other._num * fb, den).normalized()
+        # the aligned numerators would overflow: add on Python integers instead
+        acc: dict[tuple[int, int], int] = {}
+        for m, f in ((self, fa), (other, fb)):
+            coo = m._num.tocoo()
+            for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
+                acc[i, j] = acc.get((i, j), 0) + v * f
+        triples = [(i, j, Fraction(v, den)) for (i, j), v in acc.items()]
+        return Mat.from_triples(self.field, self.rows, self.cols, triples)
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + (-other)
@@ -386,11 +391,10 @@ class Mat:
     # -- echelon form -------------------------------------------------------
 
     def _row_dicts(self):
-        """One dict col -> non-zero entry per row: Fractions over Q, residues over F_p."""
+        """One dict col -> stored non-zero integer per row; dropping the common
+        denominator over Q scales every row alike, so the RREF is unchanged."""
         csr = self._num
         ptr, cols, vals = csr.indptr.tolist(), csr.indices.tolist(), csr.data.tolist()
-        if self.field.kind == "Q":
-            vals = [Fraction(v, self._den) for v in vals]
         return [dict(zip(cols[ptr[i] : ptr[i + 1]], vals[ptr[i] : ptr[i + 1]])) for i in range(self.rows)]
 
     def rref(self):
@@ -405,45 +409,68 @@ class Mat:
 
 
 def _rref(rows, ncols, p=None):
-    """Reduced row echelon form of the row dicts over Q (p None) or F_p.
+    """Reduced row echelon form of integer row dicts over Q (p None) or F_p.
 
-    Entries are non-zero Fractions over Q and residues in [1, p) over F_p;
-    the rows are consumed.  Each column's pivot is a row holding a unit (+-1)
-    there if any, then the shortest, then the first: that choice only sets
-    the work, because the RREF is unique.
+    Entries are non-zero ints, residues in [1, p) over F_p; the rows are
+    consumed.  index[c] holds the ids of all rows with an entry in column c,
+    pivot rows included, kept exact as entries fill in or cancel: its
+    unpivoted rows are the pivot candidates, the others the rows to clear.
+    The pivot is a row holding a unit (+-1) there if any, then the shortest,
+    then the first: that choice only sets the work, because the RREF is
+    unique.  Over Q the update r <- (pv/g) r - (v/g) prow is fraction-free and
+    r is then divided by the gcd of its entries; pivot rows are divided by
+    their pivots only on exit (Fraction entries, pivots Fraction(1)).
     """
     units = (1, -1) if p is None else (1, p - 1)
-    pool = [r for r in rows if r]
-    piv: list[tuple[int, dict]] = []
+    index = [set() for _ in range(ncols)]
+    for i, r in enumerate(rows):
+        for k in r:
+            index[k].add(i)
+    pivoted = [False] * len(rows)
+    piv = []
     for c in range(ncols):
-        best_i, best_key = None, None
-        for i, r in enumerate(pool):
-            if c in r:
-                key = (r[c] not in units, len(r))
-                if best_key is None or key < best_key:
-                    best_key, best_i = key, i
-        if best_i is None:
+        hits = index[c]
+        cands = [i for i in hits if not pivoted[i]]
+        if not cands:
             continue
-        row = pool.pop(best_i)
-        pv = row[c]
-        if pv != 1:
-            inv = 1 / pv if p is None else pow(pv, p - 2, p)
-            row = {k: v * inv if p is None else v * inv % p for k, v in row.items()}
-        for bucket in (pool, [pr for _, pr in piv]):
-            for r in bucket:
-                v = r.get(c)
-                if v:
-                    for k, w in row.items():
-                        nv = r.get(k, 0) - v * w
-                        if p is not None:
-                            nv %= p
-                        if nv:
-                            r[k] = nv
-                        elif k in r:
-                            del r[k]
-        piv.append((c, row))
-        pool = [r for r in pool if r]
-    piv.sort(key=lambda t: t[0])
+        i = min(cands, key=lambda i: (rows[i][c] not in units, len(rows[i]), i))
+        pivoted[i] = True
+        prow, pv = rows[i], rows[i][c]
+        if p is not None and pv != 1:
+            inv = pow(pv, p - 2, p)
+            prow = rows[i] = {k: w * inv % p for k, w in prow.items()}
+            pv = 1
+        for j in list(hits):
+            if j == i:
+                continue
+            r = rows[j]
+            v = r[c]
+            if pv != 1:  # over Q only (F_p pivots are 1 by now): r <- (pv/g) r first
+                g = math.gcd(pv, v)
+                v //= g
+                if pv != g:
+                    a = pv // g
+                    for k in r:
+                        r[k] *= a
+            for k, w in prow.items():
+                nv = r.get(k, 0) - v * w
+                if p is not None:
+                    nv %= p
+                if nv:
+                    if k not in r:
+                        index[k].add(j)
+                    r[k] = nv
+                else:
+                    del r[k]
+                    index[k].discard(j)
+            if p is None and r:
+                g = math.gcd(*r.values())
+                if g != 1:
+                    for k in r:
+                        r[k] //= g
+        piv.append((c, prow))
+    if p is None:
+        return tuple(c for c, _ in piv), [{k: Fraction(w, r[c]) for k, w in r.items()} for c, r in piv]
     return tuple(c for c, _ in piv), [r for _, r in piv]
 
 

@@ -31,7 +31,9 @@ from entwine.linalg import (
     solve,
     vstack,
 )
-from entwine.structures import LinearMap
+from entwine.complexes import build_ApsiCV, build_CpsiAM
+from entwine.structures import LinearMap, regular_bicomodule, regular_bimodule
+from entwine.zoo import bialgebra_self_entwining, group_algebra_hopf, named_example
 
 F7 = FieldSpec.prime(7)
 
@@ -503,6 +505,8 @@ def _rref_input(draw):
 
 
 _BIG = 2**62 - 1
+_NO_UNIT = [[2, 3, 5], [4, 2, 3], [3, 5, 2]]  # full rank, no entry 1 or -1 mod 7
+_SCALED = [[1, 11, 0, 4], [2, 0, 3, 1], [3, 11, 3, 5], [0, 22, -3, 7]]  # rank 2
 
 
 @settings(max_examples=200, deadline=None)
@@ -517,8 +521,52 @@ _BIG = 2**62 - 1
         [(0, 0, Fraction(_BIG, 6)), (0, 1, Fraction(1, 2)), (1, 0, Fraction(1, 3)), (1, 2, 5), (2, 0, Fraction(_BIG - 2, 6))],
     )
 )
+@example(Mat.from_rows(QQ, [[Fraction(1, i + j + 1) for j in range(7)] for i in range(7)]))
+@example(Mat.from_rows(QQ, _NO_UNIT))
+@example(Mat.from_rows(F7, _NO_UNIT))
+@example(Mat.from_rows(QQ, _SCALED))
+@example(Mat.from_rows(QQ, [[Fraction(v, 210) for v in row] for row in _SCALED]))
 def test_rref_matches_per_field_oracle(m):
     assert m.rref() == _oracle_rref(m)
+
+
+def _differentials(e, side, n_max):
+    if side == "A":
+        cx = build_CpsiAM(e, regular_bimodule(e.algebra), n_max)
+    else:
+        cx = build_ApsiCV(e, regular_bicomodule(e.coalgebra), n_max)
+    return [cx.differential(n) for n in range(n_max)]
+
+
+@pytest.mark.parametrize("side", ["A", "C"])
+@pytest.mark.parametrize("name", ["z2", "z3", "graded-z2", "sweedler"])
+def test_rref_matches_oracle_on_differentials(name, side):
+    # sparse matrices with real fill-in and cancellation, unlike the small
+    # random inputs above
+    for d in _differentials(named_example(name), side, 3):
+        assert d.rref() == _oracle_rref(d)
+
+
+def test_rref_matches_oracle_on_kz5_mod_p():
+    e = bialgebra_self_entwining(group_algebra_hopf(5, FieldSpec.prime(P)))
+    for d in _differentials(e, "A", 2):
+        assert d.rref() == _oracle_rref(d)
+
+
+@pytest.mark.parametrize("field", RREF_FIELDS, ids=str)
+def test_rref_rows_hold_canonical_field_values(field):
+    # from_triples and entry read these values back: Fractions with pivot
+    # Fraction(1) over Q, residues in [1, p) over F_p
+    m = Mat.from_rows(field, [[2, 3, 5, Fraction(1, 3)], [4, 6, 3, 1], [6, 9, 8, Fraction(4, 3)]])
+    piv_cols, piv_rows = m.rref()
+    assert len(piv_cols) == 2 and len(piv_rows[0]) == 3  # values off the pivots too
+    for c, row in zip(piv_cols, piv_rows):
+        if field.kind == "Q":
+            assert all(type(v) is Fraction for v in row.values())
+            assert row[c] == Fraction(1)
+        else:
+            assert all(type(v) is int and 1 <= v < field.p for v in row.values())
+            assert row[c] == 1
 
 
 # -- equality compares stored forms and never overflows
@@ -529,6 +577,18 @@ def test_equality_does_no_arithmetic():
     b = Mat.from_triples(QQ, 1, 1, [(0, 0, Fraction(1, 7**12))])
     assert (a == b) is False
     assert a == Mat.from_triples(QQ, 1, 1, [(0, 0, Fraction(2**40, 3**10))])
+
+
+def test_sum_past_the_guard_is_exact():
+    # over the common denominator 6 the numerator of x/2 is 3x > 2^62, yet
+    # the sum fits the engine again
+    x, y = 2**61 + 1, 3 * 2**60 + 1
+    a = Mat.from_rows(QQ, [[Fraction(x, 2), 1]])
+    b = Mat.from_rows(QQ, [[Fraction(-y, 3), 1]])
+    expected = Mat.from_rows(QQ, [[Fraction(1, 6), 2]])
+    assert a + b == expected
+    assert a - (-b) == expected
+    assert (a - a).is_zero()
 
 
 def test_equality_ignores_the_scale_of_storage():
