@@ -195,29 +195,25 @@ class Mat:
 
     @staticmethod
     def from_triples(field, rows, cols, triples) -> "Mat":
-        """Build from (row, col, coeff) triples; absent entries are zero."""
-        nums, dens = [], []
-        ii, jj = [], []
+        """Build from (row, col, coeff) triples; absent entries are zero, and
+        repeated ones are summed exactly before the int64 guard sees them."""
+        acc: dict[tuple[int, int], tuple[int, int]] = {}
         for i, j, v in triples:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise StructureParseError(f"index ({i},{j}) out of range {rows}x{cols}")
             n, d = _coeff_to_field(field, v)
-            if n == 0:
-                continue
-            ii.append(i)
-            jj.append(j)
-            nums.append(n)
-            dens.append(d)
-        den = math.lcm(*dens) if dens else 1
-        data = [n * (den // d) for n, d in zip(nums, dens)]
+            if (i, j) in acc:
+                n, d = _coeff_to_field(field, Fraction(*acc[i, j]) + Fraction(n, d))
+            acc[i, j] = n, d
+        keys = [key for key, (n, _) in acc.items() if n]
+        values = [acc[key] for key in keys]
+        den = math.lcm(*[d for _, d in values])
+        data = [n * (den // d) for n, d in values]
         if any(abs(x) >= _I64_GUARD for x in data):
             raise StructureParseError("coefficients too large for the engine")
-        m = sp.coo_matrix(
-            (np.array(data, dtype=np.int64), (ii, jj)), shape=(rows, cols)
-        ).tocsr()
-        if m.nnz < len(data):
-            m.eliminate_zeros()  # repeated triples summed, maybe to zero
-        return Mat(field, m, den)
+        ii, jj = zip(*keys) if keys else ((), ())
+        m = sp.coo_matrix((np.array(data, dtype=np.int64), (ii, jj)), shape=(rows, cols))
+        return Mat(field, m.tocsr(), den)
 
     @staticmethod
     def from_rows(field, rows_data) -> "Mat":
@@ -304,14 +300,8 @@ class Mat:
         fa, fb = den // self._den, den // other._den
         if max(self._max_abs() * fa, other._max_abs() * fb) < _I64_GUARD:
             return Mat(self.field, self._num * fa + other._num * fb, den).normalized()
-        # the aligned numerators would overflow: add on Python integers instead
-        acc: dict[tuple[int, int], int] = {}
-        for m, f in ((self, fa), (other, fb)):
-            coo = m._num.tocoo()
-            for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
-                acc[i, j] = acc.get((i, j), 0) + v * f
-        triples = [(i, j, Fraction(v, den)) for (i, j), v in acc.items()]
-        return Mat.from_triples(self.field, self.rows, self.cols, triples)
+        # the aligned numerators would overflow: from_triples sums the entries exactly
+        return Mat.from_triples(self.field, self.rows, self.cols, [*self.triples(), *other.triples()])
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + (-other)

@@ -1,24 +1,30 @@
 """Double complex, glued total complex, and the deformation correspondence."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from entwine import deform
+from entwine import cli, deform, linalg
 from entwine.complexes import module_differential
 from entwine.deform import (
     InfinitesimalDeformation,
     build_CH,
     build_double_complex,
     coboundary_equivalence,
+    coboundary_witnesses,
     deformation_from_cocycle,
     first_order_checks,
+    first_order_laws,
     random_two_cochain,
     split_degree2,
     total_cohomology,
+    transport_laws,
 )
 from entwine.entwining import bimodule_on_A_Cn
 from entwine.errors import CocycleConditionError, DegreeError
-from entwine.linalg import Mat, solve
+from entwine.linalg import Mat, from_columns, kron, rank, solve, vstack
 from entwine.zoo import named_example
 
 
@@ -172,3 +178,183 @@ def test_deformed_structure_is_entwining_mod_t2(kz2, kz2_ch):
     report = first_order_checks(kz2, deformation)
     assert report.ok
     assert len(report.items) == 8
+
+
+# -- the law operators against the per-cochain formulas ---------------------------------
+#
+# The two oracles below evaluate each law directly on one cochain, as matrix
+# formulas, and return its residuals lhs - rhs; each law's row block of the
+# operator applied to the cochain must equal their vec, so a dropped term or
+# a flipped sign shows even where a boolean check would still pass.
+
+VALID_FIXTURES = ["trivial-k", "trivial-z2", "z2", "graded-z2", "z3", "sweedler"]
+
+
+def _first_order_residuals(e, deformation):
+    """[(law, [lhs - rhs, ...])] for the deformed triple at the t^1 coefficient."""
+    a, c = e.algebra, e.coalgebra
+    da, dc = a.dim, c.dim
+    mu, delta, psi = a.mult.mat, c.comult.mat, e.psi.mat
+    mu1, delta1, psi1 = deformation.mu1.mat, deformation.delta1.mat, deformation.psi1.mat
+    ia, ic = Mat.identity(e.field, da), Mat.identity(e.field, dc)
+    unit, counit = a.unit, c.counit.mat
+    residuals = []
+
+    lhs = mu1 @ kron(mu, ia) + mu @ kron(mu1, ia)
+    rhs = mu1 @ kron(ia, mu) + mu @ kron(ia, mu1)
+    residuals.append(("associativity", [lhs - rhs]))
+
+    w = mu1 @ kron(unit, unit)  # mu1(1,1); deformed unit is 1 - t w
+    residuals.append((
+        "unit law",
+        [mu1 @ kron(unit, ia) - mu @ kron(w, ia), mu1 @ kron(ia, unit) - mu @ kron(ia, w)],
+    ))
+
+    lhs = kron(delta1, ic) @ delta + kron(delta, ic) @ delta1
+    rhs = kron(ic, delta1) @ delta + kron(ic, delta) @ delta1
+    residuals.append(("coassociativity", [lhs - rhs]))
+
+    e1 = kron(counit, counit) @ delta1  # deformed counit is eps - t e1
+    residuals.append((
+        "counit law",
+        [kron(counit, ic) @ delta1 - kron(e1, ic) @ delta, kron(ic, counit) @ delta1 - kron(ic, e1) @ delta],
+    ))
+
+    lhs = psi1 @ kron(ic, mu) + psi @ kron(ic, mu1)
+    rhs = (
+        kron(mu1, ic) @ kron(ia, psi) @ kron(psi, ia)
+        + kron(mu, ic) @ kron(ia, psi1) @ kron(psi, ia)
+        + kron(mu, ic) @ kron(ia, psi) @ kron(psi1, ia)
+    )
+    residuals.append(("left pentagon", [lhs - rhs]))
+
+    lhs = kron(ia, delta1) @ psi + kron(ia, delta) @ psi1
+    rhs = (
+        kron(psi1, ic) @ kron(ic, psi) @ kron(delta, ia)
+        + kron(psi, ic) @ kron(ic, psi1) @ kron(delta, ia)
+        + kron(psi, ic) @ kron(ic, psi) @ kron(delta1, ia)
+    )
+    residuals.append(("right pentagon", [lhs - rhs]))
+
+    lhs = psi1 @ kron(ic, unit) - psi @ kron(ic, w)
+    residuals.append(("left triangle", [lhs - -kron(w, ic)]))
+
+    lhs = kron(ia, counit) @ psi1 - kron(ia, e1) @ psi
+    residuals.append(("right triangle", [lhs - -kron(e1, ia)]))
+    return residuals
+
+
+def _transport_residuals(e, z, w, tc):
+    """[(identity, [lhs - rhs])] for id + t alpha1, id + t gamma1 read off w."""
+    pieces = tc.split(1, w)
+    alpha1 = pieces[("hoch", 1)]
+    gamma1 = pieces[("cart", 1)]
+    deformation = split_degree2(tc, z)
+    a, c = e.algebra, e.coalgebra
+    mu, delta, psi = a.mult.mat, c.comult.mat, e.psi.mat
+    ia = Mat.identity(e.field, a.dim)
+    ic = Mat.identity(e.field, c.dim)
+    residuals = []
+    lhs = alpha1.mat @ mu + deformation.mu1.mat
+    rhs = mu @ kron(alpha1.mat, ia) + mu @ kron(ia, alpha1.mat)
+    residuals.append(("product transported", [lhs - rhs]))
+    lhs = kron(gamma1.mat, ic) @ delta + kron(ic, gamma1.mat) @ delta + deformation.delta1.mat
+    residuals.append(("coproduct transported", [lhs - delta @ gamma1.mat]))
+    lhs = psi @ kron(gamma1.mat, ia) + psi @ kron(ic, alpha1.mat)
+    rhs = kron(alpha1.mat, ic) @ psi + kron(ia, gamma1.mat) @ psi + deformation.psi1.mat
+    residuals.append(("entwining map transported", [lhs - rhs]))
+    return residuals
+
+
+def _random_column(field, length, seed):
+    rng = np.random.default_rng(seed)
+    return Mat.from_triples(field, length, 1, [(i, 0, int(rng.integers(-3, 4))) for i in range(length)])
+
+
+def _assert_blocks_match(laws, column, oracle):
+    """Each law's block of the operator applied to column is vec(lhs - rhs)."""
+    residual = laws.op @ column
+    assert [name for name, _ in oracle] == [name for name, _, _ in laws.blocks]
+    for (name, start, end), (_, pieces) in zip(laws.blocks, oracle):
+        want = vstack([r.reshape(r.rows * r.cols, 1) for r in pieces])
+        assert residual.select_rows(slice(start, end)) == want, name
+    assert laws.blocks[-1][2] == laws.op.rows
+
+
+@pytest.fixture(scope="module", params=VALID_FIXTURES)
+def deform_case(request):
+    e = named_example(request.param)
+    tc = build_CH(e, 3)
+    return e, tc, total_cohomology(tc, 2)
+
+
+def test_first_order_operator_matches_formulas(deform_case):
+    e, tc, h2 = deform_case
+    laws = first_order_laws(e)
+    samples = (_random_column(e.field, tc.dims[2], seed) for seed in range(1, 20))
+    randoms = [z for z in samples if not (tc.differential(2) @ z).is_zero()][:2]
+    assert len(randoms) == 2
+    for z in list(h2.cocycle_basis) + randoms:
+        oracle = _first_order_residuals(e, split_degree2(tc, z))
+        _assert_blocks_match(laws, z, oracle)
+        report = first_order_checks(e, split_degree2(tc, z))
+        assert [(name, ok) for name, ok, _ in report.items] == [
+            (name, all(r.is_zero() for r in pieces)) for name, pieces in oracle
+        ]
+    # the non-cocycles break some law, and the batched reading agrees per column
+    stacked = from_columns(e.field, tc.dims[2], list(h2.cocycle_basis) + randoms)
+    failures = laws.failures(stacked)
+    assert not any(failures[: len(h2.cocycle_basis)]) and all(failures[len(h2.cocycle_basis) :])
+
+
+def test_transport_operator_matches_formulas(deform_case):
+    e, tc, h2 = deform_case
+    laws = transport_laws(e)
+    ws = coboundary_witnesses(tc)
+    pairs = [(z, ws.col_vector(k)) for k, z in enumerate(h2.coboundary_basis)]
+    for seed in (1, 2):  # unrelated (w, z): every identity has a nonzero residual to compare
+        pairs.append((_random_column(e.field, tc.dims[2], seed), _random_column(e.field, tc.dims[1], seed + 10)))
+    for z, w in pairs:
+        _assert_blocks_match(laws, vstack([w, z]), _transport_residuals(e, z, w, tc))
+    assert not any(laws.failures(vstack([ws, from_columns(e.field, tc.dims[2], h2.coboundary_basis)])))
+
+
+def test_batched_witnesses_equal_solves(deform_case):
+    e, tc, h2 = deform_case
+    d1 = tc.differential(1)
+    ws = coboundary_witnesses(tc)
+    assert ws.cols == len(h2.coboundary_basis)
+    for k, z in enumerate(h2.coboundary_basis):
+        assert ws.col_vector(k) == solve(d1, z)
+
+
+def test_first_order_laws_cut_out_the_cocycles(deform_case):
+    # ker L = ker D^2 on total 2-cochains: the mod-t^2 laws are exactly the cocycle condition
+    e, tc, _ = deform_case
+    laws, d2 = first_order_laws(e).op, tc.differential(2)
+    assert rank(laws) == rank(d2) == rank(vstack([laws, d2]))
+
+
+def test_deform_command_does_no_per_coboundary_work(monkeypatch, tmp_path):
+    # the battery is products with stacked bases: no solve, and kron calls only
+    # to build each operator once (1932 is the count of a per-cochain battery)
+    counts = {"kron": 0, "solve": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, fn in (("kron", linalg.kron), ("solve", linalg.solve)):
+        wrapper = counting(name, fn)
+        for modname, module in list(sys.modules.items()):
+            if modname.split(".")[0] == "entwine":
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapper)
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "sweedler.json"
+    assert cli.main(["deform", str(fixture), "--json", str(tmp_path / "r.json")]) == 0
+    assert counts["solve"] == 0
+    assert 0 < counts["kron"] <= 1932 // 2

@@ -252,6 +252,20 @@ def test_cancelling_triples_store_nothing(field):
     assert m.rref() == ((1,), [{1: 1}])
 
 
+def test_repeated_triples_are_summed_before_the_guard():
+    # each triple alone is past the int64 guard on the common denominator 6,
+    # their sum 1/6 is not
+    big = [(0, 0, Fraction(2**61 + 1, 2)), (0, 0, Fraction(-(3 * 2**60 + 1), 3))]
+    m = Mat.from_triples(QQ, 1, 1, big)
+    assert m.entry(0, 0) == Fraction(1, 6)
+    # a sum that is itself past the guard still raises
+    with pytest.raises(StructureParseError, match="too large"):
+        Mat.from_triples(QQ, 1, 1, [(0, 0, 2**61), (0, 0, 2**61)])
+    # over F_p repeated triples are summed mod p
+    m = Mat.from_triples(FieldSpec.prime(7), 1, 2, [(0, 0, 3), (0, 0, 4), (0, 1, 5), (0, 1, 5)])
+    assert m.to_fraction_rows() == [[0, 3]]
+
+
 # -- assembly: from_blocks / hstack / vstack / from_columns / reshape against a
 # pure-Fraction reference built from to_fraction_rows
 
