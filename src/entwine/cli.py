@@ -256,7 +256,7 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    started = time.time()
+    started = time.perf_counter()
     try:
         report = args.func(args)
     except (StructureParseError, OSError) as exc:
@@ -265,7 +265,7 @@ def main(argv=None) -> int:
     except EntwineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
-    rep.render_text(report, elapsed=time.time() - started)
+    rep.render_text(report, elapsed=time.perf_counter() - started)
     if args.json_path:
         rep.write_json(report, args.json_path)
     return EXIT_OK if rep.all_passed(report) else EXIT_MATH

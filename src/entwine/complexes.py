@@ -10,7 +10,9 @@ and the comodule-valued complex has degree-n space Hom(V, A (x) C^n) with the
 dual differential.  The latter is not coded separately: f |-> f^T identifies
 it with the module-valued complex of the dual entwining (C*, A*, psi^T) with
 coefficients V*.  Cochains are flattened row-major; differentials are sparse
-operators on those coordinates.
+operators on those coordinates.  cohomology() counts classes from the ranks of
+the differentials alone; the cocycle, coboundary and class bases are built only
+when a caller reads them (see CohomologyResult).
 
 Two independent reference builders (the Hochschild complex of an algebra and
 the Cartier complex of a coalgebra) are coded directly from their classical
@@ -19,6 +21,8 @@ for the degenerate cases C = k resp. A = k.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .entwining import EntwiningStructure, dual, dual_bimodule
 from .errors import (
@@ -42,6 +46,7 @@ from .linalg import (
     kron,
     middle_operator,
     quotient_with_projection,
+    rank,
     solve,
     vstack,
 )
@@ -92,15 +97,40 @@ class CochainComplex:
 
 
 class CohomologyResult:
-    """Cocycle/coboundary bases and class representatives at one degree."""
+    """H^n of a complex: betti at once from ranks, bases and classes on first read.
 
-    def __init__(self, degree, cocycle_basis, coboundary_basis, class_reps, reduce):
+    betti = dim C^n - rank d^n - rank d^{n-1} is exact because the complex
+    verified d o d = 0, so im d^{n-1} lies in ker d^n; each rank is one
+    elimination, cached on its Mat.  class_reps and reduce come from
+    quotient_with_projection, whose span-containment check runs when read.
+    """
+
+    def __init__(self, cx: CochainComplex, degree):
+        self._cx = cx
         self.degree = degree
-        self.cocycle_basis = cocycle_basis
-        self.coboundary_basis = coboundary_basis
-        self.class_reps = class_reps
-        self.reduce = reduce
-        self.betti = len(cocycle_basis) - len(coboundary_basis)
+        below = rank(cx.differential(degree - 1)) if degree else 0
+        self.betti = cx.space_dims[degree] - rank(cx.differential(degree)) - below
+
+    @cached_property
+    def cocycle_basis(self) -> list[Mat]:
+        return kernel_basis(self._cx.differential(self.degree))
+
+    @cached_property
+    def coboundary_basis(self) -> list[Mat]:
+        return [] if self.degree == 0 else image_basis(self._cx.differential(self.degree - 1))
+
+    @cached_property
+    def _quotient(self):
+        cx, n = self._cx, self.degree
+        return quotient_with_projection(self.coboundary_basis, self.cocycle_basis, cx.field, cx.space_dims[n])
+
+    @property
+    def class_reps(self) -> list[Mat]:
+        return self._quotient[0]
+
+    @property
+    def reduce(self):
+        return self._quotient[1]
 
     def __repr__(self):
         return f"CohomologyResult(degree={self.degree}, betti={self.betti})"
@@ -110,12 +140,7 @@ def cohomology(cx: CochainComplex, n: int) -> CohomologyResult:
     """H^n = ker d^n / im d^{n-1}; d^{-1} is the zero map."""
     if not 0 <= n <= cx.max_degree - 1:
         raise DegreeError(f"cohomology needs d^{n}; complex stops at {cx.max_degree}")
-    cocycles = kernel_basis(cx.differential(n))
-    boundaries = [] if n == 0 else image_basis(cx.differential(n - 1))
-    class_reps, reduce = quotient_with_projection(
-        boundaries, cocycles, field=cx.field, length=cx.space_dims[n]
-    )
-    return CohomologyResult(n, cocycles, boundaries, class_reps, reduce)
+    return CohomologyResult(cx, n)
 
 
 # -- differential operators ----------------------------------------------------

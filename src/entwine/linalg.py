@@ -475,17 +475,13 @@ def kernel_basis(m: Mat) -> list[Mat]:
     """Null space basis in reduced echelon form, one vector per free column."""
     piv_cols, piv_rows = m.rref()
     piv_set = set(piv_cols)
-    basis = []
-    for fc in range(m.cols):
-        if fc in piv_set:
-            continue
-        triples = [(fc, 0, 1)]
-        for c, row in zip(piv_cols, piv_rows):
-            v = row.get(fc)
-            if v:
-                triples.append((c, 0, -v))
-        basis.append(Mat.from_triples(m.field, m.cols, 1, triples))
-    return basis
+    free = {fc: [(fc, 0, 1)] for fc in range(m.cols) if fc not in piv_set}
+    # a reduced pivot row holds its pivot and otherwise only free columns
+    for c, row in zip(piv_cols, piv_rows):
+        for k, v in row.items():
+            if k != c:
+                free[k].append((c, 0, -v))
+    return [Mat.from_triples(m.field, m.cols, 1, triples) for triples in free.values()]
 
 
 def image_basis(m: Mat) -> list[Mat]:

@@ -1,10 +1,12 @@
 """CLI surface: exit codes, reports, file round trips, determinism."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from entwine import linalg
 from entwine.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -253,3 +255,29 @@ def test_reports_are_byte_identical(tmp_path):
             parts.append(out.read_bytes())
         blobs.append(b"\n".join(parts))
     assert blobs[0] == blobs[1]
+
+
+def test_cohom_command_eliminates_each_differential_once(monkeypatch, tmp_path):
+    # betti numbers come from ranks: one rref per differential d^0..d^3, and no
+    # kernel/image basis or quotient scan (the eager path made 12 rref calls)
+    counts = {"_rref": 0, "kernel_basis": 0, "image_basis": 0, "quotient_with_projection": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        fn = getattr(linalg, name)
+        wrapper = counting(name, fn)
+        for modname, module in list(sys.modules.items()):
+            if modname.split(".")[0] == "entwine":
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapper)
+    out = tmp_path / "r.json"
+    assert run(["cohom", FIXTURES / "sweedler.json", "--max-degree", "4", "--json", out]) == 0
+    assert json.loads(out.read_text())["tables"]["betti numbers"] == {"0": 4, "1": 0, "2": 0, "3": 0}
+    assert counts == {"_rref": 4, "kernel_basis": 0, "image_basis": 0, "quotient_with_projection": 0}

@@ -28,7 +28,16 @@ from entwine.complexes import (
 from entwine.entwining import bicomodule_on_C_An, check_bowtie, dual
 from entwine.errors import DegreeError, MissingTranslationMapError
 from entwine.homspace import middle_operator, op_postcompose, vec
-from entwine.linalg import QQ, Mat, from_columns, rank, solve
+from entwine.linalg import (
+    QQ,
+    Mat,
+    from_columns,
+    image_basis,
+    kernel_basis,
+    quotient_with_projection,
+    rank,
+    solve,
+)
 from entwine.structures import (
     LinearMap,
     compose,
@@ -187,6 +196,41 @@ def test_cohomology_out_of_range(kz2):
     cx = build_CpsiAM(kz2, m, n_max=2)
     with pytest.raises(DegreeError):
         cohomology(cx, 2)
+
+
+def _oracle_complexes(e):
+    yield build_CpsiAM(e, regular_bimodule(e.algebra), n_max=4)
+    yield build_ApsiCV(e, regular_bicomodule(e.coalgebra), n_max=4)
+    yield hochschild_complex(e.algebra, regular_bimodule(e.algebra), n_max=4)
+    yield cartier_complex(e.coalgebra, regular_bicomodule(e.coalgebra), n_max=4)
+
+
+@pytest.mark.parametrize(
+    "name", ["trivial-k", "trivial-z2", "z2", "z3", "sweedler", "graded-z2"]
+)
+def test_rank_betti_matches_bases(examples, name):
+    # betti comes from ranks alone; the bases and classes from the eager
+    # kernel/image/quotient builders, read afterwards
+    for cx in _oracle_complexes(examples[name]):
+        for n in range(4):
+            h = cohomology(cx, n)
+            assert h.betti == len(h.class_reps) == len(h.cocycle_basis) - len(h.coboundary_basis), (
+                name,
+                cx.label,
+                n,
+            )
+
+
+def test_lazy_cohomology_returns_eager_objects(kz2):
+    cx = build_CpsiAM(kz2, regular_bimodule(kz2.algebra), n_max=3)
+    h = cohomology(cx, 1)
+    cocycles = kernel_basis(cx.differential(1))
+    boundaries = image_basis(cx.differential(0))
+    reps, reduce = quotient_with_projection(boundaries, cocycles, field=QQ, length=cx.space_dims[1])
+    assert h.cocycle_basis == cocycles and h.coboundary_basis == boundaries and h.class_reps == reps
+    assert h.class_reps is h.class_reps and h.reduce is h.reduce
+    for v in cocycles:
+        assert h.reduce(v) == reduce(v)
 
 
 # -- inclusions ----------------------------------------------------------------

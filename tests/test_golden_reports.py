@@ -28,6 +28,12 @@ CASES.update(
 )
 CASES.update(
     {
+        f"cohom-{side}-sweedler": ["cohom", "sweedler.json", "--side", side, "--max-degree", "4"]
+        for side in ("A", "C")
+    }
+)
+CASES.update(
+    {
         f"cup-{m}-{n}-{name}": ["cup", f"{name}.json", "--deg", m, n]
         for name, m, n in (
             ("z2", "0", "1"), ("z2", "1", "1"), ("z3", "0", "1"), ("z3", "1", "1"), ("sweedler", "0", "1"),
