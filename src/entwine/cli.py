@@ -259,15 +259,15 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report = args.func(args)
+        rep.render_text(report, elapsed=time.perf_counter() - started)
+        if args.json_path:
+            rep.write_json(report, args.json_path)
     except (StructureParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except EntwineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
-    rep.render_text(report, elapsed=time.perf_counter() - started)
-    if args.json_path:
-        rep.write_json(report, args.json_path)
     return EXIT_OK if rep.all_passed(report) else EXIT_MATH
 
 

@@ -185,7 +185,7 @@ class CompContext:
         a, c = self.base.algebra, self.base.coalgebra
         left = Mat.identity(self.e.field, c.dim * a.dim**i)
         right = Mat.identity(self.e.field, a.dim ** (outer_degree - i - 1))
-        return kron(kron(left, self.to_base(g).mat), right)
+        return kron(left, self.to_base(g).mat, right)
 
     def differential_operator(self, m) -> Mat:
         """The complexes-module differential of base, cached per degree."""
@@ -312,7 +312,8 @@ def _cond2_core(ctx, m, n, p, i, j) -> bool:
         Mat.identity(e.field, da ** (j - i) * dc * da ** (D - j)),
     ) @ ctx.P(j, D)
     inner = kron(
-        kron(Mat.identity(e.field, dc * da**i), rho_R_coaction(e, j - i).mat),
+        Mat.identity(e.field, dc * da**i),
+        rho_R_coaction(e, j - i).mat,
         Mat.identity(e.field, da ** (D - j)),
     )
     rhs = inner @ ctx.P(i, D)

@@ -1,12 +1,22 @@
 """Exact dense/sparse linear algebra over Q and prime fields.
 
-Matrices are stored as scipy integer sparse matrices together with a single
-positive denominator, so a matrix is num/den entrywise.  All arithmetic is
-exact and guarded against int64 overflow: matrix products and sums fall back
-to arbitrary-precision Python integers when a bound is exceeded (the result
-must still fit the storage), while scalings and Kronecker products raise
-StructureParseError instead (neither happens for the structure constants
-handled here).
+Storage contract.  A Mat is one scipy CSR matrix of int64 numerators plus one
+positive denominator, so a matrix is num/den entrywise, and only this module
+reads it.  Every Mat is canonical: sorted column indices within each row, no
+duplicates, no stored zeros, F_p residues in [1, p), and over Q numerators and
+denominator with no common factor.  A canonical matrix is unique, so equality
+compares the stored arrays.
+
+One construction path.  Every operation computes the CSR arrays of its result
+with numpy (or scipy's compiled CSR kernels, called on the arrays), and _csr
+reduces them to canonical form and wraps them in exactly one scipy object for
+Mat.__init__, the one constructor.
+
+All arithmetic is exact and guarded against int64 overflow: matrix products
+and sums fall back to arbitrary-precision Python integers when a bound is
+exceeded (the result must still fit the storage), while scalings and Kronecker
+products raise StructureParseError instead (neither happens for the structure
+constants handled here).
 
 Stacking and re-indexing (from_blocks, Mat.reshape) work on the numerators
 over one common denominator; Mat.from_triples and Mat.triples() are the parse
@@ -30,6 +40,7 @@ from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools  # the compiled CSR kernels behind scipy's own operators
 
 from .errors import (
     FieldMismatchError,
@@ -39,6 +50,7 @@ from .errors import (
 )
 
 _I64_GUARD = 2**62
+_IDX = np.int32  # index dtype of every stored CSR, as the compiled kernels need one
 _IDENTITY_CACHE: dict = {}
 
 
@@ -151,45 +163,94 @@ def _coeff_to_field(field: FieldSpec, value) -> tuple[int, int]:
     return num, 1
 
 
+def _csr(field, shape, indptr, indices, data, den=1) -> "Mat":
+    """The one construction path: CSR arrays in canonical order -> one Mat.
+
+    indices must be sorted within each row and free of duplicates.  This
+    reduces residues mod p, drops stored zeros, cancels the common factor of
+    numerators and denominator over Q (den is 1 over F_p), and wraps the
+    arrays, which it takes over, in exactly one scipy object.
+    """
+    if max(shape) >= 2**31 or data.size >= 2**31:
+        raise ShapeMismatchError(f"{shape[0]}x{shape[1]} with {data.size} entries exceeds 32-bit CSR indices")
+    if field.kind == "Fp":
+        data = data % field.p
+    if not data.all():
+        keep = data != 0
+        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+        indices, data = indices[keep], data[keep]
+    if den != 1:
+        g = math.gcd(int(np.gcd.reduce(data)), den) if data.size else den
+        if g > 1:
+            data, den = data // g, den // g
+    num = sp.csr_matrix((data, indices.astype(_IDX, copy=False), indptr.astype(_IDX, copy=False)), shape=shape)
+    num.has_canonical_format = True
+    return Mat(field, num, den)
+
+
+def _sorted_coo(shape, rows, cols, data):
+    """CSR arrays of COO entries: one row-major sort, duplicates summed."""
+    key = rows.astype(np.int64) * shape[1] + cols
+    order = np.argsort(key, kind="stable")
+    key, data = key[order], data[order]
+    if key.size > 1:
+        first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        if first.size < key.size:
+            key, data = key[first], np.add.reduceat(data, first)
+    indptr = np.searchsorted(key, np.arange(shape[0] + 1) * shape[1])
+    return indptr, key % max(shape[1], 1), data
+
+
+def _row_ids(indptr):
+    """The row of each stored entry of a CSR matrix."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+
+
+def _product(rows, cols, a, b):
+    """Sorted CSR arrays (indptr, indices, data) of the rows x cols product of
+    the CSR operands a and b, each an (indptr, indices, data) triple of _IDX
+    indices and int64 data; the kernel stores no zero sum."""
+    nnz = _sparsetools.csr_matmat_maxnnz(rows, cols, a[0], a[1], b[0], b[1])
+    indptr, indices, data = np.empty(rows + 1, _IDX), np.empty(nnz, _IDX), np.empty(nnz, np.int64)
+    _sparsetools.csr_matmat(rows, cols, *a, *b, indptr, indices, data)
+    nnz = indptr[-1]
+    indices, data = indices[:nnz], data[:nnz]
+    _sparsetools.csr_sort_indices(rows, indptr, indices, data)
+    return indptr, indices, data
+
+
+def _selection(n, idx):
+    """CSR arrays of the n x len(idx) 0/1 matrix with a 1 at (idx[k], k)."""
+    order = np.argsort(idx, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(idx, minlength=n)))).astype(_IDX)
+    return indptr, order.astype(_IDX), np.ones(idx.size, np.int64)
+
+
 class Mat:
-    """Immutable exact matrix over a FieldSpec; no zero entry is stored."""
+    """Immutable exact matrix over a FieldSpec, stored canonically (see the
+    module docstring); only _csr calls the constructor."""
 
     __slots__ = ("field", "rows", "cols", "_num", "_den", "_rref_cache")
 
     def __init__(self, field: FieldSpec, num, den: int = 1):
-        if den <= 0:
-            num, den = -num, -den
         self.field = field
-        self._num = num.tocsr() if not sp.issparse(num) or num.format != "csr" else num
-        if self._num.dtype != np.int64:
-            # scipy returns float64 for some degenerate kron/stack results
-            if self._num.nnz and not np.all(self._num.data == np.trunc(self._num.data)):
-                raise ShapeMismatchError("non-integer data reached the integer engine")
-            self._num = self._num.astype(np.int64)
-        self._num.sum_duplicates()
-        self.rows, self.cols = self._num.shape
-        if field.kind == "Fp":
-            if den != 1:
-                inv = pow(den % field.p, field.p - 2, field.p)
-                self._num = self._mod(self._num * inv)
-                den = 1
-            else:
-                self._num = self._mod(self._num)
+        self._num = num
         self._den = den
+        self.rows, self.cols = num.shape
         self._rref_cache = None
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def zeros(field, rows, cols) -> "Mat":
-        return Mat(field, sp.csr_matrix((rows, cols), dtype=np.int64))
+        return _csr(field, (rows, cols), np.zeros(rows + 1, _IDX), np.zeros(0, _IDX), np.zeros(0, np.int64))
 
     @staticmethod
     def identity(field, n) -> "Mat":
         key = (field, n)
         cached = _IDENTITY_CACHE.get(key)
         if cached is None:
-            cached = Mat(field, sp.identity(n, dtype=np.int64, format="csr"))
+            cached = _csr(field, (n, n), np.arange(n + 1), np.arange(n), np.ones(n, np.int64))
             _IDENTITY_CACHE[key] = cached
         return cached
 
@@ -212,8 +273,8 @@ class Mat:
         if any(abs(x) >= _I64_GUARD for x in data):
             raise StructureParseError("coefficients too large for the engine")
         ii, jj = zip(*keys) if keys else ((), ())
-        m = sp.coo_matrix((np.array(data, dtype=np.int64), (ii, jj)), shape=(rows, cols))
-        return Mat(field, m.tocsr(), den)
+        arrays = _sorted_coo((rows, cols), np.array(ii, np.int64), np.array(jj, np.int64), np.array(data, np.int64))
+        return _csr(field, (rows, cols), *arrays, den)
 
     @staticmethod
     def from_rows(field, rows_data) -> "Mat":
@@ -233,33 +294,16 @@ class Mat:
 
     # -- helpers -----------------------------------------------------------
 
-    def _mod(self, num):
-        num = num.tocsr()
-        num.data %= self.field.p
-        num.eliminate_zeros()
-        return num
+    def _arrays(self):
+        return self._num.indptr, self._num.indices, self._num.data
 
     def _max_abs(self) -> int:
-        if self._num.nnz == 0:
-            return 0
-        return int(np.abs(self._num.data).max())
+        data = self._num.data
+        return int(np.abs(data).max()) if data.size else 0
 
     def _check_field(self, other: "Mat"):
         if self.field != other.field:
             raise FieldMismatchError(f"{self.field} vs {other.field}")
-
-    def normalized(self) -> "Mat":
-        if self._den == 1:
-            return self
-        if self._num.nnz == 0:
-            return Mat(self.field, self._num, 1)
-        g = int(np.gcd.reduce(np.abs(self._num.data)))
-        g = math.gcd(g, self._den)
-        if g <= 1:
-            return self
-        num = self._num.copy()
-        num.data //= g
-        return Mat(self.field, num, self._den // g)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -269,45 +313,53 @@ class Mat:
             raise ShapeMismatchError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         bound = self._max_abs() * other._max_abs() * max(self.cols, 1)
         if bound < _I64_GUARD:
-            num = self._num @ other._num
-            return Mat(self.field, num, self._den * other._den).normalized()
+            arrays = _product(self.rows, other.cols, self._arrays(), other._arrays())
+            return _csr(self.field, (self.rows, other.cols), *arrays, self._den * other._den)
         return self._slow_matmul(other)
 
     def _slow_matmul(self, other: "Mat") -> "Mat":
-        a = self._num.tocoo()
-        rows_map: dict[int, dict[int, int]] = {}
-        for i, j, v in zip(a.row, a.col, a.data):
-            rows_map.setdefault(int(i), {})[int(j)] = int(v)
-        b = other._num.tocsr()
+        a_ptr, a_cols, a_vals = (x.tolist() for x in self._arrays())
+        b_ptr, b_cols, b_vals = (x.tolist() for x in other._arrays())
+        den = self._den * other._den
         triples = []
-        for i, arow in rows_map.items():
+        for i in range(self.rows):
             acc: dict[int, int] = {}
-            for k, av in arow.items():
-                start, end = b.indptr[k], b.indptr[k + 1]
-                for idx in range(start, end):
-                    j = int(b.indices[idx])
-                    acc[j] = acc.get(j, 0) + av * int(b.data[idx])
-            for j, v in acc.items():
-                if v:
-                    triples.append((i, j, Fraction(v, self._den * other._den)))
+            for k, av in zip(a_cols[a_ptr[i] : a_ptr[i + 1]], a_vals[a_ptr[i] : a_ptr[i + 1]]):
+                for j, bv in zip(b_cols[b_ptr[k] : b_ptr[k + 1]], b_vals[b_ptr[k] : b_ptr[k + 1]]):
+                    acc[j] = acc.get(j, 0) + av * bv
+            triples.extend((i, j, Fraction(v, den)) for j, v in acc.items() if v)
         return Mat.from_triples(self.field, self.rows, other.cols, triples)
 
-    def __add__(self, other: "Mat") -> "Mat":
+    def _add(self, other: "Mat", sign: int) -> "Mat":
+        """self + sign * other, on the numerators over the common denominator."""
         self._check_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatchError("shape mismatch in addition")
         den = math.lcm(self._den, other._den)
         fa, fb = den // self._den, den // other._den
-        if max(self._max_abs() * fa, other._max_abs() * fb) < _I64_GUARD:
-            return Mat(self.field, self._num * fa + other._num * fb, den).normalized()
-        # the aligned numerators would overflow: from_triples sums the entries exactly
-        return Mat.from_triples(self.field, self.rows, self.cols, [*self.triples(), *other.triples()])
+        if max(self._max_abs() * fa, other._max_abs() * fb) >= _I64_GUARD:
+            # the aligned numerators would overflow: from_triples sums the entries exactly
+            rhs = other.triples() if sign > 0 else ((i, j, -v) for i, j, v in other.triples())
+            return Mat.from_triples(self.field, self.rows, self.cols, [*self.triples(), *rhs])
+        (ap, aj, ax), (bp, bj, bx) = self._arrays(), other._arrays()
+        nnz = ax.size + bx.size
+        indptr, indices, data = np.empty(self.rows + 1, _IDX), np.empty(nnz, _IDX), np.empty(nnz, np.int64)
+        # canonical operands give a canonical sum: sorted, no zero stored
+        kernel = _sparsetools.csr_plus_csr if sign > 0 else _sparsetools.csr_minus_csr
+        kernel(self.rows, self.cols, ap, aj, ax if fa == 1 else ax * fa, bp, bj, bx if fb == 1 else bx * fb,
+               indptr, indices, data)
+        nnz = indptr[-1]
+        return _csr(self.field, (self.rows, self.cols), indptr, indices[:nnz], data[:nnz], den)
+
+    def __add__(self, other: "Mat") -> "Mat":
+        return self._add(other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return self + (-other)
+        return self._add(other, -1)
 
     def __neg__(self) -> "Mat":
-        return Mat(self.field, -self._num, self._den)
+        indptr, indices, data = self._arrays()
+        return _csr(self.field, (self.rows, self.cols), indptr, indices, -data, self._den)
 
     def scale(self, value) -> "Mat":
         n, d = _coeff_to_field(self.field, value)
@@ -315,29 +367,34 @@ class Mat:
             return Mat.zeros(self.field, self.rows, self.cols)
         if abs(n) * self._max_abs() >= _I64_GUARD:
             raise StructureParseError("entry growth beyond engine bounds")
-        return Mat(self.field, self._num * n, self._den * d).normalized()
+        indptr, indices, data = self._arrays()
+        return _csr(self.field, (self.rows, self.cols), indptr, indices, data * n, self._den * d)
 
     def reshape(self, rows, cols) -> "Mat":
         """The same entries read row-major into a rows x cols matrix."""
         if rows * cols != self.rows * self.cols:
             raise ShapeMismatchError(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
-        coo = self._num.tocoo()
-        flat = coo.row.astype(np.int64) * self.cols + coo.col
-        num = sp.csr_matrix((coo.data, (flat // cols, flat % cols)), shape=(rows, cols))
-        return Mat(self.field, num, self._den).normalized()
+        indptr, indices, data = self._arrays()
+        # row-major positions of a canonical matrix are already sorted
+        flat = _row_ids(indptr) * self.cols + indices
+        new_ptr = np.searchsorted(flat, np.arange(rows + 1) * cols)
+        return _csr(self.field, (rows, cols), new_ptr, flat % max(cols, 1), data, self._den)
 
     def transpose(self) -> "Mat":
-        return Mat(self.field, self._num.transpose().tocsr(), self._den)
+        # Gustavson's permuted transposition: a counting sort on the column
+        # indices, which leaves every row of the result sorted
+        indptr, indices, data = np.empty(self.cols + 1, _IDX), np.empty(self.nnz, _IDX), np.empty(self.nnz, np.int64)
+        _sparsetools.csr_tocsc(self.rows, self.cols, *self._arrays(), indptr, indices, data)
+        return _csr(self.field, (self.cols, self.rows), indptr, indices, data, self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
         if self.field != other.field or (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        # a normalised matrix is unique (over Q its denominator is the lcm of
+        # a canonical matrix is unique (over Q its denominator is the lcm of
         # its entries' denominators), so equality needs no arithmetic
-        a, b = self.normalized(), other.normalized()
-        return a._den == b._den and (a._num != b._num).nnz == 0
+        return self._den == other._den and all(map(np.array_equal, self._arrays(), other._arrays()))
 
     def __hash__(self):
         raise TypeError("Mat is not hashable")
@@ -350,30 +407,41 @@ class Mat:
         return self._num.nnz
 
     def entry(self, i, j) -> Fraction:
-        return Fraction(int(self._num[i, j]), self._den)
+        indptr, indices, data = self._arrays()
+        lo, hi = indptr[i], indptr[i + 1]
+        k = lo + np.searchsorted(indices[lo:hi], j)
+        return Fraction(int(data[k]) if k < hi and indices[k] == j else 0, self._den)
 
     def col_vector(self, j) -> "Mat":
-        return Mat(self.field, self._num[:, j].tocsr(), self._den)
+        return self.select_columns([j])
 
     def select_columns(self, idx) -> "Mat":
-        return Mat(self.field, self._num[:, idx].tocsr(), self._den)
+        """The columns idx (a list or a slice), as self @ a 0/1 selection."""
+        idx = np.arange(self.cols)[idx]
+        arrays = _product(self.rows, idx.size, self._arrays(), _selection(self.cols, idx))
+        return _csr(self.field, (self.rows, idx.size), *arrays, self._den)
 
     def select_rows(self, idx) -> "Mat":
-        return Mat(self.field, self._num[idx, :].tocsr(), self._den)
+        """The rows idx (a list or a slice), gathered row by row."""
+        idx = np.arange(self.rows)[idx]
+        indptr, indices, data = self._arrays()
+        counts = np.diff(indptr)[idx]
+        new_ptr = np.concatenate(([0], np.cumsum(counts)))
+        take = np.repeat(indptr[idx] - new_ptr[:-1], counts) + np.arange(new_ptr[-1])
+        return _csr(self.field, (idx.size, self.cols), new_ptr, indices[take], data[take], self._den)
 
     def to_fraction_rows(self) -> list[list[Fraction]]:
         out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        coo = self._num.tocoo()
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            out[int(i)][int(j)] = Fraction(int(v), self._den)
+        for i, j, v in self.triples():
+            out[i][j] = v
         return out
 
     def triples(self):
         """Yield (i, j, Fraction) over nonzero entries, row-major order."""
-        csr = self._num
+        indptr, indices, data = (x.tolist() for x in self._arrays())
         for i in range(self.rows):
-            for idx in range(csr.indptr[i], csr.indptr[i + 1]):
-                yield i, int(csr.indices[idx]), Fraction(int(csr.data[idx]), self._den)
+            for idx in range(indptr[i], indptr[i + 1]):
+                yield i, indices[idx], Fraction(data[idx], self._den)
 
     def __repr__(self):
         return f"Mat({self.field}, {self.rows}x{self.cols}, nnz={self.nnz})"
@@ -475,13 +543,26 @@ def kernel_basis(m: Mat) -> list[Mat]:
     """Null space basis in reduced echelon form, one vector per free column."""
     piv_cols, piv_rows = m.rref()
     piv_set = set(piv_cols)
-    free = {fc: [(fc, 0, 1)] for fc in range(m.cols) if fc not in piv_set}
+    free = {fc: [(fc, 1)] for fc in range(m.cols) if fc not in piv_set}
     # a reduced pivot row holds its pivot and otherwise only free columns
     for c, row in zip(piv_cols, piv_rows):
         for k, v in row.items():
             if k != c:
-                free[k].append((c, 0, -v))
-    return [Mat.from_triples(m.field, m.cols, 1, triples) for triples in free.values()]
+                free[k].append((c, -v))
+    return [_column(m.field, m.cols, entries) for entries in free.values()]
+
+
+def _column(field, length, entries) -> Mat:
+    """The length x 1 column holding the (row, value) entries, rows distinct;
+    values are canonical RREF data (Fractions or ints over Q, ints over F_p)."""
+    entries = sorted(entries)
+    den = math.lcm(*(v.denominator for _, v in entries))
+    data = [v.numerator * (den // v.denominator) for _, v in entries]
+    if any(abs(x) >= _I64_GUARD for x in data):
+        raise StructureParseError("coefficients too large for the engine")
+    rows = np.array([i for i, _ in entries], np.int64)
+    indptr = np.searchsorted(rows, np.arange(length + 1))
+    return _csr(field, (length, 1), indptr, np.zeros(rows.size, _IDX), np.array(data, np.int64), den)
 
 
 def image_basis(m: Mat) -> list[Mat]:
@@ -497,14 +578,14 @@ def solve(m: Mat, b: Mat) -> Mat | None:
         raise ShapeMismatchError("right-hand side has wrong shape")
     aug = hstack([m, b])
     piv_cols, piv_rows = aug.rref()
-    triples = []
+    entries = []
     for c, row in zip(piv_cols, piv_rows):
         if c == m.cols:
             return None
         v = row.get(m.cols)
         if v:
-            triples.append((c, 0, v))
-    return Mat.from_triples(m.field, m.cols, 1, triples)
+            entries.append((c, v))
+    return _column(m.field, m.cols, entries)
 
 
 def from_blocks(field, rows, cols, blocks) -> Mat:
@@ -523,16 +604,15 @@ def from_blocks(field, rows, cols, blocks) -> Mat:
         scale = den // m._den
         if m._max_abs() * scale >= _I64_GUARD:
             raise StructureParseError("entry growth beyond engine bounds")
-        coo = m._num.tocoo()
-        ii.append(coo.row.astype(np.int64) + r)
-        jj.append(coo.col.astype(np.int64) + c)
-        data.append(coo.data * scale)
+        indptr, indices, values = m._arrays()
+        ii.append(_row_ids(indptr) + r)
+        jj.append(indices.astype(np.int64) + c)
+        data.append(values * scale)
     data = np.concatenate(data)
-    num = sp.csr_matrix((data, (np.concatenate(ii), np.concatenate(jj))), shape=(rows, cols))
-    if num.nnz != data.size:
+    indptr, indices, summed = _sorted_coo((rows, cols), np.concatenate(ii), np.concatenate(jj), data)
+    if summed.size != data.size:
         raise ShapeMismatchError("overlapping blocks")
-    num.eliminate_zeros()
-    return Mat(field, num, den).normalized()
+    return _csr(field, (rows, cols), indptr, indices, summed, den)
 
 
 def from_columns(field, length, columns) -> Mat:
@@ -557,22 +637,37 @@ def vstack(mats: list[Mat]) -> Mat:
     return from_blocks(mats[0].field, offsets[-1], cols, [(off, 0, m) for off, m in zip(offsets, mats)])
 
 
-def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product; leftmost tensor factor is most significant."""
-    a._check_field(b)
-    if a._max_abs() * b._max_abs() >= _I64_GUARD:
-        raise StructureParseError("entry growth beyond engine bounds")
-    shape = (a.rows * b.rows, a.cols * b.cols)
-    A, B = a._num.tocoo(), b._num.tocoo()
-    if A.nnz == 0 or B.nnz == 0:
-        return Mat(a.field, sp.csr_matrix(shape, dtype=np.int64), 1)
-    # vectorized COO outer product: much faster than scipy's kron for the
-    # many small factors composed here
-    row = (A.row.astype(np.int64)[:, None] * b.rows + B.row[None, :]).ravel()
-    col = (A.col.astype(np.int64)[:, None] * b.cols + B.col[None, :]).ravel()
-    data = (A.data[:, None] * B.data[None, :]).ravel()
-    num = sp.csr_matrix((data, (row, col)), shape=shape)
-    return Mat(a.field, num, a._den * b._den).normalized()
+def kron(*factors: Mat) -> Mat:
+    """Kronecker product of one or more factors; the leftmost is most significant.
+
+    Row (i, k) of A (x) B is A[i] (x) B[k], so its entries are written
+    straight in CSR order, with no sort.  The guard is on the product of the
+    factors' stored numerators; over F_p each step is reduced mod p first.
+    """
+    first = factors[0]
+    field = first.field
+    rows, cols, den = first.rows, first.cols, first._den
+    indptr, indices, data = first._arrays()
+    bound = first._max_abs()
+    for f in factors[1:]:
+        first._check_field(f)
+        bound *= f._max_abs()
+        if bound >= _I64_GUARD:
+            raise StructureParseError("entry growth beyond engine bounds")
+        bp, bj, bx = f._arrays()
+        nb = np.diff(bp)
+        counts = np.multiply.outer(np.diff(indptr), nb).ravel()
+        new_ptr = np.concatenate(([0], np.cumsum(counts)))
+        out_row = np.repeat(np.arange(counts.size), counts)
+        ia, ib = np.divmod(out_row, f.rows)
+        q, r = np.divmod(np.arange(new_ptr[-1]) - new_ptr[out_row], nb[ib])
+        ka, kb = indptr[ia] + q, bp[ib] + r
+        indptr, indices, data = new_ptr, indices[ka].astype(np.int64) * f.cols + bj[kb], data[ka] * bx[kb]
+        rows, cols, den = rows * f.rows, cols * f.cols, den * f._den
+        if field.kind == "Fp":
+            data %= field.p
+            bound = field.p - 1
+    return _csr(field, (rows, cols), indptr, indices, data, den)
 
 
 def middle_operator(left: Mat, dl: int, f_rows: int, f_cols: int, dr: int, right: Mat) -> Mat:
@@ -597,25 +692,27 @@ def middle_operator(left: Mat, dl: int, f_rows: int, f_cols: int, dr: int, right
     term_bound = field.p - 1 if field.kind == "Fp" else left._max_abs() * right._max_abs()
     if term_bound * dl * dr >= _I64_GUARD:
         raise StructureParseError("entry growth beyond engine bounds")
-    lo, ro = left._num.tocoo(), right._num.tocoo()
-    l_key = lo.col // (f_rows * dr) * dr + lo.col % dr
-    r_key = ro.row // (f_cols * dr) * dr + ro.row % dr
+    lp, lj, lx = left._arrays()
+    rp, rj, rx = right._arrays()
+    l_row, l_col = _row_ids(lp), lj.astype(np.int64)
+    r_row, r_col = _row_ids(rp), rj.astype(np.int64)
+    l_key = l_col // (f_rows * dr) * dr + l_col % dr
+    r_key = r_row // (f_cols * dr) * dr + r_row % dr
     # pair each entry of left with every entry of right in its block
     r_order = np.argsort(r_key, kind="stable")
     r_count = np.bincount(r_key, minlength=dl * dr)
     r_start = np.cumsum(r_count) - r_count
     reps = r_count[l_key]
-    li = np.repeat(np.arange(lo.nnz), reps)
+    li = np.repeat(np.arange(lx.size), reps)
     within = np.arange(li.size) - np.repeat(np.cumsum(reps) - reps, reps)
     ri = r_order[r_start[l_key[li]] + within]
-    rows = lo.row[li].astype(np.int64) * right.cols + ro.col[ri]
-    cols = (lo.col[li] // dr % f_rows).astype(np.int64) * f_cols + ro.row[ri] // dr % f_cols
-    data = lo.data[li] * ro.data[ri]
+    rows = l_row[li] * right.cols + r_col[ri]
+    cols = l_col[li] // dr % f_rows * f_cols + r_row[ri] // dr % f_cols
+    data = lx[li] * rx[ri]
     if field.kind == "Fp":
         data %= field.p
-    num = sp.csr_matrix((data, (rows, cols)), shape=(left.rows * right.cols, f_rows * f_cols))
-    num.eliminate_zeros()
-    return Mat(field, num, left._den * right._den).normalized()
+    shape = (left.rows * right.cols, f_rows * f_cols)
+    return _csr(field, shape, *_sorted_coo(shape, rows, cols, data), left._den * right._den)
 
 
 def quotient_with_projection(sub: list[Mat], big: list[Mat], field=None, length=None):

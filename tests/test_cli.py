@@ -37,6 +37,15 @@ def test_missing_file_is_io_error():
     assert run(["verify", "/no/such/file.json"]) == 2
 
 
+def test_unwritable_json_path_is_io_error(tmp_path, capsys):
+    # the report cannot be written: one error line and exit 2, no traceback
+    target = tmp_path / "no-such-dir" / "report.json"
+    assert run(["cohom", FIXTURES / "z2.json", "--json", target]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert not target.exists()
+
+
 def test_malformed_file_is_io_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")

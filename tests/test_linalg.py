@@ -1,11 +1,14 @@
 """Exact linear algebra kernel: ranks, kernels, quotients, Kronecker products."""
 
+import math
 import re
 import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse._base as sparse_base
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +28,7 @@ from entwine.linalg import (
     image_basis,
     kernel_basis,
     kron,
+    middle_operator,
     parse_coeff,
     quotient_with_projection,
     rank,
@@ -626,3 +630,205 @@ def test_storage_format_stays_inside_linalg():
         if internals.search(line)
     ]
     assert hits == []
+
+
+# -- canonical CSR kernels: every operation against a pure-Fraction reference,
+# and every result checked for the canonical storage invariant directly
+
+KERNEL_FIELDS = [QQ, F7, FieldSpec.prime(2**31 - 1)]
+
+
+def _assert_canonical(m: Mat):
+    num = m._num
+    indptr, indices, data = num.indptr, num.indices, num.data
+    assert num.shape == (m.rows, m.cols)
+    assert indptr.size == m.rows + 1 and indptr[0] == 0 and indptr[-1] == indices.size == data.size
+    assert np.all(np.diff(indptr) >= 0)
+    assert np.all((indices >= 0) & (indices < m.cols))
+    # strictly increasing row-major positions: sorted within rows, no duplicates
+    rows = np.repeat(np.arange(m.rows), np.diff(indptr))
+    assert np.all(np.diff(rows * m.cols + indices) > 0)
+    assert np.all(data != 0)
+    if m.field.kind == "Fp":
+        assert m._den == 1 and np.all((data >= 1) & (data < m.field.p))
+    else:
+        assert m._den >= 1
+        assert math.gcd(int(np.gcd.reduce(data)), m._den) == 1 if data.size else m._den == 1
+
+
+def _ref(field, v):
+    v = Fraction(v)
+    if field.kind == "Q":
+        return v
+    return Fraction(v.numerator * pow(v.denominator, -1, field.p) % field.p)
+
+
+def _ref_mat(field, rows):
+    return [[_ref(field, v) for v in row] for row in rows]
+
+
+def _ref_matmul(field, a, b, inner, cols):
+    return _ref_mat(field, [[sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)] for i in range(len(a))])
+
+
+def _ref_kron(field, a, b):
+    return _ref_mat(field, [[x * y for x in arow for y in brow] for arow in a for brow in b])
+
+
+def _ref_transpose(a, rows, cols):
+    return [[a[i][j] for i in range(rows)] for j in range(cols)]
+
+
+def _checked(m: Mat, field, want, shape):
+    _assert_canonical(m)
+    assert (m.field, m.rows, m.cols) == (field, *shape)
+    assert m.to_fraction_rows() == want
+
+
+@st.composite
+def _kernel_matrix(draw, field, rows, cols):
+    if field.kind == "Q":
+        value = st.builds(Fraction, st.integers(-49, 49), st.integers(1, 12))
+    else:
+        value = st.integers(-(2**40), 2**40) | st.integers(field.p - 3, field.p + 3)
+    entries = [[draw(st.just(0) | value) for _ in range(cols)] for _ in range(rows)]
+    m = Mat.from_triples(field, rows, cols, [(i, j, v) for i, row in enumerate(entries) for j, v in enumerate(row)])
+    return m, _ref_mat(field, entries)
+
+
+_dim = st.integers(0, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), _dim, _dim, st.data())
+def test_add_sub_neg_eq_match_fraction_reference(field, rows, cols, data):
+    a, ra = data.draw(_kernel_matrix(field, rows, cols))
+    b, rb = data.draw(_kernel_matrix(field, rows, cols))
+    how = data.draw(st.sampled_from(["free", "cancel", "partial"]))
+    if how == "cancel":
+        b, rb = -a, _ref_mat(field, [[-v for v in row] for row in ra])
+    elif how == "partial":
+        # b cancels a on some entries and differs elsewhere
+        keep = [[data.draw(st.booleans()) for _ in range(cols)] for _ in range(rows)]
+        rb = _ref_mat(field, [[-ra[i][j] if keep[i][j] else rb[i][j] for j in range(cols)] for i in range(rows)])
+        b = Mat.from_triples(field, rows, cols, [(i, j, v) for i, row in enumerate(rb) for j, v in enumerate(row)])
+    shape = (rows, cols)
+    total = _ref_mat(field, [[x + y for x, y in zip(p, q)] for p, q in zip(ra, rb)])
+    _checked(a + b, field, total, shape)
+    _checked(a - b, field, _ref_mat(field, [[x - y for x, y in zip(p, q)] for p, q in zip(ra, rb)]), shape)
+    _checked(-a, field, _ref_mat(field, [[-x for x in p] for p in ra]), shape)
+    _checked(a.transpose(), field, _ref_transpose(ra, rows, cols), (cols, rows))
+    assert (a == b) is (ra == rb)
+    assert a - b + b == a and -(-a) == a
+    assert (a + b).is_zero() is all(v == 0 for row in total for v in row)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), _dim, _dim, _dim, st.data())
+def test_matmul_matches_fraction_reference(field, rows, inner, cols, data):
+    a, ra = data.draw(_kernel_matrix(field, rows, inner))
+    b, rb = data.draw(_kernel_matrix(field, inner, cols))
+    _checked(a @ b, field, _ref_matmul(field, ra, rb, inner, cols), (rows, cols))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.lists(st.tuples(_dim, _dim), min_size=2, max_size=3), st.data())
+def test_kron_matches_fraction_reference(field, shapes, data):
+    drawn = [data.draw(_kernel_matrix(field, r, c)) for r, c in shapes]
+    rows, cols = math.prod(r for r, _ in shapes), math.prod(c for _, c in shapes)
+    want = drawn[0][1]
+    for _, ref in drawn[1:]:
+        want = _ref_kron(field, want, ref)
+    # an empty row of a factor leaves no trace in the nested lists
+    want = want if cols else [[] for _ in range(rows)]
+    got = kron(*(m for m, _ in drawn))
+    _checked(got, field, want, (rows, cols))
+    if len(drawn) == 3:
+        a, b, c = (m for m, _ in drawn)
+        assert got == kron(kron(a, b), c) == kron(a, kron(b, c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(KERNEL_FIELDS),
+    st.integers(1, 2), st.integers(0, 2), st.integers(0, 2), st.integers(1, 2), _dim, _dim, st.data(),
+)
+def test_middle_operator_matches_fraction_reference(field, dl, f_rows, f_cols, dr, out_rows, out_cols, data):
+    left, rl = data.draw(_kernel_matrix(field, out_rows, dl * f_rows * dr))
+    right, rr = data.draw(_kernel_matrix(field, dl * f_cols * dr, out_cols))
+    got = middle_operator(left, dl, f_rows, f_cols, dr, right)
+    # column (i, j) is vec(left @ (I (x) E_ij (x) I) @ right)
+    columns = []
+    for i in range(f_rows):
+        for j in range(f_cols):
+            e = Mat.from_triples(field, f_rows, f_cols, [(i, j, 1)])
+            middle = kron(Mat.identity(field, dl), e, Mat.identity(field, dr)).to_fraction_rows()
+            left_middle = _ref_matmul(field, rl, middle, dl * f_rows * dr, dl * f_cols * dr)
+            comp = _ref_matmul(field, left_middle, rr, dl * f_cols * dr, out_cols)
+            columns.append([v for row in comp for v in row])
+    want = [list(row) for row in zip(*columns)] if columns else [[] for _ in range(out_rows * out_cols)]
+    _checked(got, field, want, (out_rows * out_cols, f_rows * f_cols))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_selections_and_assembly_are_canonical(field):
+    m = Mat.from_rows(field, [[Fraction(1, 2), 0, Fraction(1, 3)], [0, Fraction(2, 3), 1]] if field == QQ else [[3, 0, 5], [0, 6, 1]])
+    for got in (
+        m.select_columns([2, 0]), m.select_columns([1, 1]), m.col_vector(1), m.select_rows([1, 0, 1]),
+        m.select_rows(slice(1, 2)), m.reshape(3, 2), m.scale(3), hstack([m, m]), vstack([m, -m]),
+        from_columns(field, 2, [m.col_vector(2), m.col_vector(0)]), Mat.zeros(field, 0, 3), Mat.identity(field, 3),
+        *kernel_basis(m), solve(m, m.col_vector(1)),
+    ):
+        _assert_canonical(got)
+    assert m.select_columns([2, 0]).to_fraction_rows() == [[row[2], row[0]] for row in m.to_fraction_rows()]
+    assert m.select_columns([1, 1]).to_fraction_rows() == [[row[1], row[1]] for row in m.to_fraction_rows()]
+    assert m.select_rows([1, 0, 1]).to_fraction_rows() == [m.to_fraction_rows()[k] for k in (1, 0, 1)]
+
+
+# parent counts (scipy objects built per call): kron 4, @ 2, + 4, - 5,
+# transpose 2, reshape 3, middle_operator 4
+def test_one_scipy_object_per_operation(monkeypatch):
+    built = []
+    init = sparse_base._spbase.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    a = Mat.from_rows(QQ, [[1, Fraction(1, 2)], [0, 3]])
+    b = Mat.from_rows(QQ, [[2, 0], [Fraction(1, 3), Fraction(5, 6)]])
+    b_again = Mat.from_rows(QQ, [[2, 0], [Fraction(1, 3), Fraction(5, 6)]])
+    p = Mat.from_rows(F7, [[3, 4], [5, 0]])
+    p2 = p.scale(2)
+    i2 = Mat.identity(QQ, 2)
+    operations = {
+        "kron": lambda: kron(a, b),
+        "kron3": lambda: kron(i2, b, i2),
+        "matmul": lambda: a @ b,
+        "matmul_fp": lambda: p @ p,
+        "add": lambda: a + b,
+        "sub": lambda: a - b,
+        "sub_fp": lambda: p - p2,
+        "neg": lambda: -b,
+        "transpose": lambda: b.transpose(),
+        "eq": lambda: b == b_again,
+        "reshape": lambda: b.reshape(1, 4),
+        "select_columns": lambda: b.select_columns([1, 0]),
+        "select_rows": lambda: b.select_rows([1]),
+        "col_vector": lambda: b.col_vector(0),
+        "hstack": lambda: hstack([a, b]),
+        "middle_operator": lambda: middle_operator(a, 1, 2, 2, 1, b),
+        "from_triples": lambda: Mat.from_triples(QQ, 2, 2, [(1, 0, "1/2"), (0, 1, 3)]),
+    }
+    monkeypatch.setattr(sparse_base._spbase, "__init__", counting)
+    counts = {}
+    for name, op in operations.items():
+        built.clear()
+        op()
+        counts[name] = len(built)
+    assert {k: v for k, v in counts.items() if v > 1} == {}
+    # one Mat per kernel vector, one scipy object each
+    row = Mat.from_rows(QQ, [[1, Fraction(1, 2), 3, 0]])
+    built.clear()
+    basis = kernel_basis(row)
+    assert len(basis) == 3 and len(built) == 3
