@@ -188,9 +188,9 @@ def _csr(field, shape, indptr, indices, data, den=1) -> "Mat":
     return Mat(field, num, den)
 
 
-def _sorted_coo(shape, rows, cols, data):
-    """CSR arrays of COO entries: one row-major sort, duplicates summed."""
-    key = rows.astype(np.int64) * shape[1] + cols
+def _sorted_coo(shape, key, data):
+    """CSR arrays of the entries at row-major positions key (row * cols + col):
+    one stable sort, duplicates summed."""
     order = np.argsort(key, kind="stable")
     key, data = key[order], data[order]
     if key.size > 1:
@@ -272,9 +272,8 @@ class Mat:
         data = [n * (den // d) for n, d in values]
         if any(abs(x) >= _I64_GUARD for x in data):
             raise StructureParseError("coefficients too large for the engine")
-        ii, jj = zip(*keys) if keys else ((), ())
-        arrays = _sorted_coo((rows, cols), np.array(ii, np.int64), np.array(jj, np.int64), np.array(data, np.int64))
-        return _csr(field, (rows, cols), *arrays, den)
+        flat = np.array([i * cols + j for i, j in keys], np.int64)
+        return _csr(field, (rows, cols), *_sorted_coo((rows, cols), flat, np.array(data, np.int64)), den)
 
     @staticmethod
     def from_rows(field, rows_data) -> "Mat":
@@ -595,7 +594,7 @@ def from_blocks(field, rows, cols, blocks) -> Mat:
     denominator, under the same int64 guard as addition.
     """
     den = math.lcm(*(m._den for _, _, m in blocks))
-    ii, jj, data = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    keys, data = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     for r, c, m in blocks:
         if m.field != field:
             raise FieldMismatchError(f"{m.field} block in a {field} matrix")
@@ -605,12 +604,11 @@ def from_blocks(field, rows, cols, blocks) -> Mat:
         if m._max_abs() * scale >= _I64_GUARD:
             raise StructureParseError("entry growth beyond engine bounds")
         indptr, indices, values = m._arrays()
-        ii.append(_row_ids(indptr) + r)
-        jj.append(indices.astype(np.int64) + c)
+        keys.append((_row_ids(indptr) + r) * cols + indices + c)
         data.append(values * scale)
-    data = np.concatenate(data)
-    indptr, indices, summed = _sorted_coo((rows, cols), np.concatenate(ii), np.concatenate(jj), data)
-    if summed.size != data.size:
+    stored = sum(d.size for d in data)
+    indptr, indices, summed = _sorted_coo((rows, cols), np.concatenate(keys), np.concatenate(data))
+    if summed.size != stored:
         raise ShapeMismatchError("overlapping blocks")
     return _csr(field, (rows, cols), indptr, indices, summed, den)
 
@@ -706,13 +704,12 @@ def middle_operator(left: Mat, dl: int, f_rows: int, f_cols: int, dr: int, right
     li = np.repeat(np.arange(lx.size), reps)
     within = np.arange(li.size) - np.repeat(np.cumsum(reps) - reps, reps)
     ri = r_order[r_start[l_key[li]] + within]
-    rows = l_row[li] * right.cols + r_col[ri]
-    cols = l_col[li] // dr % f_rows * f_cols + r_row[ri] // dr % f_cols
+    shape = (left.rows * right.cols, f_rows * f_cols)
+    key = (l_row[li] * right.cols + r_col[ri]) * shape[1] + l_col[li] // dr % f_rows * f_cols + r_row[ri] // dr % f_cols
     data = lx[li] * rx[ri]
     if field.kind == "Fp":
         data %= field.p
-    shape = (left.rows * right.cols, f_rows * f_cols)
-    return _csr(field, shape, *_sorted_coo(shape, rows, cols, data), left._den * right._den)
+    return _csr(field, shape, *_sorted_coo(shape, key, data), left._den * right._den)
 
 
 def quotient_with_projection(sub: list[Mat], big: list[Mat], field=None, length=None):

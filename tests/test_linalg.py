@@ -785,8 +785,9 @@ def test_selections_and_assembly_are_canonical(field):
     assert m.select_rows([1, 0, 1]).to_fraction_rows() == [m.to_fraction_rows()[k] for k in (1, 0, 1)]
 
 
-# parent counts (scipy objects built per call): kron 4, @ 2, + 4, - 5,
-# transpose 2, reshape 3, middle_operator 4
+# each operation wraps its result's arrays in one scipy object; tocoo round
+# trips and re-normalising copies built 2-5 per call (kron 4, @ 2, + 4, - 5,
+# transpose 2, reshape 3, middle_operator 4 on these inputs)
 def test_one_scipy_object_per_operation(monkeypatch):
     built = []
     init = sparse_base._spbase.__init__
