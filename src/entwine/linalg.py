@@ -406,6 +406,9 @@ class Mat:
         return self._num.nnz
 
     def entry(self, i, j) -> Fraction:
+        if not (-self.rows <= i < self.rows and -self.cols <= j < self.cols):
+            raise IndexError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
+        i, j = i % self.rows, j % self.cols
         indptr, indices, data = self._arrays()
         lo, hi = indptr[i], indptr[i + 1]
         k = lo + np.searchsorted(indices[lo:hi], j)

@@ -230,6 +230,15 @@ def test_fraction_entries_round_trip():
     assert (m + m).entry(0, 0) == 1
 
 
+def test_entry_indices_count_from_the_end_when_negative():
+    m = Mat.from_triples(QQ, 2, 3, [(0, 0, "1/2"), (1, 2, "-3/4")])
+    assert m.entry(-1, -1) == Fraction(-3, 4) and m.entry(-2, 0) == Fraction(1, 2)
+    assert m.entry(0, -1) == 0
+    for i, j in ((2, 0), (0, 3), (-3, 0), (0, -4)):
+        with pytest.raises(IndexError):
+            m.entry(i, j)
+
+
 def test_from_columns_and_hstack():
     c1 = Mat.column(QQ, [1, 2])
     c2 = Mat.column(QQ, [3, 4])
