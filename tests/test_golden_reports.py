@@ -28,7 +28,8 @@ CASES.update(
 )
 CASES.update(
     {
-        f"cohom-{side}-sweedler": ["cohom", "sweedler.json", "--side", side, "--max-degree", "4"]
+        f"cohom-{side}-{name}": ["cohom", f"{name}.json", "--side", side, "--max-degree", "4"]
+        for name in ("sweedler", "z3", "trivial-z2")
         for side in ("A", "C")
     }
 )
