@@ -10,9 +10,10 @@ and the comodule-valued complex has degree-n space Hom(V, A (x) C^n) with the
 dual differential.  The latter is not coded separately: f |-> f^T identifies
 it with the module-valued complex of the dual entwining (C*, A*, psi^T) with
 coefficients V*.  Cochains are flattened row-major; differentials are sparse
-operators on those coordinates.  cohomology() counts classes from the ranks of
-the differentials alone; the cocycle, coboundary and class bases are built only
-when a caller reads them (see CohomologyResult).
+operators on those coordinates.  cohomology() counts classes without bases: a
+contracting homotopy, when its identity holds, proves H^n = 0, and otherwise the
+ranks of the differentials give the count; the cocycle, coboundary and class
+bases are built only when a caller reads them (see CohomologyResult).
 
 Two independent reference builders (the Hochschild complex of an algebra and
 the Cartier complex of a coalgebra) are coded directly from their classical
@@ -22,13 +23,14 @@ for the degenerate cases C = k resp. A = k.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property, partial
 
 from .entwining import EntwiningStructure, dual, dual_bimodule
 from .errors import (
     DegreeError,
     InternalConsistencyError,
     MissingTranslationMapError,
+    PreconditionError,
     ShapeMismatchError,
 )
 from .homspace import (
@@ -64,14 +66,18 @@ from .structures import (
 
 
 class CochainComplex:
-    """Graded spaces with degree-raising differentials; d o d = 0 is verified."""
+    """Graded spaces with degree-raising differentials; d o d = 0 is verified.
 
-    def __init__(self, field, space_dims, differentials, degree_shapes=None, label=""):
+    homotopy, if given, maps n >= 1 to an operator h^n: C^n -> C^{n-1}."""
+
+    def __init__(self, field, space_dims, differentials, degree_shapes=None, label="", homotopy=None):
         self.field = field
         self.space_dims = list(space_dims)
         self.differentials = list(differentials)
         self.degree_shapes = degree_shapes
         self.label = label
+        self._homotopy = None if homotopy is None else cache(homotopy)  # h^n serves degrees n-1 and n
+        self._acyclic: dict[int, bool] = {}
         self.max_degree = len(self.space_dims) - 1
         if len(self.differentials) != self.max_degree:
             raise ShapeMismatchError("need one differential per consecutive degree pair")
@@ -83,6 +89,21 @@ class CochainComplex:
                 raise InternalConsistencyError(
                     f"{label or 'complex'}: d{n + 1} o d{n} != 0 (invalid inputs)"
                 )
+
+    def acyclic_at(self, n) -> bool:
+        """Does h^{n+1} d^n + d^{n-1} h^n = id hold on C^n (n >= 1)?  If so H^n = 0
+        for any h, as d o d = 0 was verified; no or unusable h answers False."""
+        if n not in self._acyclic:
+            self._acyclic[n] = n >= 1 and self._homotopy is not None and self._contracts(n)
+        return self._acyclic[n]
+
+    def _contracts(self, n) -> bool:
+        try:
+            h_n, h_up = self._homotopy(n), self._homotopy(n + 1)
+        except (MissingTranslationMapError, PreconditionError):
+            return False
+        d = self.differentials
+        return h_up @ d[n] + d[n - 1] @ h_n == Mat.identity(self.field, self.space_dims[n])
 
     def differential(self, n) -> Mat:
         if not 0 <= n < len(self.differentials):
@@ -97,19 +118,24 @@ class CochainComplex:
 
 
 class CohomologyResult:
-    """H^n of a complex: betti at once from ranks, bases and classes on first read.
+    """H^n of a complex: betti at once, bases and classes on first read.
 
-    betti = dim C^n - rank d^n - rank d^{n-1} is exact because the complex
-    verified d o d = 0, so im d^{n-1} lies in ker d^n; each rank is one
-    elimination, cached on its Mat.  class_reps and reduce come from
+    betti is 0 when the complex's homotopy certifies H^n = 0 (acyclic_at: two
+    sparse products, no elimination).  Otherwise betti = dim C^n - rank d^n -
+    rank d^{n-1}, exact because the complex verified d o d = 0, so im d^{n-1}
+    lies in ker d^n; each rank is one elimination, cached on its Mat.  Both
+    paths give the same number.  class_reps and reduce come from
     quotient_with_projection, whose span-containment check runs when read.
     """
 
     def __init__(self, cx: CochainComplex, degree):
         self._cx = cx
         self.degree = degree
-        below = rank(cx.differential(degree - 1)) if degree else 0
-        self.betti = cx.space_dims[degree] - rank(cx.differential(degree)) - below
+        if cx.acyclic_at(degree):
+            self.betti = 0
+        else:
+            below = rank(cx.differential(degree - 1)) if degree else 0
+            self.betti = cx.space_dims[degree] - rank(cx.differential(degree)) - below
 
     @cached_property
     def cocycle_basis(self) -> list[Mat]:
@@ -172,11 +198,13 @@ def comodule_differential(e: EntwiningStructure, v: Bicomodule, n: int) -> Mat:
     This is the module-valued d^n of dual(e) with coefficients V*, which acts
     on f^T in Hom(A* (x) C*^n, V*), re-indexed along f <-> f^T.
     """
-    cod = e.algebra.dim * e.coalgebra.dim**n
     d = module_differential(dual(e), dual_bimodule(v), n)
-    return d.select_rows(vec_transpose_index(cod * e.coalgebra.dim, v.dim)).select_columns(
-        vec_transpose_index(cod, v.dim)
-    )
+    return d.select_rows(_transpose_index(e, v, n + 1)).select_columns(_transpose_index(e, v, n))
+
+
+def _transpose_index(e: EntwiningStructure, v: Bicomodule, n: int):
+    """Column order taking vec(f^T) to vec(f) for f: V -> A (x) C^n."""
+    return vec_transpose_index(e.algebra.dim * e.coalgebra.dim**n, v.dim)
 
 
 def build_CpsiAM(e: EntwiningStructure, m: Bimodule, n_max: int = 3) -> CochainComplex:
@@ -185,7 +213,8 @@ def build_CpsiAM(e: EntwiningStructure, m: Bimodule, n_max: int = 3) -> CochainC
     dims = [m.dim * c.dim * a.dim**n for n in range(n_max + 1)]
     diffs = [module_differential(e, m, n) for n in range(n_max)]
     shapes = [(((c.dim,) + (a.dim,) * n), (m.dim,)) for n in range(n_max + 1)]
-    return CochainComplex(e.field, dims, diffs, degree_shapes=shapes, label="C_psi(A,M)")
+    homotopy = partial(hopf_contracting_homotopy, e, m)
+    return CochainComplex(e.field, dims, diffs, degree_shapes=shapes, label="C_psi(A,M)", homotopy=homotopy)
 
 
 def build_ApsiCV(e: EntwiningStructure, v: Bicomodule, n_max: int = 3) -> CochainComplex:
@@ -194,7 +223,12 @@ def build_ApsiCV(e: EntwiningStructure, v: Bicomodule, n_max: int = 3) -> Cochai
     dims = [v.dim * a.dim * c.dim**n for n in range(n_max + 1)]
     diffs = [comodule_differential(e, v, n) for n in range(n_max)]
     shapes = [((v.dim,), ((a.dim,) + (c.dim,) * n)) for n in range(n_max + 1)]
-    return CochainComplex(e.field, dims, diffs, degree_shapes=shapes, label="A_psi(C,V)")
+
+    def homotopy(n):  # h^n of dual(e) with coefficients V*, re-indexed like d
+        h = hopf_contracting_homotopy(dual(e), dual_bimodule(v), n)
+        return h.select_rows(_transpose_index(e, v, n - 1)).select_columns(_transpose_index(e, v, n))
+
+    return CochainComplex(e.field, dims, diffs, degree_shapes=shapes, label="A_psi(C,V)", homotopy=homotopy)
 
 
 # -- independent classical oracles ----------------------------------------------
@@ -348,9 +382,11 @@ def projectivity_witness(e: EntwiningStructure) -> LinearMap | None:
 def hopf_contracting_homotopy(e: EntwiningStructure, m: Bimodule, n: int) -> Mat:
     """Operator of h^n(f)(c, a^1..a^{n-1}) = tau'(c)_1 . f(tau-co-leg, ...).
 
-    Only available for the canonical self-entwining of a Hopf algebra, whose
-    translation map tau(c) = S(c_(1)) (x) c_(2) supplies the contraction; the
-    caller checks h^{n+1} d^n + d^{n-1} h^n = id.
+    Meant for the canonical self-entwining of a Hopf algebra, whose
+    translation map tau(c) = S(c_(1)) (x) c_(2) supplies the contraction.
+    build_CpsiAM and build_ApsiCV hand it to their complex, and cohomology()
+    uses it only where CochainComplex.acyclic_at finds
+    h^{n+1} d^n + d^{n-1} h^n = id.
     """
     if e.hopf is None:
         raise MissingTranslationMapError("structure carries no Hopf/translation data")

@@ -146,7 +146,10 @@ def dual(e: EntwiningStructure) -> EntwiningStructure:
         coalgebra = FiniteCoalgebra(
             e.field, a.basis_labels, a.mult.transpose(), a.unit_map().transpose()
         )
-        return EntwiningStructure.unchecked(algebra, coalgebra, e.psi.transpose())
+        from .zoo import HopfAlgebra  # the dual Hopf algebra (C*, A*, S^T)
+
+        hopf = e.hopf and HopfAlgebra(algebra, coalgebra, e.hopf.antipode.transpose(), _validate=False)
+        return EntwiningStructure.unchecked(algebra, coalgebra, e.psi.transpose(), hopf=hopf)
 
     return e._cached(("dual",), build)
 

@@ -185,7 +185,7 @@ def _csr(field, shape, indptr, indices, data, den=1) -> "Mat":
             data, den = data // g, den // g
     num = sp.csr_matrix((data, indices.astype(_IDX, copy=False), indptr.astype(_IDX, copy=False)), shape=shape)
     num.has_canonical_format = True
-    return Mat(field, num, den)
+    return Mat(field, num, den, int(np.abs(data).max()) if data.size else 0)
 
 
 def _sorted_coo(shape, key, data):
@@ -230,12 +230,13 @@ class Mat:
     """Immutable exact matrix over a FieldSpec, stored canonically (see the
     module docstring); only _csr calls the constructor."""
 
-    __slots__ = ("field", "rows", "cols", "_num", "_den", "_rref_cache")
+    __slots__ = ("field", "rows", "cols", "_num", "_den", "_bound", "_rref_cache")
 
-    def __init__(self, field: FieldSpec, num, den: int = 1):
+    def __init__(self, field: FieldSpec, num, den: int, bound: int):
         self.field = field
         self._num = num
         self._den = den
+        self._bound = bound  # largest |numerator|; the arrays never change after _csr
         self.rows, self.cols = num.shape
         self._rref_cache = None
 
@@ -297,8 +298,7 @@ class Mat:
         return self._num.indptr, self._num.indices, self._num.data
 
     def _max_abs(self) -> int:
-        data = self._num.data
-        return int(np.abs(data).max()) if data.size else 0
+        return self._bound
 
     def _check_field(self, other: "Mat"):
         if self.field != other.field:

@@ -266,9 +266,8 @@ def test_reports_are_byte_identical(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_cohom_command_eliminates_each_differential_once(monkeypatch, tmp_path):
-    # betti numbers come from ranks: one rref per differential d^0..d^3, and no
-    # kernel/image basis or quotient scan (the eager path made 12 rref calls)
+def count_eliminations(monkeypatch, argv):
+    """Run the CLI on argv, counting _rref and basis/quotient calls."""
     counts = {"_rref": 0, "kernel_basis": 0, "image_basis": 0, "quotient_with_projection": 0}
 
     def counting(name, fn):
@@ -286,7 +285,30 @@ def test_cohom_command_eliminates_each_differential_once(monkeypatch, tmp_path):
                 for attr, value in list(vars(module).items()):
                     if value is fn:
                         monkeypatch.setattr(module, attr, wrapper)
+    assert run(argv) == 0
+    return counts
+
+
+def test_cohom_command_eliminates_each_differential_once(monkeypatch, tmp_path):
+    # d^0 is the one elimination: the Hopf contracting homotopy certifies
+    # H^1..H^3 = 0, and no kernel/image basis or quotient scan runs (the
+    # rank path made 4 rref calls, the eager path 12)
     out = tmp_path / "r.json"
-    assert run(["cohom", FIXTURES / "sweedler.json", "--max-degree", "4", "--json", out]) == 0
+    counts = count_eliminations(monkeypatch, ["cohom", FIXTURES / "sweedler.json", "--max-degree", "4", "--json", out])
     assert json.loads(out.read_text())["tables"]["betti numbers"] == {"0": 4, "1": 0, "2": 0, "3": 0}
-    assert counts == {"_rref": 4, "kernel_basis": 0, "image_basis": 0, "quotient_with_projection": 0}
+    assert counts == {"_rref": 1, "kernel_basis": 0, "image_basis": 0, "quotient_with_projection": 0}
+
+
+@pytest.mark.parametrize("name,side", [("sweedler", "C"), ("kz6", "A"), ("kz6", "C")])
+def test_cohom_certificate_leaves_only_d0(monkeypatch, tmp_path, name, side):
+    from entwine.zoo import bialgebra_self_entwining, group_algebra_hopf, save
+
+    path = FIXTURES / "sweedler.json"
+    if name == "kz6":
+        path = tmp_path / "kz6.json"
+        save(bialgebra_self_entwining(group_algebra_hopf(6)), path)
+    out = tmp_path / "r.json"
+    counts = count_eliminations(monkeypatch, ["cohom", path, "--side", side, "--max-degree", "4", "--json", out])
+    betti = json.loads(out.read_text())["tables"]["betti numbers"]
+    assert betti == {"0": 4 if name == "sweedler" else 6, "1": 0, "2": 0, "3": 0}
+    assert counts == {"_rref": 1, "kernel_basis": 0, "image_basis": 0, "quotient_with_projection": 0}

@@ -1,5 +1,7 @@
 """Twisted complexes vs classical oracles, cohomology, homotopies, witnesses."""
 
+from pathlib import Path
+
 import pytest
 
 from entwine.complexes import (
@@ -30,6 +32,7 @@ from entwine.errors import DegreeError, MissingTranslationMapError
 from entwine.homspace import middle_operator, op_postcompose, vec
 from entwine.linalg import (
     QQ,
+    FieldSpec,
     Mat,
     from_columns,
     image_basis,
@@ -209,8 +212,8 @@ def _oracle_complexes(e):
     "name", ["trivial-k", "trivial-z2", "z2", "z3", "sweedler", "graded-z2"]
 )
 def test_rank_betti_matches_bases(examples, name):
-    # betti comes from ranks alone; the bases and classes from the eager
-    # kernel/image/quotient builders, read afterwards
+    # betti comes from the homotopy certificate or from ranks; the bases and
+    # classes from the eager kernel/image/quotient builders, read afterwards
     for cx in _oracle_complexes(examples[name]):
         for n in range(4):
             h = cohomology(cx, n)
@@ -370,6 +373,109 @@ def test_homotopy_requires_hopf_data(triv_z2):
     m = regular_bimodule(triv_z2.algebra)
     with pytest.raises(MissingTranslationMapError):
         hopf_contracting_homotopy(triv_z2, m, 1)
+
+
+# -- betti numbers by certificate ----------------------------------------------------
+
+
+def _hopf_cases(examples):
+    cases = {name: examples[name] for name in ("z2", "z3", "sweedler")}
+    cases["kz5-fp"] = bialgebra_self_entwining(group_algebra_hopf(5, FieldSpec.parse("Fp:10007")))
+    return cases
+
+
+def _both_sides(e, n_max=4):
+    yield build_CpsiAM(e, regular_bimodule(e.algebra), n_max)
+    yield build_ApsiCV(e, regular_bicomodule(e.coalgebra), n_max)
+
+
+def _rank_betti(cx, n):
+    below = rank(cx.differential(n - 1)) if n else 0
+    return cx.space_dims[n] - rank(cx.differential(n)) - below
+
+
+def test_certificate_betti_equals_rank_betti(examples):
+    for name, e in _hopf_cases(examples).items():
+        for cx in _both_sides(e):
+            for n in (1, 2, 3):
+                assert cx.acyclic_at(n), (name, cx.label, n)
+                assert cohomology(cx, n).betti == _rank_betti(cx, n) == 0, (name, cx.label, n)
+            assert not cx.acyclic_at(0)
+
+
+@pytest.mark.parametrize("wrong", ["scaled by 2", "zero map"])
+def test_wrong_homotopy_falls_back_to_ranks(examples, monkeypatch, wrong):
+    import entwine.complexes as complexes
+
+    true_homotopy = complexes.hopf_contracting_homotopy
+
+    def broken(e, m, n):
+        h = true_homotopy(e, m, n)
+        return h.scale(2) if wrong == "scaled by 2" else Mat.zeros(h.field, h.rows, h.cols)
+
+    monkeypatch.setattr(complexes, "hopf_contracting_homotopy", broken)
+    for name, e in _hopf_cases(examples).items():
+        for cx in _both_sides(e):
+            for n in (1, 2, 3):
+                assert not cx.acyclic_at(n), (name, cx.label, n)
+                assert cohomology(cx, n).betti == _rank_betti(cx, n) == 0, (name, cx.label, n)
+
+
+def test_unusable_translation_map_falls_back_to_ranks(monkeypatch):
+    import entwine.zoo as zoo
+    from entwine.errors import PreconditionError
+
+    def refuse(h):
+        raise PreconditionError("translation map identity fails")
+
+    monkeypatch.setattr(zoo, "translation_map", refuse)
+    e = bialgebra_self_entwining(group_algebra_hopf(3))
+    for cx in _both_sides(e):
+        assert [cohomology(cx, n).betti for n in range(4)] == [3, 0, 0, 0]
+        assert not any(cx.acyclic_at(n) for n in range(4))
+
+
+def test_certificate_verdict_is_checked_once_per_degree(kz2, monkeypatch):
+    cx = build_CpsiAM(kz2, regular_bimodule(kz2.algebra), n_max=4)
+    calls = []
+    monkeypatch.setattr(cx, "_contracts", lambda n: calls.append(n) or True)
+    for _ in range(2):
+        for n in range(4):
+            cohomology(cx, n)
+    assert calls == [1, 2, 3]
+
+
+def test_hopf_data_with_a_foreign_psi_exits_like_the_rank_path(tmp_path):
+    # z2's antipode beside trivial-z2's flip psi: a valid structure whose Hopf
+    # data does not describe psi; cohom must give the rank-path numbers
+    import json
+
+    from entwine.cli import main
+    from entwine.zoo import load
+
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    doc = json.loads((fixtures / "z2.json").read_text())
+    doc["psi"] = json.loads((fixtures / "trivial-z2.json").read_text())["psi"]
+    path = tmp_path / "hopf-flip.json"
+    path.write_text(json.dumps(doc))
+    e = load(path)
+    assert e.hopf is not None
+    for side, cx in zip("AC", _both_sides(e)):
+        out = tmp_path / f"{side}.json"
+        assert main(["cohom", str(path), "--side", side, "--max-degree", "4", "--json", str(out)]) == 0
+        betti = json.loads(out.read_text())["tables"]["betti numbers"]
+        assert betti == {str(n): _rank_betti(cx, n) for n in range(4)}
+
+
+def test_dual_carries_the_dual_hopf_algebra(examples):
+    from entwine.structures import validate_antipode, validate_bialgebra
+
+    for name, e in _hopf_cases(examples).items():
+        h = dual(e).hopf
+        assert h.algebra is dual(e).algebra and h.coalgebra is dual(e).coalgebra
+        assert validate_bialgebra(h).ok and validate_antipode(h).ok, name
+    for name in ("trivial-k", "trivial-z2", "graded-z2"):
+        assert examples[name].hopf is None and dual(examples[name]).hopf is None
 
 
 # -- degree-zero characterization ----------------------------------------------------

@@ -779,6 +779,36 @@ def test_middle_operator_matches_fraction_reference(field, dl, f_rows, f_cols, d
     _checked(got, field, want, (out_rows * out_cols, f_rows * f_cols))
 
 
+def _stored_max_abs(m: Mat) -> int:
+    data = m._num.data
+    return int(np.abs(data).max()) if data.size else 0
+
+
+# the int64 guards read a bound that _csr stores once per Mat; it must equal
+# a fresh scan of the stored numerators after every kind of operation
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), _dim, _dim, st.data())
+def test_stored_bound_is_the_max_abs_numerator(field, rows, cols, data):
+    a, b = data.draw(_kernel_matrix(field, rows, cols))[0], data.draw(_kernel_matrix(field, rows, cols))[0]
+    c = data.draw(_kernel_matrix(field, cols, rows))[0]
+    results = [
+        a + b, a - b, a @ c, c @ a, kron(a, c), kron(a, b, c),
+        from_blocks(field, 2 * rows + cols, cols + rows, [(0, 0, a), (rows, 0, b), (2 * rows, cols, c)]),
+        middle_operator(a, 1, cols, cols, 1, c),
+    ]
+    for m in (a, b, c, *results):
+        assert m._max_abs() == _stored_max_abs(m)
+
+
+def test_stored_bound_after_the_python_integer_fallback():
+    # + and @ pass the int64 guard here and come back through _csr
+    x, y = 2**61 + 1, 3 * 2**60 + 1
+    a, b = Mat.from_rows(QQ, [[Fraction(x, 2), 1]]), Mat.from_rows(QQ, [[Fraction(-y, 3), 1]])
+    c = Mat.from_rows(QQ, [[Fraction(1, 5)], [2**40]])
+    for m in (a + b, a - (-b), a @ c):
+        assert m._max_abs() == _stored_max_abs(m)
+
+
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
 def test_selections_and_assembly_are_canonical(field):
     m = Mat.from_rows(field, [[Fraction(1, 2), 0, Fraction(1, 3)], [0, Fraction(2, 3), 1]] if field == QQ else [[3, 0, 5], [0, 6, 1]])
