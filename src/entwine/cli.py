@@ -107,9 +107,7 @@ def cmd_cohom(args) -> dict:
     else:
         raise StructureParseError(f"unknown --values {args.values!r} (self | regular | file:PATH)")
     cx = build_CpsiAM(e, coeff, n_max) if args.side == "A" else build_ApsiCV(e, coeff, n_max)
-    betti = {}
-    for n in range(n_max):
-        betti[n] = cohomology(cx, n).betti
+    betti = {n: cohomology(cx, n).betti for n in range(n_max)}
     rep.add_table(report, "space dimensions", {n: d for n, d in enumerate(cx.space_dims)})
     rep.add_table(report, "betti numbers", betti)
     rep.add_check(report, "differentials square to zero", True, "verified at construction")
@@ -224,11 +222,8 @@ def build_parser():
     p = sub.add_parser("cohom", help="betti table of the twisted complex")
     common(p)
     p.add_argument("--side", choices=["A", "C"], default="A")
-    p.add_argument(
-        "--values",
-        default="self",
-        help="self | regular (the regular coefficients) | file:PATH (a coefficients file)",
-    )
+    p.add_argument("--values", default="self",
+                   help="self | regular (the regular coefficients) | file:PATH (a coefficients file)")
     p.set_defaults(func=cmd_cohom)
 
     p = sub.add_parser("cup", help="cup products on cohomology classes")

@@ -156,17 +156,9 @@ class CompContext:
     def basis(self, degree) -> list[Cochain]:
         dom, cod = self.space_shapes(degree)
         rows, cols = prod(cod), prod(dom)
-        out = []
-        for i in range(rows):
-            for j in range(cols):
-                out.append(
-                    Cochain(
-                        self.side,
-                        degree,
-                        LinearMap(dom, cod, Mat.from_triples(self.e.field, rows, cols, [(i, j, 1)])),
-                    )
-                )
-        return out
+        field = self.e.field
+        return [Cochain(self.side, degree, LinearMap(dom, cod, Mat.from_triples(field, rows, cols, [(i, j, 1)])))
+                for i in range(rows) for j in range(cols)]
 
     # -- structure operators --------------------------------------------------
 
@@ -175,9 +167,7 @@ class CompContext:
         key = ("P", i, s)
         if key not in self._feeds:
             b = self.base
-            self._feeds[key] = kron(
-                rho_R_coaction(b, i).mat, Mat.identity(b.field, b.algebra.dim ** (s - i))
-            )
+            self._feeds[key] = kron(rho_R_coaction(b, i).mat, Mat.identity(b.field, b.algebra.dim ** (s - i)))
         return self._feeds[key]
 
     def K(self, i, g: Cochain, outer_degree) -> Mat:
@@ -190,9 +180,7 @@ class CompContext:
     def differential_operator(self, m) -> Mat:
         """The complexes-module differential of base, cached per degree."""
         if m not in self._diff_ops:
-            self._diff_ops[m] = module_differential(
-                self.base, regular_bimodule(self.base.algebra), m
-            )
+            self._diff_ops[m] = module_differential(self.base, regular_bimodule(self.base.algebra), m)
         return self._diff_ops[m]
 
     def self_complex(self, n_max):
@@ -222,10 +210,7 @@ def comp_i(ctx: CompContext, f: Cochain, i: int, g: Cochain) -> Cochain:
 def diamond(ctx, f: Cochain, g: Cochain) -> Cochain:
     """f <> g = sum_i (-1)^{i(n-1)} f o_i g."""
     m, n = f.degree, g.degree
-    terms = []
-    for i in range(m):
-        sign = -1 if (i * (n - 1)) % 2 else 1
-        terms.append((sign, comp_i(ctx, f, i, g)))
+    terms = [(-1 if (i * (n - 1)) % 2 else 1, comp_i(ctx, f, i, g)) for i in range(m)]
     return lin_comb(ctx, m + n - 1, terms)
 
 

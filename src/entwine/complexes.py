@@ -125,7 +125,8 @@ class CohomologyResult:
     rank d^{n-1}, exact because the complex verified d o d = 0, so im d^{n-1}
     lies in ker d^n; each rank is one elimination, cached on its Mat.  Both
     paths give the same number.  class_reps and reduce come from
-    quotient_with_projection, whose span-containment check runs when read.
+    quotient_with_projection, whose span-containment check runs when read;
+    when betti is 0 there are no classes and no elimination.
     """
 
     def __init__(self, cx: CochainComplex, degree):
@@ -148,6 +149,9 @@ class CohomologyResult:
     @cached_property
     def _quotient(self):
         cx, n = self._cx, self.degree
+        if self.betti == 0:  # every cocycle is a coboundary: reduce only checks d^n v = 0
+            _, reduce_zero = quotient_with_projection([], [], cx.field, cx.space_dims[n + 1])
+            return [], lambda v: reduce_zero(cx.differential(n) @ v)
         return quotient_with_projection(self.coboundary_basis, self.cocycle_basis, cx.field, cx.space_dims[n])
 
     @property

@@ -1,16 +1,17 @@
 """Exact dense/sparse linear algebra over Q and prime fields.
 
-Storage contract.  A Mat is one scipy CSR matrix of int64 numerators plus one
+Storage contract.  A Mat holds the canonical CSR arrays of its int64
+numerators (indptr, indices, data, with int32 indices) in slots, plus one
 positive denominator, so a matrix is num/den entrywise, and only this module
-reads it.  Every Mat is canonical: sorted column indices within each row, no
+reads them.  Every Mat is canonical: sorted column indices within each row, no
 duplicates, no stored zeros, F_p residues in [1, p), and over Q numerators and
 denominator with no common factor.  A canonical matrix is unique, so equality
 compares the stored arrays.
 
 One construction path.  Every operation computes the CSR arrays of its result
 with numpy (or scipy's compiled CSR kernels, called on the arrays), and _csr
-reduces them to canonical form and wraps them in exactly one scipy object for
-Mat.__init__, the one constructor.
+reduces them to canonical form, checks their structure and hands them to
+Mat.__init__, the one constructor; no scipy object is built.
 
 All arithmetic is exact and guarded against int64 overflow: matrix products
 and sums fall back to arbitrary-precision Python integers when a bound is
@@ -39,8 +40,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools  # the compiled CSR kernels behind scipy's own operators
+from scipy.sparse import _sparsetools  # the compiled CSR kernels behind scipy's own operators; the one scipy import
 
 from .errors import (
     FieldMismatchError,
@@ -168,11 +168,15 @@ def _csr(field, shape, indptr, indices, data, den=1) -> "Mat":
 
     indices must be sorted within each row and free of duplicates.  This
     reduces residues mod p, drops stored zeros, cancels the common factor of
-    numerators and denominator over Q (den is 1 over F_p), and wraps the
-    arrays, which it takes over, in exactly one scipy object.
+    numerators and denominator over Q (den is 1 over F_p), checks the array
+    sizes (ValueError) and hands the arrays, which it takes over, to
+    Mat.__init__.
     """
+    rows, cols = shape
     if max(shape) >= 2**31 or data.size >= 2**31:
-        raise ShapeMismatchError(f"{shape[0]}x{shape[1]} with {data.size} entries exceeds 32-bit CSR indices")
+        raise ShapeMismatchError(f"{rows}x{cols} with {data.size} entries exceeds 32-bit CSR indices")
+    if indptr.size != rows + 1 or indptr[0] != 0 or not indices.size == data.size == indptr[-1]:
+        raise ValueError(f"malformed CSR arrays for a {rows}x{cols} matrix")
     if field.kind == "Fp":
         data = data % field.p
     if not data.all():
@@ -183,9 +187,13 @@ def _csr(field, shape, indptr, indices, data, den=1) -> "Mat":
         g = math.gcd(int(np.gcd.reduce(data)), den) if data.size else den
         if g > 1:
             data, den = data // g, den // g
-    num = sp.csr_matrix((data, indices.astype(_IDX, copy=False), indptr.astype(_IDX, copy=False)), shape=shape)
-    num.has_canonical_format = True
-    return Mat(field, num, den, int(np.abs(data).max()) if data.size else 0)
+    bound = int(np.abs(data).max()) if data.size else 0
+    return Mat(field, rows, cols, indptr.astype(_IDX, copy=False), indices.astype(_IDX, copy=False), data, den, bound)
+
+
+def _trimmed(buffer, n):
+    """buffer[:n], copied out when most of the buffer would be dead weight."""
+    return buffer[:n].copy() if n < buffer.size // 2 else buffer[:n]
 
 
 def _sorted_coo(shape, key, data):
@@ -214,7 +222,7 @@ def _product(rows, cols, a, b):
     indptr, indices, data = np.empty(rows + 1, _IDX), np.empty(nnz, _IDX), np.empty(nnz, np.int64)
     _sparsetools.csr_matmat(rows, cols, *a, *b, indptr, indices, data)
     nnz = indptr[-1]
-    indices, data = indices[:nnz], data[:nnz]
+    indices, data = _trimmed(indices, nnz), _trimmed(data, nnz)
     _sparsetools.csr_sort_indices(rows, indptr, indices, data)
     return indptr, indices, data
 
@@ -230,14 +238,14 @@ class Mat:
     """Immutable exact matrix over a FieldSpec, stored canonically (see the
     module docstring); only _csr calls the constructor."""
 
-    __slots__ = ("field", "rows", "cols", "_num", "_den", "_bound", "_rref_cache")
+    __slots__ = ("field", "rows", "cols", "_ptr", "_idx", "_data", "_den", "_bound", "_rref_cache")
 
-    def __init__(self, field: FieldSpec, num, den: int, bound: int):
+    def __init__(self, field: FieldSpec, rows: int, cols: int, ptr, idx, data, den: int, bound: int):
         self.field = field
-        self._num = num
+        self.rows, self.cols = rows, cols
+        self._ptr, self._idx, self._data = ptr, idx, data  # never changed after _csr
         self._den = den
-        self._bound = bound  # largest |numerator|; the arrays never change after _csr
-        self.rows, self.cols = num.shape
+        self._bound = bound  # largest |numerator|
         self._rref_cache = None
 
     # -- construction -----------------------------------------------------
@@ -278,15 +286,11 @@ class Mat:
 
     @staticmethod
     def from_rows(field, rows_data) -> "Mat":
-        rows = len(rows_data)
-        cols = len(rows_data[0]) if rows else 0
-        triples = []
-        for i, row in enumerate(rows_data):
-            if len(row) != cols:
-                raise ShapeMismatchError("ragged rows")
-            for j, v in enumerate(row):
-                triples.append((i, j, v))
-        return Mat.from_triples(field, rows, cols, triples)
+        cols = len(rows_data[0]) if rows_data else 0
+        if any(len(row) != cols for row in rows_data):
+            raise ShapeMismatchError("ragged rows")
+        triples = [(i, j, v) for i, row in enumerate(rows_data) for j, v in enumerate(row)]
+        return Mat.from_triples(field, len(rows_data), cols, triples)
 
     @staticmethod
     def column(field, values) -> "Mat":
@@ -295,7 +299,7 @@ class Mat:
     # -- helpers -----------------------------------------------------------
 
     def _arrays(self):
-        return self._num.indptr, self._num.indices, self._num.data
+        return self._ptr, self._idx, self._data
 
     def _max_abs(self) -> int:
         return self._bound
@@ -310,11 +314,23 @@ class Mat:
         self._check_field(other)
         if self.cols != other.rows:
             raise ShapeMismatchError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        bound = self._max_abs() * other._max_abs() * max(self.cols, 1)
-        if bound < _I64_GUARD:
+        if self._products_fit(other):
             arrays = _product(self.rows, other.cols, self._arrays(), other._arrays())
             return _csr(self.field, (self.rows, other.cols), *arrays, self._den * other._den)
         return self._slow_matmul(other)
+
+    def _products_fit(self, other: "Mat") -> bool:
+        """Do all partial sums of self @ other stay below the int64 guard?  They
+        are at most max|A| max|B| cols, and (the sound, tighter bound, computed
+        only when the first fails) at most the largest row-L1 of A times max|B|."""
+        a, b, width = self._max_abs(), other._max_abs(), max(self.cols, 1)
+        if a * b * width < _I64_GUARD:
+            return True
+        if a * width >= _I64_GUARD:  # a row-L1 might not fit int64 itself
+            return False
+        indptr, _, data = self._arrays()
+        # each segment from a non-empty row's start runs exactly to that row's end
+        return int(np.add.reduceat(np.abs(data), indptr[:-1][np.diff(indptr) > 0]).max()) * b < _I64_GUARD
 
     def _slow_matmul(self, other: "Mat") -> "Mat":
         a_ptr, a_cols, a_vals = (x.tolist() for x in self._arrays())
@@ -348,7 +364,7 @@ class Mat:
         kernel(self.rows, self.cols, ap, aj, ax if fa == 1 else ax * fa, bp, bj, bx if fb == 1 else bx * fb,
                indptr, indices, data)
         nnz = indptr[-1]
-        return _csr(self.field, (self.rows, self.cols), indptr, indices[:nnz], data[:nnz], den)
+        return _csr(self.field, (self.rows, self.cols), indptr, _trimmed(indices, nnz), _trimmed(data, nnz), den)
 
     def __add__(self, other: "Mat") -> "Mat":
         return self._add(other, 1)
@@ -399,11 +415,11 @@ class Mat:
         raise TypeError("Mat is not hashable")
 
     def is_zero(self) -> bool:
-        return self._num.nnz == 0
+        return self._data.size == 0
 
     @property
     def nnz(self) -> int:
-        return self._num.nnz
+        return self._data.size
 
     def entry(self, i, j) -> Fraction:
         if not (-self.rows <= i < self.rows and -self.cols <= j < self.cols):
@@ -453,8 +469,7 @@ class Mat:
     def _row_dicts(self):
         """One dict col -> stored non-zero integer per row; dropping the common
         denominator over Q scales every row alike, so the RREF is unchanged."""
-        csr = self._num
-        ptr, cols, vals = csr.indptr.tolist(), csr.indices.tolist(), csr.data.tolist()
+        ptr, cols, vals = (x.tolist() for x in self._arrays())
         return [dict(zip(cols[ptr[i] : ptr[i + 1]], vals[ptr[i] : ptr[i + 1]])) for i in range(self.rows)]
 
     def rref(self):

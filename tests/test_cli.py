@@ -299,6 +299,17 @@ def test_cohom_command_eliminates_each_differential_once(monkeypatch, tmp_path):
     assert counts == {"_rref": 1, "kernel_basis": 0, "image_basis": 0, "quotient_with_projection": 0}
 
 
+def test_cup_on_acyclic_degrees_eliminates_nothing(monkeypatch, tmp_path):
+    # H^1 = 0 is certified on both sides, so the classes of degree 1 need no
+    # kernel, image or quotient
+    out = tmp_path / "r.json"
+    counts = count_eliminations(monkeypatch, ["cup", FIXTURES / "sweedler.json", "--deg", "1", "1", "--json", out])
+    assert counts["_rref"] == counts["kernel_basis"] == counts["image_basis"] == 0
+    report = json.loads(out.read_text())
+    assert report["tables"] == {"class counts": {"H^1": 0, "H^2": 0}, "products on classes": []}
+    assert [c["passed"] for c in report["checks"]] == [True]
+
+
 @pytest.mark.parametrize("name,side", [("sweedler", "C"), ("kz6", "A"), ("kz6", "C")])
 def test_cohom_certificate_leaves_only_d0(monkeypatch, tmp_path, name, side):
     from entwine.zoo import bialgebra_self_entwining, group_algebra_hopf, save

@@ -445,6 +445,30 @@ def test_certificate_verdict_is_checked_once_per_degree(kz2, monkeypatch):
     assert calls == [1, 2, 3]
 
 
+def test_acyclic_degree_reduces_without_elimination(examples, monkeypatch):
+    # H^1 = 0 is certified: no classes, and reduce only checks d^1 v = 0,
+    # as the quotient built from the kernel and image bases does
+    import entwine.linalg as linalg
+    from entwine.errors import InconsistentQuotientError
+
+    for cx in _both_sides(examples["sweedler"]):
+        d0, d1 = cx.differential(0), cx.differential(1)
+        unit = Mat.identity(cx.field, cx.space_dims[1])
+        off = next(unit.col_vector(j) for j in range(unit.cols) if not (d1 @ unit.col_vector(j)).is_zero())
+        coboundary = d0 @ Mat.identity(cx.field, cx.space_dims[0]).col_vector(1)
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "_rref", None)  # any elimination fails
+            h = cohomology(cx, 1)
+            assert h.betti == 0 and h.class_reps == []
+            assert h.reduce(coboundary) == () and h.reduce(Mat.zeros(cx.field, cx.space_dims[1], 1)) == ()
+            with pytest.raises(InconsistentQuotientError):
+                h.reduce(off)
+        reps, reduce = quotient_with_projection(image_basis(d0), kernel_basis(d1), cx.field, cx.space_dims[1])
+        assert reps == [] and reduce(coboundary) == ()
+        with pytest.raises(InconsistentQuotientError):
+            reduce(off)
+
+
 def test_hopf_data_with_a_foreign_psi_exits_like_the_rank_path(tmp_path):
     # z2's antipode beside trivial-z2's flip psi: a valid structure whose Hopf
     # data does not describe psi; cohom must give the rank-path numbers

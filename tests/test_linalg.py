@@ -1,5 +1,6 @@
 """Exact linear algebra kernel: ranks, kernels, quotients, Kronecker products."""
 
+import ast
 import math
 import re
 import time
@@ -641,6 +642,20 @@ def test_storage_format_stays_inside_linalg():
     assert hits == []
 
 
+def test_only_scipy_import_is_the_compiled_kernels():
+    # Mat stores plain arrays: the one scipy dependency is the private
+    # _sparsetools module in linalg, so a scipy upgrade can break one line
+    src = Path(__file__).resolve().parent.parent / "src" / "entwine"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [(path.name, alias.name, None) for alias in node.names if alias.name.split(".")[0] == "scipy"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                found += [(path.name, node.module, alias.name) for alias in node.names]
+    assert found == [("linalg.py", "scipy.sparse", "_sparsetools")]
+
+
 # -- canonical CSR kernels: every operation against a pure-Fraction reference,
 # and every result checked for the canonical storage invariant directly
 
@@ -648,9 +663,8 @@ KERNEL_FIELDS = [QQ, F7, FieldSpec.prime(2**31 - 1)]
 
 
 def _assert_canonical(m: Mat):
-    num = m._num
-    indptr, indices, data = num.indptr, num.indices, num.data
-    assert num.shape == (m.rows, m.cols)
+    indptr, indices, data = m._arrays()
+    assert indptr.dtype == indices.dtype == np.int32 and data.dtype == np.int64
     assert indptr.size == m.rows + 1 and indptr[0] == 0 and indptr[-1] == indices.size == data.size
     assert np.all(np.diff(indptr) >= 0)
     assert np.all((indices >= 0) & (indices < m.cols))
@@ -740,6 +754,49 @@ def test_matmul_matches_fraction_reference(field, rows, inner, cols, data):
     _checked(a @ b, field, _ref_matmul(field, ra, rb, inner, cols), (rows, cols))
 
 
+def _no_slow_matmul(self, other):
+    raise AssertionError("took the Python integer path")
+
+
+# max|A| max|B| cols passes the guard here, but each row of A holds at most
+# two entries (one over F_p), so the row-L1 bound keeps the int64 kernel
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, KERNEL_FIELDS[2]]), st.integers(1, 3), st.integers(8, 10), st.integers(1, 3), st.data())
+def test_row_l1_bound_keeps_the_int64_kernel(field, rows, inner, cols, data):
+    if field == QQ:
+        big, per_row = st.integers(2**39, 2**40 - 1) | st.integers(-(2**40) + 1, -(2**39)), 2
+        small, top = st.integers(-(2**21), 2**21), 2**21
+    else:
+        big, per_row = st.integers(field.p - 2**20, field.p - 1), 1
+        small, top = big, field.p - 1
+    entries_a = [[0] * inner for _ in range(rows)]
+    for i in range(rows):
+        for j in data.draw(st.lists(st.integers(0, inner - 1), min_size=1, max_size=per_row, unique=True)):
+            entries_a[i][j] = data.draw(big)
+    entries_b = [[data.draw(st.just(0) | small) for _ in range(cols)] for _ in range(inner)]
+    entries_b[0][0] = top
+    a = Mat.from_rows(field, entries_a)
+    b = Mat.from_rows(field, entries_b)
+    assert a._max_abs() * b._max_abs() * inner >= 2**62
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Mat, "_slow_matmul", _no_slow_matmul)
+        got = a @ b
+    _checked(got, field, _ref_matmul(field, _ref_mat(field, entries_a), _ref_mat(field, entries_b), inner, cols), (rows, cols))
+
+
+def test_row_l1_past_the_guard_takes_the_python_integer_path(monkeypatch):
+    # both bounds reach 2^62 (row-L1 2^41 times 2^21), so the int64 kernel
+    # is not proven safe; the exact product is small
+    a = Mat.from_rows(QQ, [[2**40, 2**40], [1, 0]])
+    b = Mat.from_rows(QQ, [[2**21], [1 - 2**21]])
+    calls = []
+    slow = Mat._slow_matmul
+    monkeypatch.setattr(Mat, "_slow_matmul", lambda self, other: calls.append(1) or slow(self, other))
+    got = a @ b
+    assert calls == [1]
+    _checked(got, QQ, [[Fraction(2**40)], [Fraction(2**21)]], (2, 1))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(KERNEL_FIELDS), st.lists(st.tuples(_dim, _dim), min_size=2, max_size=3), st.data())
 def test_kron_matches_fraction_reference(field, shapes, data):
@@ -780,7 +837,7 @@ def test_middle_operator_matches_fraction_reference(field, dl, f_rows, f_cols, d
 
 
 def _stored_max_abs(m: Mat) -> int:
-    data = m._num.data
+    data = m._arrays()[2]
     return int(np.abs(data).max()) if data.size else 0
 
 
@@ -824,16 +881,36 @@ def test_selections_and_assembly_are_canonical(field):
     assert m.select_rows([1, 0, 1]).to_fraction_rows() == [m.to_fraction_rows()[k] for k in (1, 0, 1)]
 
 
-# each operation wraps its result's arrays in one scipy object; tocoo round
-# trips and re-normalising copies built 2-5 per call (kron 4, @ 2, + 4, - 5,
-# transpose 2, reshape 3, middle_operator 4 on these inputs)
-def test_one_scipy_object_per_operation(monkeypatch):
-    built = []
-    init = sparse_base._spbase.__init__
+# the constructor keeps the O(1) structural checks of scipy's CSR constructor
+@pytest.mark.parametrize(
+    "indptr,indices,data",
+    [
+        ([0, 1], [0], [1]),  # indptr one short for 2 rows
+        ([1, 1, 2], [0], [1]),  # indptr not starting at 0
+        ([0, 1, 2], [0, 1], [1]),  # indices and data of different sizes
+        ([0, 1, 3], [0, 1], [1, 2]),  # indptr[-1] past the stored entries
+    ],
+)
+def test_malformed_csr_arrays_raise(indptr, indices, data):
+    from entwine.linalg import _csr
+
+    with pytest.raises(ValueError):
+        _csr(QQ, (2, 2), np.array(indptr), np.array(indices, np.int32), np.array(data, np.int64))
+
+
+# each operation builds at most one Mat from its result's arrays, and no
+# scipy object at all
+def test_one_mat_and_no_scipy_object_per_operation(monkeypatch):
+    built, scipy_built = [], []
+    mat_init, scipy_init = Mat.__init__, sparse_base._spbase.__init__
 
     def counting(self, *args, **kwargs):
         built.append(type(self).__name__)
-        init(self, *args, **kwargs)
+        mat_init(self, *args, **kwargs)
+
+    def scipy_counting(self, *args, **kwargs):
+        scipy_built.append(type(self).__name__)
+        scipy_init(self, *args, **kwargs)
 
     a = Mat.from_rows(QQ, [[1, Fraction(1, 2)], [0, 3]])
     b = Mat.from_rows(QQ, [[2, 0], [Fraction(1, 3), Fraction(5, 6)]])
@@ -860,15 +937,17 @@ def test_one_scipy_object_per_operation(monkeypatch):
         "middle_operator": lambda: middle_operator(a, 1, 2, 2, 1, b),
         "from_triples": lambda: Mat.from_triples(QQ, 2, 2, [(1, 0, "1/2"), (0, 1, 3)]),
     }
-    monkeypatch.setattr(sparse_base._spbase, "__init__", counting)
+    monkeypatch.setattr(Mat, "__init__", counting)
+    monkeypatch.setattr(sparse_base._spbase, "__init__", scipy_counting)
     counts = {}
     for name, op in operations.items():
         built.clear()
         op()
         counts[name] = len(built)
     assert {k: v for k, v in counts.items() if v > 1} == {}
-    # one Mat per kernel vector, one scipy object each
+    # one Mat per kernel vector
     row = Mat.from_rows(QQ, [[1, Fraction(1, 2), 3, 0]])
     built.clear()
     basis = kernel_basis(row)
     assert len(basis) == 3 and len(built) == 3
+    assert scipy_built == []
