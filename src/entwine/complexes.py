@@ -429,7 +429,7 @@ def h0_characterization(e: EntwiningStructure) -> list[LinearMap]:
     return [unvec(v, (dc,), (da,)) for v in basis]
 
 
-# -- resolution scaffolding (bar / cobar) ----------------------------------------------
+# -- resolution scaffolding: bar, and cobar as its transpose on dual(e) ---------------
 
 
 def bar_delta(e: EntwiningStructure, n: int) -> LinearMap:
@@ -465,31 +465,12 @@ def bar_homotopy(e: EntwiningStructure, n: int) -> LinearMap:
 
 
 def cob_delta(e: EntwiningStructure, n: int) -> LinearMap:
-    """deltabar^n: C (x) A (x) C^{n+1} -> C (x) A (x) C^{n+2}."""
+    """deltabar^n: C (x) A (x) C^{n+1} -> C (x) A (x) C^{n+2}; delta_{n+1} of dual(e), transposed."""
     if n < 0:
         raise DegreeError("cobar differential starts at degree 0")
-    a, c = e.algebra, e.coalgebra
-    idc_n1 = identity_map(e.field, (c.dim,) * (n + 1))
-    first = compose(
-        tensor(tensor(c.identity(), e.psi), idc_n1),
-        tensor(tensor(c.comult, a.identity()), idc_n1),
-    )
-    total = first
-    for k in range(1, n + 2):
-        ins = tensor(
-            tensor(
-                tensor(identity_map(e.field, (c.dim, a.dim)), identity_map(e.field, (c.dim,) * (k - 1))),
-                c.comult,
-            ),
-            identity_map(e.field, (c.dim,) * (n + 1 - k)),
-        )
-        total = total + ins if k % 2 == 0 else total - ins
-    return total
+    return bar_delta(dual(e), n + 1).transpose()
 
 
 def cob_homotopy(e: EntwiningStructure, n: int) -> LinearMap:
-    """h^n = (-1)^{n+1} ( - (x) eps): C (x) A (x) C^{n+1} -> C (x) A (x) C^n."""
-    a, c = e.algebra, e.coalgebra
-    space = identity_map(e.field, (c.dim, a.dim) + (c.dim,) * n)
-    h = tensor(space, c.counit)
-    return -h if n % 2 == 0 else h
+    """h^n = (-1)^{n+1} ( - (x) eps): C (x) A (x) C^{n+1} -> C (x) A (x) C^n; h_{n-1} of dual(e), transposed."""
+    return bar_homotopy(dual(e), n - 1).transpose()

@@ -9,13 +9,12 @@ the four relations, written in alpha-notation psi(c (x) a) = a_alpha (x) c^alpha
                         = a_{beta alpha} (x) c_(1)^alpha (x) c_(2)^beta
     right triangle: a_alpha eps(c^alpha) = a eps(c)
 
-The two tower families
-
-    psi^n : C (x) A^n -> A^n (x) C      (move C right past n copies of A)
-    psi_n : C^n (x) A -> A (x) C^n      (move A left past n copies of C)
-
-make A (x) C^n an A-bimodule and C (x) A^n a C-bicomodule; those structures
-drive every differential downstream, so the towers are cached per structure.
+One tower family is built, psi^n : C (x) A^n -> A^n (x) C (move C right past
+n copies of A), which makes C (x) A^n a C-bicomodule.  The mirror family
+psi_n : C^n (x) A -> A (x) C^n (move A left past n copies of C), its actions
+and the A-bimodule A (x) C^n are the transposes of their counterparts on the
+dual entwining (C*, A*, psi^T).  Those structures drive every differential
+downstream, so the towers are cached per structure.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .structures import (
     validate_antipode,
     validate_bialgebra,
     validate_bicomodule,
-    validate_bimodule,
     validate_coalgebra,
 )
 
@@ -176,42 +174,11 @@ def psi_up(e: EntwiningStructure, n: int) -> LinearMap:
 
 
 def psi_down(e: EntwiningStructure, n: int) -> LinearMap:
-    """psi_n: C^n (x) A -> A (x) C^n; psi_1 = psi."""
-    if n < 1:
-        raise DegreeError("psi_n needs n >= 1")
-
-    def build():
-        if n == 1:
-            return e.psi
-        prev = psi_down(e, n - 1)
-        idc_pow = identity_map(e.field, (e.coalgebra.dim,) * (n - 1))
-        idc = e.coalgebra.identity()
-        return compose(tensor(e.psi, idc_pow), tensor(idc, prev))
-
-    return e._cached(("down", n), build)
+    """psi_n: C^n (x) A -> A (x) C^n; psi_1 = psi.  The transpose of psi^n of dual(e)."""
+    return psi_up(dual(e), n).transpose()
 
 
 # -- induced structures -------------------------------------------------------
-
-
-def rho_L_action(e: EntwiningStructure, n: int) -> LinearMap:
-    """Left action of A on A (x) C^n: multiply into the first factor."""
-    if n == 0:
-        return e.algebra.mult
-    idc_pow = identity_map(e.field, (e.coalgebra.dim,) * n)
-    return tensor(e.algebra.mult, idc_pow)
-
-
-def rho_R_action(e: EntwiningStructure, n: int) -> LinearMap:
-    """Right action of A on A (x) C^n: pass a through C^n with psi_n, then multiply."""
-    def build():
-        if n == 0:
-            return e.algebra.mult
-        ida = e.algebra.identity()
-        idc_pow = identity_map(e.field, (e.coalgebra.dim,) * n)
-        return compose(tensor(e.algebra.mult, idc_pow), tensor(ida, psi_down(e, n)))
-
-    return e._cached(("rhoRact", n), build)
 
 
 def rho_L_coaction(e: EntwiningStructure, n: int) -> LinearMap:
@@ -234,19 +201,6 @@ def rho_R_coaction(e: EntwiningStructure, n: int) -> LinearMap:
     return e._cached(("rhoRcoact", n), build)
 
 
-def bimodule_on_A_Cn(e: EntwiningStructure, n: int) -> Bimodule:
-    """A (x) C^n as an A-bimodule; built and validated once per structure."""
-    if n < 1:
-        raise DegreeError("bimodule tower needs n >= 1")
-
-    def build():
-        m = Bimodule(e.algebra.dim * e.coalgebra.dim**n, rho_L_action(e, n), rho_R_action(e, n))
-        validate_bimodule(e.algebra, m).raise_if_failed()
-        return m
-
-    return e._cached(("bimod", n), build)
-
-
 def bicomodule_on_C_An(e: EntwiningStructure, n: int) -> Bicomodule:
     """C (x) A^n as a C-bicomodule; built and validated once per structure."""
     if n < 1:
@@ -260,38 +214,48 @@ def bicomodule_on_C_An(e: EntwiningStructure, n: int) -> Bicomodule:
     return e._cached(("bicomod", n), build)
 
 
+def rho_L_action(e: EntwiningStructure, n: int) -> LinearMap:
+    """Left action of A on A (x) C^n: the transpose of the left coaction of dual(e)."""
+    return rho_L_coaction(dual(e), n).transpose()
+
+
+def rho_R_action(e: EntwiningStructure, n: int) -> LinearMap:
+    """Right action of A on A (x) C^n: the transpose of the right coaction of dual(e)."""
+    return rho_R_coaction(dual(e), n).transpose()
+
+
+def bimodule_on_A_Cn(e: EntwiningStructure, n: int) -> Bimodule:
+    """A (x) C^n as an A-bimodule: the dual of the bicomodule tower of dual(e).
+
+    Built once per structure.  Each bimodule axiom is the transpose of a
+    bicomodule axiom, so validating the dual tower validates this one.
+    """
+    return e._cached(("bimod", n), lambda: dual_bimodule(bicomodule_on_C_An(dual(e), n)))
+
+
 def check_tower_compatibility(e: EntwiningStructure, n: int, j: int):
     """Do multiplication/comultiplication inside the towers commute with rho_R?
 
     Returns (first_square_ok, second_square_ok): the first square multiplies
     two adjacent A-factors inside C (x) A^{n+1}; the second comultiplies a
-    C-factor inside A (x) C^n.
+    C-factor inside A (x) C^n, and is the transpose of the first square of dual(e).
     """
     if n < 1:
         raise DegreeError("need n >= 1")
     if not 0 <= j <= n - 1:
         raise DegreeError(f"slot j={j} out of range for n={n}")
+    return _multiplication_square(e, n, j), _multiplication_square(dual(e), n, j)
+
+
+def _multiplication_square(e: EntwiningStructure, n: int, j: int) -> bool:
+    """rho_R o mu_j = (mu_j (x) C) o rho_R, mu_j multiplying slots j, j+1 of A^{n+1}."""
     da, dc = e.algebra.dim, e.coalgebra.dim
-    field = e.field
-    idc = e.coalgebra.identity()
-    ida = e.algebra.identity()
-
-    def ida_pow(k):
-        return identity_map(field, (da,) * k)
-
-    def idc_pow(k):
-        return identity_map(field, (dc,) * k)
-
-    mul_inside = tensor(tensor(tensor(idc, ida_pow(j)), e.algebra.mult), ida_pow(n - j - 1))
-    lhs1 = compose(rho_R_coaction(e, n), mul_inside)
-    rhs1 = compose(tensor(mul_inside, idc), rho_R_coaction(e, n + 1))
-    first = lhs1 == rhs1
-
-    com_inside = tensor(tensor(tensor(ida, idc_pow(j)), e.coalgebra.comult), idc_pow(n - j - 1))
-    lhs2 = compose(rho_R_action(e, n + 1), tensor(com_inside, ida))
-    rhs2 = compose(com_inside, rho_R_action(e, n))
-    second = lhs2 == rhs2
-    return first, second
+    mul_inside = tensor(
+        tensor(identity_map(e.field, (dc,) + (da,) * j), e.algebra.mult),
+        identity_map(e.field, (da,) * (n - j - 1)),
+    )
+    lhs = compose(rho_R_coaction(e, n), mul_inside)
+    return lhs == compose(tensor(mul_inside, e.coalgebra.identity()), rho_R_coaction(e, n + 1))
 
 
 # -- twisted convolution -------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from entwine import linalg
-from entwine.cli import main
+from entwine.cli import build_parser, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -194,6 +194,33 @@ def test_cup_products(tmp_path):
 
 def test_cup_higher_degrees_vacuous():
     assert run(["cup", FIXTURES / "z2.json", "--deg", "1", "1"]) == 0
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:7"])
+def test_cup_residuals_match_graded_commutativity_oracle(tmp_path, field):
+    # graded-z2 has classes in degrees 0-2; over F_7 the (1,1) rows have
+    # coordinates 6 and 1, equal up to the sign (-1)^{mn}
+    from entwine.compalg import ALGEBRA, CompContext, graded_commutativity
+    from entwine.linalg import FieldSpec
+    from entwine.zoo import named_example, save
+
+    e = named_example("graded-z2", FieldSpec.parse(field))
+    path, out = tmp_path / "g.json", tmp_path / "r.json"
+    save(e, path)
+    ctx = CompContext(e, ALGEBRA)
+    checked = 0
+    for m in range(3):
+        for n in range(4 - m):
+            assert run(["cup", path, "--deg", m, n, "--json", out]) == 0
+            rows = json.loads(out.read_text())["tables"]["products on classes"]
+            oracle = [ok for _, ok, _ in graded_commutativity(ctx, m, n).items] if rows else []
+            assert [r["residual_vanishes"] for r in rows] == oracle, (m, n)
+            checked += len(rows)
+    assert checked > 0
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_equivariant_command(tmp_path):
