@@ -230,6 +230,8 @@ def bimodule_on_A_Cn(e: EntwiningStructure, n: int) -> Bimodule:
     Built once per structure.  Each bimodule axiom is the transpose of a
     bicomodule axiom, so validating the dual tower validates this one.
     """
+    if n < 1:
+        raise DegreeError("bimodule tower needs n >= 1")
     return e._cached(("bimod", n), lambda: dual_bimodule(bicomodule_on_C_An(dual(e), n)))
 
 

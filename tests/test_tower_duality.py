@@ -161,7 +161,8 @@ def test_bimodule_tower_matches_validated_direct_tower(structure):
 
 def test_derived_maps_never_build_the_double_dual(structure):
     e = structure
-    psi_down(e, 2), rho_R_action(e, 2), cob_delta(e, 1), cob_homotopy(e, 1)
+    for derived in (psi_down, rho_L_action, rho_R_action, cob_delta, cob_homotopy):
+        derived(e, 2)
     check_tower_compatibility(e, 2, 1)
     try:
         bimodule_on_A_Cn(e, 2)
@@ -190,7 +191,7 @@ def test_one_sided_psi_passes_only_the_first_square():
 
 def test_bimodule_tower_degree_error():
     e = named_example("z2")
-    with pytest.raises(DegreeError):
+    with pytest.raises(DegreeError, match="bimodule tower"):
         bimodule_on_A_Cn(e, 0)
     with pytest.raises(DegreeError):
         psi_down(e, 0)
