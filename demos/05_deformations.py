@@ -10,15 +10,15 @@ equivalences id + t alpha, id + t gamma.  Cocycles are exactly the first-order
 valid triples; coboundaries are exactly the trivializable ones.
 """
 
+from entwine.complexes import cohomology
 from entwine.deform import (
-    build_CH,
-    build_double_complex,
+    DoubleComplexGrid,
+    TotalComplex,
     coboundary_equivalence,
     deformation_from_cocycle,
     first_order_checks,
     random_two_cochain,
     split_degree2,
-    total_cohomology,
 )
 from entwine.errors import CocycleConditionError
 from entwine.linalg import solve
@@ -26,14 +26,14 @@ from entwine.zoo import named_example
 
 kz2 = named_example("z2")
 
-grid = build_double_complex(kz2, 3, 3)
+grid = DoubleComplexGrid(kz2, 3, 3)
 print("3x3 double complex cell dimensions:")
 for n in range(3, -1, -1):
     print("  ", [grid.dims[(m, n)] for m in range(4)])
 
-tc = build_CH(kz2, 3)
+tc = TotalComplex(kz2, 3)
 print("\nglued total complex dimensions by degree:", tc.dims)
-h2 = total_cohomology(tc, 2)
+h2 = cohomology(tc.complex, 2)
 print(f"degree 2: {len(h2.cocycle_basis)} cocycles / {len(h2.coboundary_basis)} coboundaries"
       f" -> {h2.betti} deformation class(es)")
 

@@ -1,17 +1,19 @@
 """Command-line front end.
 
     entwine verify PATH
-    entwine cohom PATH --side A --values self --max-degree 3
-    entwine cup PATH --deg 0 0
-    entwine equivariant PATH --max-degree 2
-    entwine deform PATH --max-degree 3
+    entwine cohom PATH --side A --values self --max-degree 3 [--unsafe-degree]
+    entwine cup PATH --deg 0 0 [--unsafe-degree]
+    entwine equivariant PATH --max-degree 2 [--unsafe-degree]
+    entwine deform PATH --max-degree 3 [--unsafe-degree]
     entwine example z2 --out z2.json
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (the failing
 relation or law is named in the report), 2 I/O or parse error.  Every command
 accepts --json PATH for a machine-readable report and --seed (default 0) for
 the few sampled checks; reports are byte-identical across runs for fixed
-input and seed.
+input and seed.  cohom, equivariant and deform take --max-degree (default 3);
+degrees above 4 are refused unless --unsafe-degree is given, which those three
+and cup accept.
 """
 
 from __future__ import annotations
@@ -32,11 +34,10 @@ from .compalg import (
 )
 from .complexes import build_ApsiCV, build_CpsiAM, cohomology
 from .deform import (
-    build_CH,
+    TotalComplex,
     coboundary_witnesses,
     first_order_laws,
     random_two_cochain,
-    total_cohomology,
     transport_laws,
 )
 from .entwining import check_bowtie
@@ -47,11 +48,13 @@ from .structures import (
     regular_bicomodule,
     regular_bimodule,
     validate_algebra,
+    validate_antipode,
+    validate_bialgebra,
     validate_bicomodule,
     validate_bimodule,
     validate_coalgebra,
 )
-from .zoo import EXAMPLE_NAMES, load, named_example, save, validate_antipode, validate_bialgebra
+from .zoo import EXAMPLE_NAMES, load, load_coefficients, named_example, save
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -99,8 +102,6 @@ def cmd_cohom(args) -> dict:
     n_max = _max_degree(args)
     report = rep.new_report("cohom", e.summary(), args.seed)
     if args.values.startswith("file:"):
-        from .zoo import load_coefficients
-
         coeff = load_coefficients(args.values[5:], e, args.side)
     elif args.values in ("self", "regular"):
         coeff = regular_bimodule(e.algebra) if args.side == "A" else regular_bicomodule(e.coalgebra)
@@ -174,9 +175,9 @@ def cmd_deform(args) -> dict:
     e = load(args.path)
     n_max = max(3, min(_max_degree(args), 4))  # H^2 needs the degree-3 space
     report = rep.new_report("deform", e.summary(), args.seed)
-    tc = build_CH(e, n_max)
+    tc = TotalComplex(e, n_max)
     rep.add_table(report, "total complex dimensions", {n: d for n, d in enumerate(tc.dims)})
-    h2 = total_cohomology(tc, 2)
+    h2 = cohomology(tc.complex, 2)
     counts = {"cocycles": len(h2.cocycle_basis), "coboundaries": len(h2.coboundary_basis), "classes": h2.betti}
     rep.add_table(report, "degree-2 classification", counts)
     failures = [f for f in first_order_laws(e).failures(from_columns(e.field, tc.dims[2], h2.cocycle_basis)) if f]
@@ -210,36 +211,37 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="entwine", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, path=True):
-        if path:
-            p.add_argument("path", help="structure file (JSON)")
+    def common(p, *degree_flags):
+        p.add_argument("path", help="structure file (JSON)")
         p.add_argument("--json", dest="json_path", help="write the structured report here")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-degree", type=int, default=3)
-        p.add_argument("--unsafe-degree", action="store_true", help="lift the degree-4 hard cap")
+        if "--max-degree" in degree_flags:
+            p.add_argument("--max-degree", type=int, default=3)
+        if "--unsafe-degree" in degree_flags:
+            p.add_argument("--unsafe-degree", action="store_true", help="lift the degree-4 hard cap")
 
     p = sub.add_parser("verify", help="run all validators and the bow-tie relations")
     common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cohom", help="betti table of the twisted complex")
-    common(p)
+    common(p, "--max-degree", "--unsafe-degree")
     p.add_argument("--side", choices=["A", "C"], default="A")
     p.add_argument("--values", default="self",
                    help="self | regular (the regular coefficients) | file:PATH (a coefficients file)")
     p.set_defaults(func=cmd_cohom)
 
     p = sub.add_parser("cup", help="cup products on cohomology classes")
-    common(p)
+    common(p, "--unsafe-degree")
     p.add_argument("--deg", nargs=2, type=int, default=[0, 0], metavar=("M", "N"))
     p.set_defaults(func=cmd_cup)
 
     p = sub.add_parser("equivariant", help="equivariant subcomplex dimensions and checks")
-    common(p)
+    common(p, "--max-degree", "--unsafe-degree")
     p.set_defaults(func=cmd_equivariant)
 
     p = sub.add_parser("deform", help="degree-2 classes and infinitesimal deformations")
-    common(p)
+    common(p, "--max-degree", "--unsafe-degree")
     p.set_defaults(func=cmd_deform)
 
     p = sub.add_parser("example", help="write a named example structure file")

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from functools import cache, cached_property, partial
 
-from .entwining import EntwiningStructure, dual, dual_bimodule
+from .entwining import EntwiningStructure, dual, dual_bimodule, translation
 from .errors import (
     DegreeError,
+    InconsistentQuotientError,
     InternalConsistencyError,
     MissingTranslationMapError,
     PreconditionError,
@@ -70,11 +71,10 @@ class CochainComplex:
 
     homotopy, if given, maps n >= 1 to an operator h^n: C^n -> C^{n-1}."""
 
-    def __init__(self, field, space_dims, differentials, degree_shapes=None, label="", homotopy=None):
+    def __init__(self, field, space_dims, differentials, label="", homotopy=None):
         self.field = field
         self.space_dims = list(space_dims)
         self.differentials = list(differentials)
-        self.degree_shapes = degree_shapes
         self.label = label
         self._homotopy = None if homotopy is None else cache(homotopy)  # h^n serves degrees n-1 and n
         self._acyclic: dict[int, bool] = {}
@@ -110,12 +110,6 @@ class CochainComplex:
             raise DegreeError(f"no differential at degree {n}")
         return self.differentials[n]
 
-    def cochain(self, n, column: Mat) -> LinearMap:
-        if self.degree_shapes is None:
-            raise ShapeMismatchError("complex carries no shape metadata")
-        dom, cod = self.degree_shapes[n]
-        return unvec(column, dom, cod)
-
 
 class CohomologyResult:
     """H^n of a complex: betti at once, bases and classes on first read.
@@ -126,7 +120,8 @@ class CohomologyResult:
     lies in ker d^n; each rank is one elimination, cached on its Mat.  Both
     paths give the same number.  class_reps and reduce come from
     quotient_with_projection, whose span-containment check runs when read;
-    when betti is 0 there are no classes and no elimination.
+    when betti is 0 there are no classes, and reduce only checks d^n v = 0,
+    with no elimination.
     """
 
     def __init__(self, cx: CochainComplex, degree):
@@ -150,9 +145,14 @@ class CohomologyResult:
     def _quotient(self):
         cx, n = self._cx, self.degree
         if self.betti == 0:  # every cocycle is a coboundary: reduce only checks d^n v = 0
-            _, reduce_zero = quotient_with_projection([], [], cx.field, cx.space_dims[n + 1])
-            return [], lambda v: reduce_zero(cx.differential(n) @ v)
-        return quotient_with_projection(self.coboundary_basis, self.cocycle_basis, cx.field, cx.space_dims[n])
+
+            def reduce_zero(v: Mat):
+                if not (cx.differential(n) @ v).is_zero():
+                    raise InconsistentQuotientError("vector outside span(big)")
+                return ()
+
+            return [], reduce_zero
+        return quotient_with_projection(self.coboundary_basis, self.cocycle_basis)
 
     @property
     def class_reps(self) -> list[Mat]:
@@ -216,9 +216,8 @@ def build_CpsiAM(e: EntwiningStructure, m: Bimodule, n_max: int = 3) -> CochainC
     a, c = e.algebra, e.coalgebra
     dims = [m.dim * c.dim * a.dim**n for n in range(n_max + 1)]
     diffs = [module_differential(e, m, n) for n in range(n_max)]
-    shapes = [(((c.dim,) + (a.dim,) * n), (m.dim,)) for n in range(n_max + 1)]
     homotopy = partial(hopf_contracting_homotopy, e, m)
-    return CochainComplex(e.field, dims, diffs, degree_shapes=shapes, label="C_psi(A,M)", homotopy=homotopy)
+    return CochainComplex(e.field, dims, diffs, label="C_psi(A,M)", homotopy=homotopy)
 
 
 def build_ApsiCV(e: EntwiningStructure, v: Bicomodule, n_max: int = 3) -> CochainComplex:
@@ -226,13 +225,12 @@ def build_ApsiCV(e: EntwiningStructure, v: Bicomodule, n_max: int = 3) -> Cochai
     a, c = e.algebra, e.coalgebra
     dims = [v.dim * a.dim * c.dim**n for n in range(n_max + 1)]
     diffs = [comodule_differential(e, v, n) for n in range(n_max)]
-    shapes = [((v.dim,), ((a.dim,) + (c.dim,) * n)) for n in range(n_max + 1)]
 
     def homotopy(n):  # h^n of dual(e) with coefficients V*, re-indexed like d
         h = hopf_contracting_homotopy(dual(e), dual_bimodule(v), n)
         return h.select_rows(_transpose_index(e, v, n - 1)).select_columns(_transpose_index(e, v, n))
 
-    return CochainComplex(e.field, dims, diffs, degree_shapes=shapes, label="A_psi(C,V)", homotopy=homotopy)
+    return CochainComplex(e.field, dims, diffs, label="A_psi(C,V)", homotopy=homotopy)
 
 
 # -- independent classical oracles ----------------------------------------------
@@ -260,8 +258,7 @@ def hochschild_differential(a: FiniteAlgebra, m: Bimodule, n: int) -> Mat:
 def hochschild_complex(a: FiniteAlgebra, m: Bimodule, n_max: int = 3) -> CochainComplex:
     dims = [m.dim * a.dim**n for n in range(n_max + 1)]
     diffs = [hochschild_differential(a, m, n) for n in range(n_max)]
-    shapes = [((a.dim,) * n, (m.dim,)) for n in range(n_max + 1)]
-    return CochainComplex(a.field, dims, diffs, degree_shapes=shapes, label="Hochschild")
+    return CochainComplex(a.field, dims, diffs, label="Hochschild")
 
 
 def cartier_differential(c: FiniteCoalgebra, v: Bicomodule, n: int) -> Mat:
@@ -286,8 +283,7 @@ def cartier_differential(c: FiniteCoalgebra, v: Bicomodule, n: int) -> Mat:
 def cartier_complex(c: FiniteCoalgebra, v: Bicomodule, n_max: int = 3) -> CochainComplex:
     dims = [v.dim * c.dim**n for n in range(n_max + 1)]
     diffs = [cartier_differential(c, v, n) for n in range(n_max)]
-    shapes = [((v.dim,), (c.dim,) * n) for n in range(n_max + 1)]
-    return CochainComplex(c.field, dims, diffs, degree_shapes=shapes, label="Cartier")
+    return CochainComplex(c.field, dims, diffs, label="Cartier")
 
 
 # -- inclusions of the classical complexes ---------------------------------------
@@ -396,11 +392,9 @@ def hopf_contracting_homotopy(e: EntwiningStructure, m: Bimodule, n: int) -> Mat
         raise MissingTranslationMapError("structure carries no Hopf/translation data")
     if n < 1:
         raise DegreeError("homotopy starts at degree 1")
-    from .zoo import translation_map
-
     a, c = e.algebra, e.coalgebra
     da, dc, dm = a.dim, c.dim, m.dim
-    tau = e._cached(("tau",), lambda: translation_map(e.hopf))
+    tau = translation(e)
     ida_pow = identity_map(e.field, (da,) * (n - 1))
     step1 = tensor(tau, ida_pow)
     unit_coact = compose(c.comult, LinearMap((), (dc,), e.algebra.unit))

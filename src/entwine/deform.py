@@ -36,7 +36,6 @@ from .complexes import (
     CochainComplex,
     cartier_differential,
     cartier_inclusion_operator,
-    cohomology,
     comodule_differential,
     hochschild_differential,
     hochschild_inclusion_operator,
@@ -88,10 +87,6 @@ class DoubleComplexGrid:
                 raise InternalConsistencyError(f"dbar o dbar != 0 in column {m}")
             if (m + 1, n) in self.dbar and self.dbar[m + 1, n] @ self.d[m, n] != self.d[m, n + 1] @ dbar:
                 raise InternalConsistencyError(f"d dbar != dbar d at cell ({m},{n})")
-
-
-def build_double_complex(e: EntwiningStructure, m_max: int = 3, n_max: int = 3) -> DoubleComplexGrid:
-    return DoubleComplexGrid(e, m_max, n_max)
 
 
 def _summands(da: int, dc: int, n: int):
@@ -160,14 +155,6 @@ class TotalComplex:
             (kind, tag): unvec(column.select_rows(slice(off, off + dim)), dom, cod)
             for kind, tag, off, dim, dom, cod in _summands(self.e.algebra.dim, self.e.coalgebra.dim, n)
         }
-
-
-def build_CH(e: EntwiningStructure, n_max: int = 3) -> TotalComplex:
-    return TotalComplex(e, n_max)
-
-
-def total_cohomology(tc: TotalComplex, n: int):
-    return cohomology(tc.complex, n)
 
 
 # -- infinitesimal deformations -----------------------------------------------------
@@ -305,9 +292,9 @@ def first_order_checks(e: EntwiningStructure, deformation: InfinitesimalDeformat
     return report
 
 
-def deformation_from_cocycle(e: EntwiningStructure, z: Mat, tc: TotalComplex | None = None) -> InfinitesimalDeformation:
+def deformation_from_cocycle(e: EntwiningStructure, z: Mat, tc: TotalComplex) -> InfinitesimalDeformation:
     """Split a (reduce-verified) degree-2 cocycle and check every first-order law."""
-    deformation = split_degree2(tc or build_CH(e, 2), z)
+    deformation = split_degree2(tc, z)
     failed = first_order_laws(e).failures(z)[0]
     if failed:
         raise CocycleConditionError("first-order law failed: " + ", ".join(failed))
@@ -339,10 +326,9 @@ def coboundary_witnesses(tc: TotalComplex) -> Mat:
     return Mat.identity(tc.e.field, d1.cols).select_columns(list(d1.rref()[0]))
 
 
-def coboundary_equivalence(e: EntwiningStructure, z: Mat, w: Mat, tc: TotalComplex | None = None):
+def coboundary_equivalence(e: EntwiningStructure, z: Mat, w: Mat, tc: TotalComplex):
     """Extract (alpha1, gamma1) from a degree-1 witness w with D w = z and verify
     that id + t alpha1 / id + t gamma1 carry the z-deformation to the trivial one."""
-    tc = tc or build_CH(e, 2)
     if tc.differential(1) @ w != z:
         raise CocycleConditionError("witness does not bound the given 2-cochain")
     failed = transport_laws(e).failures(vstack([w, z]))[0]

@@ -26,10 +26,12 @@ from .structures import (
     CheckReport,
     FiniteAlgebra,
     FiniteCoalgebra,
+    HopfAlgebra,
     LinearMap,
     compose,
     identity_map,
     tensor,
+    translation_map,
     validate_algebra,
     validate_antipode,
     validate_bialgebra,
@@ -144,12 +146,15 @@ def dual(e: EntwiningStructure) -> EntwiningStructure:
         coalgebra = FiniteCoalgebra(
             e.field, a.basis_labels, a.mult.transpose(), a.unit_map().transpose()
         )
-        from .zoo import HopfAlgebra  # the dual Hopf algebra (C*, A*, S^T)
-
-        hopf = e.hopf and HopfAlgebra(algebra, coalgebra, e.hopf.antipode.transpose(), _validate=False)
+        hopf = e.hopf and HopfAlgebra(algebra, coalgebra, e.hopf.antipode.transpose())  # (C*, A*, S^T)
         return EntwiningStructure.unchecked(algebra, coalgebra, e.psi.transpose(), hopf=hopf)
 
     return e._cached(("dual",), build)
+
+
+def translation(e: EntwiningStructure) -> LinearMap:
+    """The translation map tau(c) = S(c_(1)) (x) c_(2) of e.hopf, cached on e."""
+    return e._cached(("tau",), lambda: translation_map(e.hopf))
 
 
 def dual_bimodule(v: Bicomodule) -> Bimodule:

@@ -730,23 +730,14 @@ def middle_operator(left: Mat, dl: int, f_rows: int, f_cols: int, dr: int, right
     return _csr(field, shape, *_sorted_coo(shape, key, data), left._den * right._den)
 
 
-def quotient_with_projection(sub: list[Mat], big: list[Mat], field=None, length=None):
+def quotient_with_projection(sub: list[Mat], big: list[Mat]):
     """Complete span(sub) to span(big); return (class_basis, reduce).
 
-    reduce maps any vector of span(big) to its coordinates on class_basis
-    modulo span(sub).  Raises InconsistentQuotientError when span(sub) is not
-    contained in span(big) or reduce is fed a vector outside span(big).
+    sub and big must not both be empty.  reduce maps any vector of span(big)
+    to its coordinates on class_basis modulo span(sub).  Raises
+    InconsistentQuotientError when span(sub) is not contained in span(big) or
+    reduce is fed a vector outside span(big).
     """
-    if not sub and not big:
-        if field is None:
-            raise ShapeMismatchError("empty quotient needs explicit field/length")
-
-        def reduce_zero(v: Mat):
-            if not v.is_zero():
-                raise InconsistentQuotientError("vector outside span(big)")
-            return ()
-
-        return [], reduce_zero
     probe = (big or sub)[0]
     field = probe.field
     length = probe.rows

@@ -9,7 +9,6 @@ never stored in the report.
 from __future__ import annotations
 
 import json
-import sys
 
 
 SCHEMA = "entwine-report/1"
@@ -44,25 +43,23 @@ def write_json(report: dict, path):
         fh.write("\n")
 
 
-def render_text(report: dict, elapsed: float | None = None, stream=None):
-    stream = stream or sys.stdout
-    print(f"== {report['command']} ==", file=stream)
+def render_text(report: dict, elapsed: float):
+    print(f"== {report['command']} ==")
     if report["structure"]:
         summary = ", ".join(f"{k}={v}" for k, v in report["structure"].items())
-        print(f"structure: {summary}", file=stream)
+        print(f"structure: {summary}")
     for name, rows in report["tables"].items():
-        print(f"-- {name} --", file=stream)
+        print(f"-- {name} --")
         if isinstance(rows, dict):
             for k, v in rows.items():
-                print(f"  {k}: {v}", file=stream)
+                print(f"  {k}: {v}")
         else:
             for row in rows:
-                print(f"  {row}", file=stream)
+                print(f"  {row}")
     for check in report["checks"]:
         mark = "pass" if check["passed"] else "FAIL"
         detail = f"  ({check['detail']})" if check["detail"] else ""
-        print(f"[{mark}] {check['name']}{detail}", file=stream)
+        print(f"[{mark}] {check['name']}{detail}")
     verdict = "all checks passed" if all_passed(report) else "CHECKS FAILED"
-    print(verdict, file=stream)
-    if elapsed is not None:
-        print(f"(elapsed {elapsed:.2f}s)", file=stream)
+    print(verdict)
+    print(f"(elapsed {elapsed:.2f}s)")

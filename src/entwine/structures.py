@@ -15,12 +15,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import ShapeMismatchError, ValidationError
+from .errors import PreconditionError, ShapeMismatchError, ValidationError
 from .linalg import FieldSpec, Mat, kron
-
-
-def _prod(shape) -> int:
-    return math.prod(shape) if shape else 1
 
 
 class LinearMap:
@@ -31,7 +27,7 @@ class LinearMap:
     def __init__(self, domain_shape, codomain_shape, mat: Mat):
         domain_shape = tuple(domain_shape)
         codomain_shape = tuple(codomain_shape)
-        if mat.cols != _prod(domain_shape) or mat.rows != _prod(codomain_shape):
+        if mat.cols != math.prod(domain_shape) or mat.rows != math.prod(codomain_shape):
             raise ShapeMismatchError(
                 f"matrix {mat.rows}x{mat.cols} vs shapes {codomain_shape}<-{domain_shape}"
             )
@@ -101,7 +97,7 @@ def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
 
 def identity_map(field: FieldSpec, shape) -> LinearMap:
     shape = tuple(shape)
-    return LinearMap(shape, shape, Mat.identity(field, _prod(shape)))
+    return LinearMap(shape, shape, Mat.identity(field, math.prod(shape)))
 
 
 def flip_map(field: FieldSpec, d1: int, d2: int) -> LinearMap:
@@ -287,6 +283,39 @@ def validate_coalgebra(c: FiniteCoalgebra) -> CheckReport:
 # -- bialgebras and antipodes --------------------------------------------------------
 
 
+class Bialgebra:
+    """An algebra and coalgebra on one space with compatible structures.
+
+    Unvalidated: EntwiningStructure checks the bialgebra and antipode axioms once.
+    """
+
+    def __init__(self, algebra: FiniteAlgebra, coalgebra: FiniteCoalgebra):
+        if algebra.dim != coalgebra.dim:
+            raise ShapeMismatchError("bialgebra needs one underlying space")
+        self.algebra = algebra
+        self.coalgebra = coalgebra
+
+    @property
+    def dim(self):
+        return self.algebra.dim
+
+    @property
+    def field(self):
+        return self.algebra.field
+
+    @property
+    def basis_labels(self):
+        return self.algebra.basis_labels
+
+
+class HopfAlgebra(Bialgebra):
+    """Bialgebra with an antipode."""
+
+    def __init__(self, algebra, coalgebra, antipode: LinearMap):
+        super().__init__(algebra, coalgebra)
+        self.antipode = antipode
+
+
 def validate_bialgebra(b) -> CheckReport:
     """Delta and eps of b.coalgebra must be algebra maps and 1 grouplike."""
     a, c = b.algebra, b.coalgebra
@@ -314,6 +343,24 @@ def validate_antipode(h) -> CheckReport:
     report.add("left antipode axiom", compose(a.mult, compose(tensor(s, ida), c.comult)) == target)
     report.add("right antipode axiom", compose(a.mult, compose(tensor(ida, s), c.comult)) == target)
     return report
+
+
+def translation_map(h: HopfAlgebra) -> LinearMap:
+    """tau(c) = S(c_(1)) (x) c_(2), with both splitting identities verified."""
+    a, c = h.algebra, h.coalgebra
+    ida, idc = a.identity(), c.identity()
+    tau = compose(tensor(h.antipode, idc), c.comult)
+    tau = LinearMap((c.dim,), (a.dim, a.dim), tau.mat)
+    # c^(1) c^(2)_(0) (x) c^(2)_(1) = 1 (x) c  (coaction of the canonical cover)
+    lhs1 = compose(tensor(a.mult, idc), tensor(ida, c.comult))
+    lhs1 = compose(lhs1, tau)
+    if lhs1 != tensor(a.unit_map(), idc):
+        raise PreconditionError("translation map identity (cover splitting) fails")
+    # a_(0) a_(1)^(1) (x) a_(1)^(2) = 1 (x) a
+    lhs2 = compose(tensor(a.mult, ida), compose(tensor(ida, tau), c.comult))
+    if lhs2 != tensor(a.unit_map(), ida):
+        raise PreconditionError("translation map identity (counit splitting) fails")
+    return tau
 
 
 # -- (bi)modules ----------------------------------------------------------------

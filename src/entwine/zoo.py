@@ -30,63 +30,23 @@ from .entwining import EntwiningStructure
 from .errors import PreconditionError, ShapeMismatchError, StructureParseError
 from .linalg import FieldSpec, Mat, format_coeff, parse_coeff
 from .structures import (
+    Bialgebra,
     Bicomodule,
     Bimodule,
     CheckReport,
     FiniteAlgebra,
     FiniteCoalgebra,
+    HopfAlgebra,
     LinearMap,
     compose,
     flip_map,
     tensor,
-    validate_algebra,
-    validate_antipode,
-    validate_bialgebra,
     validate_bicomodule,
     validate_bimodule,
-    validate_coalgebra,
 )
+from .structures import translation_map, validate_antipode, validate_bialgebra  # noqa: F401  (re-export)
 
 FORMAT_TAG = "entwine-structure/1"
-
-
-class Bialgebra:
-    """An algebra and coalgebra on one space with compatible structures."""
-
-    def __init__(self, algebra: FiniteAlgebra, coalgebra: FiniteCoalgebra, _validate=True):
-        if algebra.dim != coalgebra.dim:
-            raise ShapeMismatchError("bialgebra needs one underlying space")
-        self.algebra = algebra
-        self.coalgebra = coalgebra
-        if _validate:
-            validate_algebra(algebra).raise_if_failed()
-            validate_coalgebra(coalgebra).raise_if_failed()
-            validate_bialgebra(self).raise_if_failed()
-
-    @property
-    def dim(self):
-        return self.algebra.dim
-
-    @property
-    def field(self):
-        return self.algebra.field
-
-    @property
-    def basis_labels(self):
-        return self.algebra.basis_labels
-
-
-class HopfAlgebra(Bialgebra):
-    """Bialgebra with an antipode.
-
-    The examples below come unvalidated: EntwiningStructure checks each axiom once.
-    """
-
-    def __init__(self, algebra, coalgebra, antipode: LinearMap, _validate=True):
-        super().__init__(algebra, coalgebra, _validate=_validate)
-        self.antipode = antipode
-        if _validate:
-            validate_antipode(self).raise_if_failed()
 
 
 # -- constructors ---------------------------------------------------------------
@@ -167,7 +127,7 @@ def group_algebra_hopf(n: int, field: FieldSpec = FieldSpec.rationals()) -> Hopf
     antipode = LinearMap(
         (n,), (n,), Mat.from_triples(field, n, n, [((-i) % n, i, 1) for i in range(n)])
     )
-    return HopfAlgebra(algebra, coalgebra, antipode, _validate=False)
+    return HopfAlgebra(algebra, coalgebra, antipode)
 
 
 def sweedler_h4(field: FieldSpec = FieldSpec.rationals()) -> HopfAlgebra:
@@ -203,7 +163,7 @@ def sweedler_h4(field: FieldSpec = FieldSpec.rationals()) -> HopfAlgebra:
         (4,),
         Mat.from_triples(field, 4, 4, [(0, 0, 1), (1, 1, 1), (3, 2, -1), (2, 3, 1)]),
     )
-    return HopfAlgebra(algebra, coalgebra, antipode, _validate=False)
+    return HopfAlgebra(algebra, coalgebra, antipode)
 
 
 def z2_graded_algebra_entwining(field: FieldSpec = FieldSpec.rationals()) -> EntwiningStructure:
@@ -217,24 +177,6 @@ def z2_graded_algebra_entwining(field: FieldSpec = FieldSpec.rationals()) -> Ent
         (2,), (2, 2), Mat.from_triples(field, 4, 2, [(0, 0, 1), (3, 1, 1)])
     )
     return comodule_algebra_entwining(h, a, coaction)
-
-
-def translation_map(h: HopfAlgebra) -> LinearMap:
-    """tau(c) = S(c_(1)) (x) c_(2), with both splitting identities verified."""
-    a, c = h.algebra, h.coalgebra
-    ida, idc = a.identity(), c.identity()
-    tau = compose(tensor(h.antipode, idc), c.comult)
-    tau = LinearMap((c.dim,), (a.dim, a.dim), tau.mat)
-    # c^(1) c^(2)_(0) (x) c^(2)_(1) = 1 (x) c  (coaction of the canonical cover)
-    lhs1 = compose(tensor(a.mult, idc), tensor(ida, c.comult))
-    lhs1 = compose(lhs1, tau)
-    if lhs1 != tensor(a.unit_map(), idc):
-        raise PreconditionError("translation map identity (cover splitting) fails")
-    # a_(0) a_(1)^(1) (x) a_(1)^(2) = 1 (x) a
-    lhs2 = compose(tensor(a.mult, ida), compose(tensor(ida, tau), c.comult))
-    if lhs2 != tensor(a.unit_map(), ida):
-        raise PreconditionError("translation map identity (counit splitting) fails")
-    return tau
 
 
 def corrupted_psi_entwining(field: FieldSpec = FieldSpec.rationals()) -> EntwiningStructure:
@@ -387,7 +329,7 @@ def load(path, validate: bool = True) -> EntwiningStructure:
         with _section("hopf"):
             antipode = LinearMap((da,), (da,), _matrix(doc["hopf"], "antipode", field, da, da))
         # validated below, with the entwining
-        hopf = HopfAlgebra(algebra, coalgebra, antipode, _validate=False)
+        hopf = HopfAlgebra(algebra, coalgebra, antipode)
 
     if not validate:
         return EntwiningStructure.unchecked(algebra, coalgebra, psi, hopf=hopf)

@@ -36,12 +36,11 @@ from entwine.complexes import (
     projectivity_witness,
 )
 from entwine.deform import (
-    build_CH,
-    build_double_complex,
+    DoubleComplexGrid,
+    TotalComplex,
     coboundary_equivalence,
     deformation_from_cocycle,
     random_two_cochain,
-    total_cohomology,
 )
 from entwine.entwining import check_bowtie
 from entwine.errors import BowTieError, CocycleConditionError
@@ -239,8 +238,8 @@ def test_criterion_11_equivariant(examples):
 def test_criterion_12_double_complex(examples):
     for name in ALL_NAMES:
         e = examples[name]
-        build_double_complex(e, 3, 3)  # d^2, dbar^2, d dbar = dbar d verified inside
-        tc = build_CH(e, 4)  # D^2 = 0 verified inside
+        DoubleComplexGrid(e, 3, 3)  # d^2, dbar^2, d dbar = dbar d verified inside
+        tc = TotalComplex(e, 4)  # D^2 = 0 verified inside
         da, dc = e.algebra.dim, e.coalgebra.dim
         for n in range(1, 5):
             expected = da ** (n + 1) + sum(
@@ -253,8 +252,8 @@ def test_criterion_12_double_complex(examples):
 def test_criterion_13_deformations(examples):
     started = time.time()
     e = examples["z2"]
-    tc = build_CH(e, 3)
-    h2 = total_cohomology(tc, 2)
+    tc = TotalComplex(e, 3)
+    h2 = cohomology(tc.complex, 2)
     assert (len(h2.cocycle_basis), len(h2.coboundary_basis)) == (9, 8)
     for z in h2.cocycle_basis:
         deformation_from_cocycle(e, z, tc)

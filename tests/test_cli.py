@@ -184,6 +184,27 @@ def test_negative_degree_is_usage_error(argv):
     assert run([command, FIXTURES / "z2.json", *flags]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--max-degree", "3"],
+        ["verify", "--unsafe-degree"],
+        ["cup", "--max-degree", "3"],
+    ],
+)
+def test_degree_options_only_where_read(argv):
+    command, *flags = argv
+    with pytest.raises(SystemExit) as exc:
+        run([command, FIXTURES / "z2.json", *flags])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["cohom", "equivariant", "deform"])
+def test_degree_options_accepted(command):
+    args = build_parser().parse_args([command, "z2.json", "--max-degree", "5", "--unsafe-degree"])
+    assert args.max_degree == 5 and args.unsafe_degree
+
+
 def test_cup_products(tmp_path):
     out = tmp_path / "report.json"
     assert run(["cup", FIXTURES / "z2.json", "--deg", "0", "0", "--json", out]) == 0

@@ -229,7 +229,7 @@ def test_lazy_cohomology_returns_eager_objects(kz2):
     h = cohomology(cx, 1)
     cocycles = kernel_basis(cx.differential(1))
     boundaries = image_basis(cx.differential(0))
-    reps, reduce = quotient_with_projection(boundaries, cocycles, field=QQ, length=cx.space_dims[1])
+    reps, reduce = quotient_with_projection(boundaries, cocycles)
     assert h.cocycle_basis == cocycles and h.coboundary_basis == boundaries and h.class_reps == reps
     assert h.class_reps is h.class_reps and h.reduce is h.reduce
     for v in cocycles:
@@ -422,13 +422,13 @@ def test_wrong_homotopy_falls_back_to_ranks(examples, monkeypatch, wrong):
 
 
 def test_unusable_translation_map_falls_back_to_ranks(monkeypatch):
-    import entwine.zoo as zoo
+    import entwine.entwining as entwining
     from entwine.errors import PreconditionError
 
     def refuse(h):
         raise PreconditionError("translation map identity fails")
 
-    monkeypatch.setattr(zoo, "translation_map", refuse)
+    monkeypatch.setattr(entwining, "translation_map", refuse)
     e = bialgebra_self_entwining(group_algebra_hopf(3))
     for cx in _both_sides(e):
         assert [cohomology(cx, n).betti for n in range(4)] == [3, 0, 0, 0]
@@ -463,7 +463,7 @@ def test_acyclic_degree_reduces_without_elimination(examples, monkeypatch):
             assert h.reduce(coboundary) == () and h.reduce(Mat.zeros(cx.field, cx.space_dims[1], 1)) == ()
             with pytest.raises(InconsistentQuotientError):
                 h.reduce(off)
-        reps, reduce = quotient_with_projection(image_basis(d0), kernel_basis(d1), cx.field, cx.space_dims[1])
+        reps, reduce = quotient_with_projection(image_basis(d0), kernel_basis(d1))
         assert reps == [] and reduce(coboundary) == ()
         with pytest.raises(InconsistentQuotientError):
             reduce(off)

@@ -17,9 +17,12 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_zero(script, tmp_path):
-    # TMPDIR keeps the files a demo writes under mkdtemp inside tmp_path
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    # a demo's temporary files go under TMPDIR, and must be gone when it exits
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmpdir))
     done = subprocess.run(
         [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr[-2000:]
+    assert list(tmpdir.iterdir()) == []

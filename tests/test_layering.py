@@ -1,0 +1,65 @@
+"""Import layering of src/entwine, read from the source (AST only)."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "entwine"
+# the mathematics; zoo (examples and files) and cli (front end) sit on top of it
+CORE = ("linalg", "structures", "entwining", "homspace", "complexes", "compalg", "deform")
+
+
+def _modules():
+    return {path.stem: (path, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))}
+
+
+def _entwine_submodules(tree):
+    """The entwine submodules named by any import, at module level or inside a function."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            targets = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for target in targets:
+            parts = target.lstrip(".").split(".")
+            if target.startswith("."):
+                found.add(parts[0])
+            elif parts[0] == "entwine" and len(parts) > 1:
+                found.add(parts[1])
+    return found
+
+
+def test_core_modules_do_not_import_zoo_or_cli():
+    modules = _modules()
+    upward = {name: sorted(_entwine_submodules(modules[name][1]) & {"zoo", "cli"}) for name in CORE}
+    assert upward == {name: [] for name in CORE}
+
+
+def _reexports(path, tree):
+    """Names a module imports to pass on: listed in __all__, or imported by a
+    statement marked re-export."""
+    lines = path.read_text().splitlines()
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            names.update(ast.literal_eval(node.value))
+        elif isinstance(node, ast.ImportFrom) and "re-export" in "\n".join(lines[node.lineno - 1 : node.end_lineno]):
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def test_every_imported_name_is_used_or_reexported():
+    unused = []
+    for name, (path, tree) in _modules().items():
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update({alias.asname or alias.name: node.lineno for alias in node.names})
+            elif isinstance(node, ast.Import):
+                bound.update({(alias.asname or alias.name).split(".")[0]: node.lineno for alias in node.names})
+        keep = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _reexports(path, tree)
+        unused += [f"{name}.py:{line} {imported}" for imported, line in bound.items() if imported not in keep]
+    assert unused == []

@@ -70,9 +70,9 @@ def test_self_entwining_iff_bialgebra():
     )
     assert validate_coalgebra(primitive).ok
     h = group_algebra_hopf(2)
-    assert not validate_bialgebra(Bialgebra(h.algebra, primitive, _validate=False)).ok
+    assert not validate_bialgebra(Bialgebra(h.algebra, primitive)).ok
     with pytest.raises(BowTieError):
-        bialgebra_self_entwining(Bialgebra(h.algebra, primitive, _validate=False))
+        bialgebra_self_entwining(Bialgebra(h.algebra, primitive))
 
 
 def test_comodule_algebra_via_delta_is_self_entwining():
