@@ -38,6 +38,8 @@ CASES.update(
         f"cup-{m}-{n}-{name}": ["cup", f"{name}.json", "--deg", m, n]
         for name, m, n in (
             ("z2", "0", "1"), ("z2", "1", "1"), ("z3", "0", "1"), ("z3", "1", "1"), ("sweedler", "0", "1"),
+            # these four have class pairs, so they pin cup_class and sqcup_class coordinates
+            ("graded-z2", "0", "1"), ("graded-z2", "1", "1"), ("graded-z2", "1", "2"), ("trivial-z2", "0", "0"),
         )
     }
 )
