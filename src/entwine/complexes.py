@@ -120,8 +120,9 @@ class CohomologyResult:
     lies in ker d^n; each rank is one elimination, cached on its Mat.  Both
     paths give the same number.  class_reps and reduce come from
     quotient_with_projection, whose span-containment check runs when read;
-    when betti is 0 there are no classes, and reduce only checks d^n v = 0,
-    with no elimination.
+    reduce maps cocycle columns to class coordinates (betti x columns).  When
+    betti is 0 there are no classes: reduce only checks d^n V = 0, with no
+    elimination.
     """
 
     def __init__(self, cx: CochainComplex, degree):
@@ -144,12 +145,12 @@ class CohomologyResult:
     @cached_property
     def _quotient(self):
         cx, n = self._cx, self.degree
-        if self.betti == 0:  # every cocycle is a coboundary: reduce only checks d^n v = 0
+        if self.betti == 0:  # every cocycle is a coboundary: reduce only checks d^n V = 0
 
-            def reduce_zero(v: Mat):
-                if not (cx.differential(n) @ v).is_zero():
+            def reduce_zero(vs: Mat) -> Mat:
+                if not (cx.differential(n) @ vs).is_zero():
                     raise InconsistentQuotientError("vector outside span(big)")
-                return ()
+                return Mat.zeros(cx.field, 0, vs.cols)
 
             return [], reduce_zero
         return quotient_with_projection(self.coboundary_basis, self.cocycle_basis)

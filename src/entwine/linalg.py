@@ -560,26 +560,25 @@ def kernel_basis(m: Mat) -> list[Mat]:
     """Null space basis in reduced echelon form, one vector per free column."""
     piv_cols, piv_rows = m.rref()
     piv_set = set(piv_cols)
-    free = {fc: [(fc, 1)] for fc in range(m.cols) if fc not in piv_set}
+    free = {fc: [(fc, 0, 1)] for fc in range(m.cols) if fc not in piv_set}
     # a reduced pivot row holds its pivot and otherwise only free columns
     for c, row in zip(piv_cols, piv_rows):
         for k, v in row.items():
             if k != c:
-                free[k].append((c, -v))
-    return [_column(m.field, m.cols, entries) for entries in free.values()]
+                free[k].append((c, 0, -v))
+    return [_from_rref_entries(m.field, m.cols, 1, entries) for entries in free.values()]
 
 
-def _column(field, length, entries) -> Mat:
-    """The length x 1 column holding the (row, value) entries, rows distinct;
-    values are canonical RREF data (Fractions or ints over Q, ints over F_p)."""
-    entries = sorted(entries)
-    den = math.lcm(*(v.denominator for _, v in entries))
-    data = [v.numerator * (den // v.denominator) for _, v in entries]
+def _from_rref_entries(field, rows, cols, entries) -> Mat:
+    """The rows x cols matrix holding the (row, col, value) entries, positions
+    distinct; values are canonical RREF data (Fractions or ints over Q, ints
+    over F_p)."""
+    den = math.lcm(*(v.denominator for *_, v in entries))
+    data = [v.numerator * (den // v.denominator) for *_, v in entries]
     if any(abs(x) >= _I64_GUARD for x in data):
         raise StructureParseError("coefficients too large for the engine")
-    rows = np.array([i for i, _ in entries], np.int64)
-    indptr = np.searchsorted(rows, np.arange(length + 1))
-    return _csr(field, (length, 1), indptr, np.zeros(rows.size, _IDX), np.array(data, np.int64), den)
+    key = np.array([i * cols + j for i, j, _ in entries], np.int64)
+    return _csr(field, (rows, cols), *_sorted_coo((rows, cols), key, np.array(data, np.int64)), den)
 
 
 def image_basis(m: Mat) -> list[Mat]:
@@ -589,20 +588,21 @@ def image_basis(m: Mat) -> list[Mat]:
 
 
 def solve(m: Mat, b: Mat) -> Mat | None:
-    """Some x with m @ x = b, or None when the system is inconsistent."""
+    """Some x with m @ x = b, or None when a column of b is outside the
+    column space of m.
+
+    b may have any number of columns: [m | b] is eliminated once, and column
+    j of x is the solution that sets the free variables of m to zero, the
+    answer a solve of column j alone gives.
+    """
     m._check_field(b)
-    if b.rows != m.rows or b.cols != 1:
+    if b.rows != m.rows:
         raise ShapeMismatchError("right-hand side has wrong shape")
-    aug = hstack([m, b])
-    piv_cols, piv_rows = aug.rref()
-    entries = []
-    for c, row in zip(piv_cols, piv_rows):
-        if c == m.cols:
-            return None
-        v = row.get(m.cols)
-        if v:
-            entries.append((c, v))
-    return _column(m.field, m.cols, entries)
+    piv_cols, piv_rows = hstack([m, b]).rref()
+    if piv_cols and piv_cols[-1] >= m.cols:  # a pivot in b: 0 = 1 in some column
+        return None
+    entries = [(c, k - m.cols, v) for c, row in zip(piv_cols, piv_rows) for k, v in row.items() if k >= m.cols]
+    return _from_rref_entries(m.field, m.cols, b.cols, entries)
 
 
 def from_blocks(field, rows, cols, blocks) -> Mat:
@@ -733,10 +733,11 @@ def middle_operator(left: Mat, dl: int, f_rows: int, f_cols: int, dr: int, right
 def quotient_with_projection(sub: list[Mat], big: list[Mat]):
     """Complete span(sub) to span(big); return (class_basis, reduce).
 
-    sub and big must not both be empty.  reduce maps any vector of span(big)
-    to its coordinates on class_basis modulo span(sub).  Raises
-    InconsistentQuotientError when span(sub) is not contained in span(big) or
-    reduce is fed a vector outside span(big).
+    sub and big must not both be empty.  reduce maps a matrix whose columns
+    lie in span(big) to the matrix of their coordinates on class_basis modulo
+    span(sub) (len(class_basis) x columns), with one elimination for all
+    columns.  Raises InconsistentQuotientError when span(sub) is not contained
+    in span(big) or a column fed to reduce is outside span(big).
     """
     probe = (big or sub)[0]
     field = probe.field
@@ -753,10 +754,10 @@ def quotient_with_projection(sub: list[Mat], big: list[Mat]):
     class_mat = from_columns(field, length, chosen)
     combined = hstack([sub_mat, class_mat])
 
-    def reduce(v: Mat):
-        x = solve(combined, v)
+    def reduce(vs: Mat) -> Mat:
+        x = solve(combined, vs)
         if x is None:
             raise InconsistentQuotientError("vector outside span(big)")
-        return tuple(x.entry(len(sub) + k, 0) for k in range(len(chosen)))
+        return x.select_rows(slice(len(sub), None))
 
     return chosen, reduce

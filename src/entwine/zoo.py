@@ -284,8 +284,8 @@ def _matrix(doc, key, field, rows, cols) -> Mat:
 
 def _dim(doc) -> int:
     dim = _require(doc, "dim")
-    if type(dim) is not int or dim < 0:
-        raise StructureParseError(f"'dim' must be a non-negative integer, not {dim!r}")
+    if type(dim) is not int or dim < 1:  # a zero-dimensional section has no unit or counit
+        raise StructureParseError(f"'dim' must be a positive integer, not {dim!r}")
     return dim
 
 

@@ -60,6 +60,18 @@ def _set(section, key, value):
     return edit
 
 
+def _zero_dim(section, table, vector):
+    """An otherwise consistent file whose section has dimension 0."""
+
+    def edit(doc):
+        doc[section].update({"dim": 0, "labels": [], table: [], vector: []})
+        doc["psi"] = []
+        del doc["hopf"]
+        return doc
+
+    return edit
+
+
 # (edit of fixtures/z2.json, word stderr must contain): each malformed file
 # exits 2 and names the offending section or field
 MALFORMED_STRUCTURES = {
@@ -80,6 +92,8 @@ MALFORMED_STRUCTURES = {
     "float coefficient": (_set(None, "psi", [[0, 0, 1.0]]), "psi"),
     "zero denominator": (_set("hopf", "antipode", [[0, 0, "1/0"]]), "antipode"),
     "non-object hopf": (_set(None, "hopf", []), "hopf"),
+    "zero-dim algebra": (_zero_dim("algebra", "mult", "unit"), "dim"),
+    "zero-dim coalgebra": (_zero_dim("coalgebra", "comult", "counit"), "dim"),
 }
 
 MALFORMED_COEFFICIENTS = {
@@ -112,6 +126,15 @@ def test_malformed_file_exits_2_naming_the_field(tmp_path, capsys, kind, case):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and word in err, err
+
+
+@pytest.mark.parametrize("side", ["A", "C"])
+def test_zero_dim_coefficients_exit_2(tmp_path, capsys, side):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"format": "entwine-coefficients/1", "dim": 0, "left": [], "right": []}))
+    assert run(["cohom", FIXTURES / "z2.json", "--side", side, "--values", f"file:{bad}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "dim" in err, err
 
 
 def test_cohom_betti_table(tmp_path):
@@ -356,6 +379,52 @@ def test_cup_on_acyclic_degrees_eliminates_nothing(monkeypatch, tmp_path):
     report = json.loads(out.read_text())
     assert report["tables"] == {"class counts": {"H^1": 0, "H^2": 0}, "products on classes": []}
     assert [c["passed"] for c in report["checks"]] == [True]
+
+
+def count_calls(monkeypatch, argv, targets):
+    """Run the CLI on argv, counting calls of each (module, name) binding."""
+    counts = {name: 0 for _, name in targets}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    assert run(argv) == 0
+    return counts
+
+
+@pytest.mark.parametrize("deg, classes", [(("0", "0"), 3), (("1", "1"), 2)], ids=["0-0", "1-1"])
+def test_cup_reduces_all_products_with_one_solve(monkeypatch, tmp_path, deg, classes):
+    # graded-z2 has 3 classes in degree 0 and 2 in degree 1: every product is
+    # reduced by one solve, and each class of H^m costs two insertions of it
+    import entwine.compalg as compalg
+
+    out = tmp_path / "r.json"
+    argv = ["cup", FIXTURES / "graded-z2.json", "--deg", *deg, "--json", out]
+    counts = count_calls(monkeypatch, argv, [(linalg, "solve"), (compalg, "solve"), (compalg, "comp_i")])
+    assert len(json.loads(out.read_text())["tables"]["products on classes"]) == classes**2
+    assert counts["solve"] <= 1 and counts["comp_i"] <= 2 * classes
+
+
+def test_cup_without_class_pairs_builds_nothing(monkeypatch, tmp_path):
+    # z3 has 3 classes in degree 0 and none in degree 1: no insertion operator
+    # is built, and the quotient of H^1 is never asked for
+    import entwine.compalg as compalg
+    from entwine.complexes import CohomologyResult
+
+    reads = []
+    reduce = CohomologyResult.reduce
+    monkeypatch.setattr(CohomologyResult, "reduce", property(lambda h: reads.append(h.degree) or reduce.fget(h)))
+    out = tmp_path / "r.json"
+    argv = ["cup", FIXTURES / "z3.json", "--deg", "0", "1", "--json", out]
+    assert count_calls(monkeypatch, argv, [(compalg, "middle_operator")]) == {"middle_operator": 0}
+    assert reads == []
+    assert json.loads(out.read_text())["tables"]["class counts"] == {"H^0": 3, "H^1": 0}
 
 
 @pytest.mark.parametrize("name,side", [("sweedler", "C"), ("kz6", "A"), ("kz6", "C")])

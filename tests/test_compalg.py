@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from entwine.compalg import (
     _random_cochain,
     _span_equal,
     check_prelie_identities,
+    class_products,
     coboundary,
     comp_i,
     cup,
@@ -31,11 +33,11 @@ from entwine.compalg import (
     verify_weak_comp,
 )
 from entwine.entwining import EntwiningStructure, convolution_psi
-from entwine.errors import DegreeError
+from entwine.errors import DegreeError, InconsistentQuotientError
 from entwine.homspace import vec
-from entwine.linalg import QQ, Mat
+from entwine.linalg import QQ, FieldSpec, Mat
 from entwine.structures import LinearMap, compose, identity_map, tensor
-from entwine.zoo import load, named_example
+from entwine.zoo import load, named_example, sweedler_h4, trivial_entwining
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -524,3 +526,65 @@ def test_coboundary_matches_diamond_formula(examples, name, side):
             ctx, m + 1, [(sign, diamond(ctx, ctx.pi, f)), (-1, diamond(ctx, f, ctx.pi))]
         )
         assert coboundary(ctx, f) == expected, (name, side, m)
+
+
+def _per_pair_class_products(ctx, m, n):
+    """Oracle: the per-pair loop class_products replaced.  One from_vec ->
+    cup/sqcup -> single-column reduce per class pair; returns the product
+    columns and the graded_commutativity items."""
+    hm, hn, target = (ctx.cohomology_at(d) for d in (m, n, m + n))
+    sign = -1 if (m * n) % 2 else 1
+    cups, sqcups, items = [], [], []
+    for xv in hm.class_reps:
+        xi = ctx.from_vec(m, xv)
+        for ev in hn.class_reps:
+            eta = ctx.from_vec(n, ev)
+            product, twisted = cup(ctx, xi, eta), sqcup(ctx, eta, xi)
+            cups.append(vec(ctx.to_base(product)))
+            sqcups.append(vec(ctx.to_base(twisted)))
+            residual = lin_comb(ctx, m + n, [(1, product), (-sign, twisted)])
+            name = f"class pair #{len(items)}"
+            try:
+                coords = target.reduce(vec(ctx.to_base(residual)))
+            except InconsistentQuotientError:
+                items.append((name, False, "residual is not a cocycle"))
+                continue
+            items.append((name, coords.is_zero(), f"deg ({m},{n})"))
+    if not items:
+        items.append((f"no class pairs at degrees ({m},{n})", True, "nothing to check"))
+    return cups, sqcups, items
+
+
+@pytest.mark.parametrize("side", (ALGEBRA, COALGEBRA))
+@pytest.mark.parametrize("field", (QQ, FieldSpec.prime(7)), ids=str)
+@pytest.mark.parametrize("name", ORACLE_FIXTURES + ("sweedler-flip",))
+def test_class_products_match_per_pair_loop(name, field, side):
+    # sweedler-flip (the trivial entwining of H4) has 4 classes in each degree
+    # on side A, graded-z2 has classes in degrees 0-2; the rest have H^0 only
+    if name == "sweedler-flip":
+        h = sweedler_h4(field)
+        e = trivial_entwining(h.algebra, h.coalgebra)
+    else:
+        e = named_example(name, field)
+    ctx = CompContext(e, side)
+    for m in range(3):
+        for n in range(3 - m):
+            cups, sqcups, items = _per_pair_class_products(ctx, m, n)
+            got = class_products(ctx, m, n)
+            for want, mat in zip((cups, sqcups), got):
+                assert [mat.col_vector(k) for k in range(mat.cols)] == want, (m, n)
+            assert graded_commutativity(ctx, m, n).items == items, (m, n)
+
+
+@pytest.mark.parametrize("side", (ALGEBRA, COALGEBRA))
+def test_graded_commutativity_flags_the_pairs_the_loop_flags(monkeypatch, side):
+    # with every basis 1-cochain of graded-z2 posing as a class of H^1, some
+    # (1,1) residuals are not cocycles: the batched check must flag the same
+    # pairs with the same details
+    ctx = CompContext(named_example("graded-z2"), side)
+    real = ctx.cohomology_at
+    fake = SimpleNamespace(class_reps=[vec(ctx.to_base(f)) for f in ctx.basis(1)])
+    monkeypatch.setattr(ctx, "cohomology_at", lambda d: fake if d == 1 else real(d))
+    _, _, items = _per_pair_class_products(ctx, 1, 1)
+    assert {(ok, detail) for _, ok, detail in items} >= {(False, "residual is not a cocycle"), (True, "deg (1,1)")}
+    assert graded_commutativity(ctx, 1, 1).items == items

@@ -460,11 +460,11 @@ def test_acyclic_degree_reduces_without_elimination(examples, monkeypatch):
             mp.setattr(linalg, "_rref", None)  # any elimination fails
             h = cohomology(cx, 1)
             assert h.betti == 0 and h.class_reps == []
-            assert h.reduce(coboundary) == () and h.reduce(Mat.zeros(cx.field, cx.space_dims[1], 1)) == ()
+            assert h.reduce(coboundary).rows == 0 and h.reduce(Mat.zeros(cx.field, cx.space_dims[1], 1)).rows == 0
             with pytest.raises(InconsistentQuotientError):
                 h.reduce(off)
         reps, reduce = quotient_with_projection(image_basis(d0), kernel_basis(d1))
-        assert reps == [] and reduce(coboundary) == ()
+        assert reps == [] and reduce(coboundary).rows == 0
         with pytest.raises(InconsistentQuotientError):
             reduce(off)
 
