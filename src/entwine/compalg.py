@@ -326,7 +326,7 @@ def _cond3_operators(ctx, m, free_degree, i, j, pi: Cochain, pi_first: bool):
     ident = Mat.identity(ctx.e.field, ctx.base.coalgebra.dim * ctx.base.algebra.dim**m)
     insert = ctx.insertion_operator
 
-    def then_pi(s, degree):  # K_s(pi) P_s after a degree-`degree` cochain
+    def then_pi(s, degree):  # K_s(pi) P_s: pi into slot s of a degree-`degree` cochain
         return ctx.K(s, pi, degree) @ ctx.P(s, degree + 1)
 
     if not pi_first:
