@@ -573,12 +573,14 @@ def _from_rref_entries(field, rows, cols, entries) -> Mat:
     """The rows x cols matrix holding the (row, col, value) entries, positions
     distinct; values are canonical RREF data (Fractions or ints over Q, ints
     over F_p)."""
-    den = math.lcm(*(v.denominator for *_, v in entries))
-    data = [v.numerator * (den // v.denominator) for *_, v in entries]
+    entries = sorted(entries)
+    den = math.lcm(*(v.denominator for _, _, v in entries))
+    data = [v.numerator * (den // v.denominator) for _, _, v in entries]
     if any(abs(x) >= _I64_GUARD for x in data):
         raise StructureParseError("coefficients too large for the engine")
-    key = np.array([i * cols + j for i, j, _ in entries], np.int64)
-    return _csr(field, (rows, cols), *_sorted_coo((rows, cols), key, np.array(data, np.int64)), den)
+    indptr = np.searchsorted(np.array([i for i, _, _ in entries], np.int64), np.arange(rows + 1))
+    indices = np.array([j for _, j, _ in entries], _IDX)
+    return _csr(field, (rows, cols), indptr, indices, np.array(data, np.int64), den)
 
 
 def image_basis(m: Mat) -> list[Mat]:
