@@ -522,7 +522,7 @@ def graded_commutativity(ctx, m: int, n: int) -> CheckReport:
         report.add(f"no class pairs at degrees ({m},{n})", True, "nothing to check")
         return report
     residuals = cups + sqcups if (m * n) % 2 else cups - sqcups
-    # d^{m+n} first, then one reduce of the cocycle columns
+    # reduce raises on a non-cocycle, so d^{m+n} sorts those out first
     not_cocycles = {j for _, j, _ in (ctx.differential_operator(m + n) @ residuals).triples()}
     cocycles = [j for j in range(residuals.cols) if j not in not_cocycles]
     coords = ctx.cohomology_at(m + n).reduce(residuals.select_columns(cocycles))
