@@ -130,7 +130,7 @@ def cmd_cup(args) -> dict:
         cup_classes, sq_classes = classes.select_columns(slice(pairs)), classes.select_columns(slice(pairs, None))
         # reduce is linear, so a residual's class is cup_class - (-1)^{mn} sqcup_class
         residuals = cup_classes + sq_classes if (m * n) % 2 else cup_classes - sq_classes
-        nonzero = {j for _, j, _ in residuals.triples()}
+        nonzero = set(residuals.nonzero_columns())
         columns = classes.transpose().to_fraction_rows()
         rows = [
             {

@@ -21,8 +21,8 @@ Each product has one formula here: cup and sqcup go through the insertions,
 the coboundary through the cached complex differential.  The alternatives
 (_direct_cup, _direct_sqcup, and the coboundary as (-1)^{m-1} pi <> f - f <> pi)
 are oracles in tests/test_compalg.py, which compares them on the fixtures.
-Products on cohomology classes go through class_products, one insertion
-operator per class; the per-pair cup/sqcup loop is the oracle in the tests.
+Products of many cochains at once (classes, equivariant bases) go through
+_pi_grid; the per-pair cup/sqcup loop is the oracle in the tests.
 
 The axiom verifier does not loop over basis tuples: each axiom is multilinear
 in its cochain slots, so it holds for all tuples exactly when a slot-free
@@ -44,7 +44,7 @@ from .errors import (
     MissingTranslationMapError,
     ShapeMismatchError,
 )
-from .homspace import op_precompose, unvec, vec
+from .homspace import unvec, vec, vec_transpose_index
 from .linalg import Mat, from_columns, hstack, kernel_basis, kron, middle_operator, rank, solve
 from .structures import CheckReport, LinearMap, compose, identity_map, regular_bimodule, tensor
 
@@ -490,28 +490,45 @@ def check_prelie_identities(ctx, f: Cochain, g: Cochain, h: Cochain) -> CheckRep
     return report
 
 
+def _grid(ctx, xs: Mat, i: int, m: int, ys: Mat, n: int) -> Mat:
+    """x o_i y on base for every pair of the stacked cochains xs (columns
+    vec(x), degree m) and ys (degree n), in rows (x, s) and columns y: one
+    insertion operator, whose left factor stacks the matrices of the xs."""
+    da = ctx.base.algebra.dim
+    return ctx.insertion_operator(xs.transpose().reshape(xs.cols * da, xs.rows // da), i, m, n) @ ys
+
+
+def _pi_grid(ctx, slot: int, xs: Mat, m: int, ys: Mat, n: int) -> Mat:
+    """The _grid of (pi o_slot x) o_t y: x cup y for slot 0 (t = m) and
+    y sqcup x for slot 1 (t = 0)."""
+    outer = _grid(ctx, vec(ctx.to_base(ctx.pi)), slot, 2, xs, m)
+    return _grid(ctx, outer, m if slot == 0 else 0, m + 1, ys, n)
+
+
+def _swap_operands(grid: Mat, a: int, b: int) -> Mat:
+    """A grid over a cochains x and b cochains y, in rows (x, s) and columns
+    y, rearranged to rows (y, s) and columns x: a block transpose."""
+    length = grid.rows // a
+    by_pair = grid.transpose().reshape(b * a, length).select_rows(vec_transpose_index(a, b))
+    return by_pair.reshape(a, b * length).transpose()
+
+
 def class_products(ctx, m: int, n: int) -> tuple[Mat, Mat]:
     """Columns vec(xi cup eta) and vec(eta sqcup xi) on base, for every class
-    pair (xi, eta) of H^m x H^n, in (xi, eta) order.
-
-    Both products are linear in eta, so each xi gives two operators in eta,
-    (pi o_0 xi) o_m and (pi o_1 xi) o_0, applied to the stacked classes of
-    H^n.  With no class pair the results have no columns, and no operator is
-    built.
+    pair (xi, eta) of H^m x H^n, in (xi, eta) order, from the _pi_grid of the
+    stacked classes.  With no class pair the results have no columns, and no
+    operator is built.
     """
     xis = ctx.cohomology_at(m).class_reps
     etas = ctx.cohomology_at(n).class_reps if xis else []
+    length = ctx.space_dim(m + n)
     if not etas:
-        empty = Mat.zeros(ctx.e.field, ctx.space_dim(m + n), 0)
+        empty = Mat.zeros(ctx.e.field, length, 0)
         return empty, empty
-    stacked = from_columns(ctx.e.field, ctx.space_dim(n), etas)
-    cups, sqcups = [], []
-    for column in xis:
-        xi = ctx.from_vec(m, column)
-        pi_0, pi_1 = (ctx.to_base(comp_i(ctx, ctx.pi, slot, xi)).mat for slot in (0, 1))
-        cups.append(ctx.insertion_operator(pi_0, m, m + 1, n) @ stacked)
-        sqcups.append(ctx.insertion_operator(pi_1, 0, m + 1, n) @ stacked)
-    return hstack(cups), hstack(sqcups)
+    xs, ys = from_columns(ctx.e.field, ctx.space_dim(m), xis), from_columns(ctx.e.field, ctx.space_dim(n), etas)
+    order = vec_transpose_index(length, len(xis))  # rows (xi, s) to (s, xi): a column per (xi, eta)
+    grids = (_pi_grid(ctx, slot, xs, m, ys, n).select_rows(order) for slot in (0, 1))
+    return tuple(grid.reshape(length, len(xis) * len(etas)) for grid in grids)
 
 
 def graded_commutativity(ctx, m: int, n: int) -> CheckReport:
@@ -523,10 +540,10 @@ def graded_commutativity(ctx, m: int, n: int) -> CheckReport:
         return report
     residuals = cups + sqcups if (m * n) % 2 else cups - sqcups
     # reduce raises on a non-cocycle, so d^{m+n} sorts those out first
-    not_cocycles = {j for _, j, _ in (ctx.differential_operator(m + n) @ residuals).triples()}
+    not_cocycles = set((ctx.differential_operator(m + n) @ residuals).nonzero_columns())
     cocycles = [j for j in range(residuals.cols) if j not in not_cocycles]
     coords = ctx.cohomology_at(m + n).reduce(residuals.select_columns(cocycles))
-    failed = not_cocycles | {cocycles[j] for _, j, _ in coords.triples()}
+    failed = not_cocycles | {cocycles[j] for j in coords.nonzero_columns()}
     for pair in range(residuals.cols):
         detail = "residual is not a cocycle" if pair in not_cocycles else f"deg ({m},{n})"
         report.add(f"class pair #{pair}", pair not in failed, detail)
@@ -588,18 +605,28 @@ def _span_equal(field, length, vs, ws) -> bool:
     return rank(vmat) == rank(wmat) == rank(hstack([vmat, wmat]))
 
 
+def _commutators(ctx, xis: Mat, m: int, etas: Mat, n: int) -> Mat:
+    """Columns vec(xi cup eta - (-1)^{mn} eta cup xi) on base for every pair of
+    the stacked cochains xis (degree m) and etas (degree n), in (eta, xi)
+    order."""
+    a, b, length = xis.cols, etas.cols, ctx.space_dim(m + n)
+    xi_cup = _pi_grid(ctx, 0, xis, m, etas, n)
+    cup_xi = _swap_operands(_pi_grid(ctx, 0, etas, n, xis, m), b, a)
+    grid = xi_cup + cup_xi if (m * n) % 2 else xi_cup - cup_xi
+    # rows (xi, s) and columns eta become rows s and columns (eta, xi)
+    return grid.reshape(a, length * b).transpose().reshape(length, b * a)
+
+
 def equivariant_checks(ctx, degree_cap: int = 2) -> CheckReport:
     """Closure, cup agreement, differential stability, commutativity, and the
     Hopf translation-map criterion for the equivariant subcomplex.
 
-    Every check is linear in each cochain slot, so for each fixed second
-    operand g one operator in f is applied to the stacked basis F_m of degree
-    m (the columns vec(f), f in bases[m]): column k of the product is the
-    check on the k-th basis cochain.
+    Every check is linear in each cochain slot, so it runs on all basis pairs
+    of two degrees at once, as a _grid of the stacked bases F_m (the columns
+    vec(f), f in bases[m]).
     """
     report = CheckReport("equivariant subcomplex")
     field = ctx.e.field
-    da = ctx.e.algebra.dim
     bases = {n: equivariant_basis(ctx, n) for n in range(degree_cap + 1)}
     ops = {n: equivariance_operator(ctx, n) for n in range(degree_cap + 2)}
     stacked = {
@@ -610,42 +637,24 @@ def equivariant_checks(ctx, degree_cap: int = 2) -> CheckReport:
     if degree_cap >= 2:
         report.add("pi is equivariant", (ops[2] @ vec(ctx.pi.map_)).is_zero())
 
-    # f o_i g = F K_i(g) P_i: the detail names the last violation in
-    # (m, n, f, g, i) order
+    # the detail names the last violation in (m, n, f, g, i) order
     closure_ok, closure_detail = True, "all basis pairs"
-    for m in range(degree_cap + 1):
-        for n in range(degree_cap + 1):
-            out_degree = m + n - 1
-            if out_degree > degree_cap + 1 or not bases[m]:
-                continue
-            last = None
-            for gi, g in enumerate(bases[n]):
-                for i in range(m):
-                    insert_g = op_precompose(ctx.K(i, g, m) @ ctx.P(i, out_degree), da)
-                    out = ops[out_degree] @ (insert_g @ stacked[m])
-                    if not out.is_zero():
-                        # a product stores no zeros: each column with an entry fails
-                        fi = max(j for _, j, _ in out.triples())
-                        last = (fi, gi, i) if last is None else max(last, (fi, gi, i))
-            if last is not None:
-                closure_ok = False
-                closure_detail = f"violated at m={m} n={n} i={last[2]}"
+    for m in range(1, degree_cap + 1):
+        for n in range(min(degree_cap, degree_cap + 2 - m) + 1):
+            check, per_f = kron(Mat.identity(field, len(bases[m])), ops[m + n - 1]), ops[m + n - 1].rows
+            outs = [check @ _grid(ctx, stacked[m], i, m, stacked[n], n) for i in range(m)]
+            violations = [(row // per_f, g, i) for i, out in enumerate(outs) for row, g, _ in out.triples()]
+            if violations:
+                closure_ok, closure_detail = False, f"violated at m={m} n={n} i={max(violations)[2]}"
     report.add("closure under insertions", closure_ok, closure_detail)
 
-    # f cup g = (pi o_0 f) o_m g and f sqcup g = (pi o_1 g) o_0 f
-    pi = ctx.pi.map_.mat
-    pi_first = {m: ctx.insertion_operator(pi, 0, 2, m) @ stacked[m] for m in bases}
-    agree = True
-    for n in range(degree_cap + 1):
-        for g in bases[n]:
-            pi_g = comp_i(ctx, ctx.pi, 1, g).map_.mat
-            for m in range(min(degree_cap, degree_cap + 1 - n) + 1):
-                if not bases[m]:
-                    continue
-                cups = op_precompose(ctx.K(m, g, m + 1) @ ctx.P(m, m + n), da) @ pi_first[m]
-                sqcups = ctx.insertion_operator(pi_g, 0, n + 1, m) @ stacked[m]
-                if cups != sqcups:
-                    agree = False
+    agree = all(
+        _swap_operands(_pi_grid(ctx, 0, stacked[m], m, stacked[n], n), len(bases[m]), len(bases[n]))
+        == _pi_grid(ctx, 1, stacked[n], n, stacked[m], m)
+        for m in bases
+        for n in range(min(degree_cap, degree_cap + 1 - m) + 1)
+        if bases[m] and bases[n]
+    )
     report.add("cup = sqcup on equivariant cochains", agree)
 
     images = {m: ctx.differential_operator(m) @ stacked[m] for m in bases}
@@ -668,7 +677,8 @@ def _equivariant_graded_commutativity(ctx, stacked, images, degree_cap) -> bool:
 
     d restricts when images[m] = d F_m = F_{m+1} X has a solution X (one solve
     per degree); the cocycles are F_m ker X.  A degree pair holds when all its
-    residuals lie in the span of d F_{m+n-1}, or vanish for m + n = 0 (one solve)."""
+    _commutators lie in the span of d F_{m+n-1}, or vanish for m + n = 0 (one
+    solve)."""
     field = ctx.e.field
     boundaries = {-1: Mat.zeros(field, ctx.space_dim(0), 0), **images}
     cocycles = {}
@@ -676,18 +686,10 @@ def _equivariant_graded_commutativity(ctx, stacked, images, degree_cap) -> bool:
         sub_d = solve(stacked[m + 1], images[m])
         if sub_d is None:  # the differential leaves the subcomplex
             return False
-        cocycles[m] = [stacked[m] @ z for z in kernel_basis(sub_d)]
-    for m in range(degree_cap):
-        for n in range(degree_cap - m):
-            if not cocycles[m] or not cocycles[n]:
-                continue
-            etas = from_columns(field, ctx.space_dim(n), cocycles[n])
-            residuals = []
-            for column in cocycles[m]:  # operators eta |-> xi cup eta and eta |-> eta cup xi
-                xi = ctx.from_vec(m, column)
-                xi_cup = ctx.insertion_operator(comp_i(ctx, ctx.pi, 0, xi).map_.mat, m, m + 1, n)
-                cup_xi = ctx.insertion_operator(ctx.pi.map_.mat, 0, 2, n, after=ctx.K(n, xi, n + 1) @ ctx.P(n, m + n))
-                residuals.append((xi_cup + cup_xi if (m * n) % 2 else xi_cup - cup_xi) @ etas)
-            if solve(boundaries[m + n - 1], hstack(residuals)) is None:
-                return False
-    return True
+        cocycles[m] = stacked[m] @ from_columns(field, sub_d.cols, kernel_basis(sub_d))
+    return all(
+        solve(boundaries[m + n - 1], _commutators(ctx, cocycles[m], m, cocycles[n], n)) is not None
+        for m in range(degree_cap)
+        for n in range(degree_cap - m)
+        if cocycles[m].cols and cocycles[n].cols
+    )

@@ -247,7 +247,7 @@ class LawOperator:
         """Per column, the names of the laws whose residual is nonzero."""
         residual, failed = self.op @ columns, [[] for _ in range(columns.cols)]
         for name, start, end in self.blocks:
-            for j in {j for _, j, _ in residual.select_rows(slice(start, end)).triples()}:
+            for j in residual.select_rows(slice(start, end)).nonzero_columns():
                 failed[j].append(name)
         return failed
 

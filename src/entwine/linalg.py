@@ -179,9 +179,9 @@ def _csr(field, shape, indptr, indices, data, den=1) -> "Mat":
         raise ValueError(f"malformed CSR arrays for a {rows}x{cols} matrix")
     if field.kind == "Fp":
         data = data % field.p
-    if not data.all():
+    if np.count_nonzero(data) != data.size:
         keep = data != 0
-        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+        indptr = np.concatenate(([0], keep.cumsum()))[indptr]
         indices, data = indices[keep], data[keep]
     if den != 1:
         g = math.gcd(int(np.gcd.reduce(data)), den) if data.size else den
@@ -199,19 +199,19 @@ def _trimmed(buffer, n):
 def _sorted_coo(shape, key, data):
     """CSR arrays of the entries at row-major positions key (row * cols + col):
     one stable sort, duplicates summed."""
-    order = np.argsort(key, kind="stable")
+    order = key.argsort(kind="stable")
     key, data = key[order], data[order]
     if key.size > 1:
         first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
         if first.size < key.size:
             key, data = key[first], np.add.reduceat(data, first)
-    indptr = np.searchsorted(key, np.arange(shape[0] + 1) * shape[1])
+    indptr = key.searchsorted(np.arange(shape[0] + 1) * shape[1])
     return indptr, key % max(shape[1], 1), data
 
 
 def _row_ids(indptr):
     """The row of each stored entry of a CSR matrix."""
-    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    return np.arange(indptr.size - 1).repeat(indptr[1:] - indptr[:-1])
 
 
 def _product(rows, cols, a, b):
@@ -230,7 +230,7 @@ def _product(rows, cols, a, b):
 def _selection(n, idx):
     """CSR arrays of the n x len(idx) 0/1 matrix with a 1 at (idx[k], k)."""
     order = np.argsort(idx, kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(idx, minlength=n)))).astype(_IDX)
+    indptr = np.concatenate(([0], np.bincount(idx, minlength=n).cumsum())).astype(_IDX)
     return indptr, order.astype(_IDX), np.ones(idx.size, np.int64)
 
 
@@ -443,10 +443,14 @@ class Mat:
         """The rows idx (a list or a slice), gathered row by row."""
         idx = np.arange(self.rows)[idx]
         indptr, indices, data = self._arrays()
-        counts = np.diff(indptr)[idx]
-        new_ptr = np.concatenate(([0], np.cumsum(counts)))
-        take = np.repeat(indptr[idx] - new_ptr[:-1], counts) + np.arange(new_ptr[-1])
+        counts = (indptr[1:] - indptr[:-1])[idx]
+        new_ptr = np.concatenate(([0], counts.cumsum()))
+        take = (indptr[idx] - new_ptr[:-1]).repeat(counts) + np.arange(new_ptr[-1])
         return _csr(self.field, (idx.size, self.cols), new_ptr, indices[take], data[take], self._den)
+
+    def nonzero_columns(self) -> list[int]:
+        """The columns holding a stored (non-zero) entry, in increasing order."""
+        return np.unique(self._idx).tolist()
 
     def to_fraction_rows(self) -> list[list[Fraction]]:
         out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
@@ -456,10 +460,9 @@ class Mat:
 
     def triples(self):
         """Yield (i, j, Fraction) over nonzero entries, row-major order."""
-        indptr, indices, data = (x.tolist() for x in self._arrays())
-        for i in range(self.rows):
-            for idx in range(indptr[i], indptr[i + 1]):
-                yield i, indices[idx], Fraction(data[idx], self._den)
+        indptr, indices, data = self._arrays()
+        for i, j, v in zip(_row_ids(indptr).tolist(), indices.tolist(), data.tolist()):
+            yield i, j, Fraction(v, self._den)
 
     def __repr__(self):
         return f"Mat({self.field}, {self.rows}x{self.cols}, nnz={self.nnz})"
@@ -655,28 +658,59 @@ def vstack(mats: list[Mat]) -> Mat:
     return from_blocks(mats[0].field, offsets[-1], cols, [(off, 0, m) for off, m in zip(offsets, mats)])
 
 
+def _is_identity(m: Mat) -> bool:
+    """Is m the Mat.identity object (not merely equal to it)?"""
+    return m.rows == m.cols == m.nnz and _IDENTITY_CACHE.get((m.field, m.rows)) is m
+
+
+def _padded(factors, k: int) -> Mat:
+    """The Kronecker product I_p (x) x (x) I_q of factors, all identities but
+    x = factors[k], written straight in CSR order: row (i, s) of x (x) I_q
+    holds row i of x with columns j * q + s, and I_p repeats those rows p
+    times with column offsets.  The entries are x's, so no guard is needed."""
+    x, p, q = factors[k], math.prod(f.rows for f in factors[:k]), math.prod(f.rows for f in factors[k + 1 :])
+    indptr, indices, data = x._arrays()
+    if q != 1:
+        counts = (indptr[1:] - indptr[:-1]).repeat(q)
+        out_row = np.arange(x.rows * q).repeat(counts)
+        new_ptr = np.concatenate(([0], counts.cumsum()))
+        k = indptr[out_row // q] + np.arange(new_ptr[-1]) - new_ptr[out_row]
+        indptr, indices, data = new_ptr, indices[k].astype(np.int64) * q + out_row % q, data[k]
+    if p != 1:
+        offsets = np.arange(p)[:, None]
+        indptr = np.concatenate(((indptr[:-1] + offsets * data.size).ravel(), [p * data.size]))
+        indices, data = (indices + offsets * x.cols * q).ravel(), data[None].repeat(p, 0).ravel()
+    return _csr(x.field, (p * x.rows * q, p * x.cols * q), indptr, indices, data, x._den)
+
+
 def kron(*factors: Mat) -> Mat:
     """Kronecker product of one or more factors; the leftmost is most significant.
 
-    Row (i, k) of A (x) B is A[i] (x) B[k], so its entries are written
-    straight in CSR order, with no sort.  The guard is on the product of the
-    factors' stored numerators; over F_p each step is reduced mod p first.
+    When every factor but one is a Mat.identity, _padded writes the product.
+    Otherwise row (i, k) of A (x) B is A[i] (x) B[k], so its entries are
+    written straight in CSR order, with no sort.  The guard is on the product
+    of the factors' stored numerators; over F_p each step is reduced mod p
+    first.
     """
     first = factors[0]
     field = first.field
+    for f in factors[1:]:
+        first._check_field(f)
+    cores = [k for k, f in enumerate(factors) if not _is_identity(f)] or [0]
+    if len(cores) == 1:
+        return _padded(factors, cores[0])
     rows, cols, den = first.rows, first.cols, first._den
     indptr, indices, data = first._arrays()
     bound = first._max_abs()
     for f in factors[1:]:
-        first._check_field(f)
         bound *= f._max_abs()
         if bound >= _I64_GUARD:
             raise StructureParseError("entry growth beyond engine bounds")
         bp, bj, bx = f._arrays()
-        nb = np.diff(bp)
-        counts = np.multiply.outer(np.diff(indptr), nb).ravel()
-        new_ptr = np.concatenate(([0], np.cumsum(counts)))
-        out_row = np.repeat(np.arange(counts.size), counts)
+        nb = bp[1:] - bp[:-1]
+        counts = ((indptr[1:] - indptr[:-1])[:, None] * nb).ravel()
+        new_ptr = np.concatenate(([0], counts.cumsum()))
+        out_row = np.arange(counts.size).repeat(counts)
         ia, ib = np.divmod(out_row, f.rows)
         q, r = np.divmod(np.arange(new_ptr[-1]) - new_ptr[out_row], nb[ib])
         ka, kb = indptr[ia] + q, bp[ib] + r
@@ -705,6 +739,11 @@ def middle_operator(left: Mat, dl: int, f_rows: int, f_cols: int, dr: int, right
     if right.rows != dl * f_cols * dr:
         raise ShapeMismatchError("right factor height mismatch")
     left._check_field(right)
+    if dl == dr == 1:  # F -> F @ right is I (x) right^T, and F -> left @ F is left (x) I
+        if _is_identity(left):
+            return kron(left, right.transpose())
+        if _is_identity(right):
+            return kron(left, right)
     field = left.field
     # over F_p each product is reduced below p before the sum
     term_bound = field.p - 1 if field.kind == "Fp" else left._max_abs() * right._max_abs()
@@ -717,12 +756,12 @@ def middle_operator(left: Mat, dl: int, f_rows: int, f_cols: int, dr: int, right
     l_key = l_col // (f_rows * dr) * dr + l_col % dr
     r_key = r_row // (f_cols * dr) * dr + r_row % dr
     # pair each entry of left with every entry of right in its block
-    r_order = np.argsort(r_key, kind="stable")
+    r_order = r_key.argsort(kind="stable")
     r_count = np.bincount(r_key, minlength=dl * dr)
-    r_start = np.cumsum(r_count) - r_count
+    r_start = r_count.cumsum() - r_count
     reps = r_count[l_key]
-    li = np.repeat(np.arange(lx.size), reps)
-    within = np.arange(li.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    li = np.arange(lx.size).repeat(reps)
+    within = np.arange(li.size) - (reps.cumsum() - reps).repeat(reps)
     ri = r_order[r_start[l_key[li]] + within]
     shape = (left.rows * right.cols, f_rows * f_cols)
     key = (l_row[li] * right.cols + r_col[ri]) * shape[1] + l_col[li] // dr % f_rows * f_cols + r_row[ri] // dr % f_cols

@@ -134,11 +134,10 @@ class CheckReport:
 
     def check(self, name, lhs: LinearMap, rhs: LinearMap, labels_per_factor):
         """Record lhs == rhs, with the first differing basis tuple on failure."""
-        diff = lhs.mat - rhs.mat
-        if diff.is_zero():
+        if lhs.mat == rhs.mat:  # canonical storage: no arithmetic
             self.add(name, True)
             return
-        idx = decode_index(lhs.domain_shape, min(j for _, j, _ in diff.triples()))
+        idx = decode_index(lhs.domain_shape, (lhs.mat - rhs.mat).nonzero_columns()[0])
         self.add(name, False, tuple(labels[k] for labels, k in zip(labels_per_factor, idx)))
 
     @property

@@ -15,8 +15,11 @@ from entwine.compalg import (
     _cond2_core,
     _direct_cup,
     _direct_sqcup,
+    _pi_grid,
+    _commutators,
     _random_cochain,
     _span_equal,
+    _swap_operands,
     check_prelie_identities,
     class_products,
     coboundary,
@@ -35,7 +38,7 @@ from entwine.compalg import (
 from entwine.entwining import EntwiningStructure, convolution_psi
 from entwine.errors import DegreeError, InconsistentQuotientError
 from entwine.homspace import vec
-from entwine.linalg import QQ, FieldSpec, Mat
+from entwine.linalg import QQ, FieldSpec, Mat, from_columns
 from entwine.structures import LinearMap, compose, identity_map, tensor
 from entwine.zoo import load, named_example, sweedler_h4, trivial_entwining
 
@@ -438,24 +441,50 @@ def test_stacked_checks_match_per_pair_checks(monkeypatch, kz2_ctx, extra):
         assert got == want
 
 
+def _count_calls(monkeypatch, owner, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(owner, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    return counts
+
+
 def test_equivariant_checks_work_grows_with_the_basis(monkeypatch):
-    # the battery inserts through one operator per fixed operand: its comp_i
-    # calls are bounded by the basis size, not by the number of basis pairs
+    # the battery inserts through one operator per degree pair and slot, with
+    # all basis cochains of a degree stacked: no comp_i call at all, where it
+    # once made one per basis cochain
     import entwine.compalg as compalg
 
-    calls = 0
-    original = compalg.comp_i
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return original(*args)
-
-    monkeypatch.setattr(compalg, "comp_i", counting)
+    counts = _count_calls(monkeypatch, compalg, ["comp_i"])
     ctx = CompContext(named_example("sweedler"), ALGEBRA)
-    sizes = [len(equivariant_basis(ctx, n)) for n in (0, 1)]  # 4 and 16
+    assert [len(equivariant_basis(ctx, n)) for n in (0, 1)] == [4, 16]
     assert equivariant_checks(ctx, 1).ok
-    assert calls <= 2 * sum(sizes)
+    assert counts == {"comp_i": 0}
+
+
+def _insertions_per_degree_triple(cap):
+    """insertion_operator calls of equivariant_checks(ctx, cap) when every
+    basis and cocycle space is non-empty: fixed by the (m, n, slot) triples."""
+    closure = sum(m for m in range(1, cap + 1) for n in range(cap + 1) if m + n - 1 <= cap + 1)
+    cup_pairs = sum(1 for m in range(cap + 1) for n in range(cap + 1) if m + n <= cap + 1)
+    commutativity_pairs = sum(1 for m in range(cap) for n in range(cap - m))
+    # two product grids per pair, of two insertion operators each
+    return closure + 4 * cup_pairs + 4 * commutativity_pairs
+
+
+@pytest.mark.parametrize("name", ["z2", "sweedler"])
+def test_equivariant_checks_build_operators_per_degree_triple_not_per_cochain(monkeypatch, name):
+    # bases of 2, 4, 8 (z2) and 4, 16, 64 (Sweedler) cochains: the same
+    # operator count, and no I (x) g (x) I per basis cochain
+    counts = _count_calls(monkeypatch, CompContext, ["K", "insertion_operator"])
+    ctx = CompContext(named_example(name), ALGEBRA)
+    assert equivariant_checks(ctx, 2).ok
+    assert counts == {"K": 0, "insertion_operator": _insertions_per_degree_triple(2)}
 
 
 def test_equivariant_command_extracts_each_kernel_once(monkeypatch, tmp_path):
@@ -482,6 +511,41 @@ def test_equivariant_command_extracts_each_kernel_once(monkeypatch, tmp_path):
     main(["equivariant", str(FIXTURES / "sweedler.json"), "--max-degree", "2", "--json", str(out)])
     per_degree = Counter(degree_of[id(m)][0] for m in calls if id(m) in degree_of)
     assert per_degree == {0: 1, 1: 1, 2: 1}
+
+
+@pytest.mark.parametrize("side", (ALGEBRA, COALGEBRA))
+@pytest.mark.parametrize("name", ("z2", "z3", "sweedler", "graded-z2"))
+def test_product_grids_match_per_pair_products(side, name):
+    # block x of column y holds vec(x cup y) in the cup grid and
+    # vec(y sqcup x) in the sqcup grid; _swap_operands moves block x of
+    # column y to block y of column x; column (y, x) of the commutators is
+    # vec(x cup y -+ y cup x)
+    ctx = CompContext(named_example(name), side)
+    rng = np.random.default_rng(1)
+
+    def stack(cochains, degree):
+        return from_columns(ctx.e.field, ctx.space_dim(degree), [vec(ctx.to_base(c)) for c in cochains])
+
+    def block(grid, k, length):
+        return grid.select_rows(slice(k * length, (k + 1) * length))
+
+    for m, n in [(0, 1), (1, 0), (1, 1)]:
+        xs = [ctx.basis(m)[0], _random_cochain(ctx, m, rng)]
+        ys = [ctx.basis(n)[-1], _random_cochain(ctx, n, rng), _random_cochain(ctx, n, rng)]
+        cups = _pi_grid(ctx, 0, stack(xs, m), m, stack(ys, n), n)
+        sqcups = _pi_grid(ctx, 1, stack(ys, n), n, stack(xs, m), m)
+        swapped = _swap_operands(cups, len(xs), len(ys))
+        commutators = _commutators(ctx, stack(xs, m), m, stack(ys, n), n)
+        length = ctx.space_dim(m + n)
+        for a, x in enumerate(xs):
+            for b, y in enumerate(ys):
+                want_cup = vec(ctx.to_base(cup(ctx, x, y)))
+                assert block(cups, a, length).col_vector(b) == want_cup
+                assert block(swapped, b, length).col_vector(a) == want_cup
+                assert block(sqcups, b, length).col_vector(a) == vec(ctx.to_base(sqcup(ctx, x, y)))
+                sign = -1 if m * n % 2 else 1
+                commutator = lin_comb(ctx, m + n, [(1, cup(ctx, x, y)), (-sign, cup(ctx, y, x))])
+                assert commutators.col_vector(b * len(xs) + a) == vec(ctx.to_base(commutator))
 
 
 # -- oracles: the alternative formulas the library no longer evaluates ----------

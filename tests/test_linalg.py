@@ -650,7 +650,7 @@ def test_storage_format_stays_inside_linalg():
     # the numerator/denominator storage of Mat and its int64 guard are read
     # only by linalg; everything else goes through its public operations
     src = Path(__file__).resolve().parent.parent / "src" / "entwine"
-    internals = re.compile(r"\._(num|den)\b|_max_abs|_I64_GUARD")
+    internals = re.compile(r"\._(num|den|ptr|idx|data|arrays)\b|_max_abs|_I64_GUARD")
     hits = [
         f"{path.name}:{k}: {line.strip()}"
         for path in sorted(src.glob("*.py"))
@@ -763,6 +763,7 @@ def test_add_sub_neg_eq_match_fraction_reference(field, rows, cols, data):
     assert (a == b) is (ra == rb)
     assert a - b + b == a and -(-a) == a
     assert (a + b).is_zero() is all(v == 0 for row in total for v in row)
+    assert a.nonzero_columns() == sorted({j for _, j, _ in a.triples()})
 
 
 @settings(max_examples=80, deadline=None)
@@ -842,17 +843,67 @@ def test_middle_operator_matches_fraction_reference(field, dl, f_rows, f_cols, d
     left, rl = data.draw(_kernel_matrix(field, out_rows, dl * f_rows * dr))
     right, rr = data.draw(_kernel_matrix(field, dl * f_cols * dr, out_cols))
     got = middle_operator(left, dl, f_rows, f_cols, dr, right)
-    # column (i, j) is vec(left @ (I (x) E_ij (x) I) @ right)
+    _checked(got, field, _ref_middle(field, rl, dl, f_rows, f_cols, dr, rr, out_cols), (out_rows * out_cols, f_rows * f_cols))
+
+
+def _ref_middle(field, rl, dl, f_rows, f_cols, dr, rr, out_cols):
+    """Rows of the operator F |--> left @ (I_dl (x) F (x) I_dr) @ right from the
+    Fraction rows of left and right: column (i, j) is vec(left @ (I (x) E_ij (x) I) @ right)."""
+    eye = [[[Fraction(int(r == c)) for c in range(n)] for r in range(n)] for n in (dl, dr)]
     columns = []
     for i in range(f_rows):
         for j in range(f_cols):
-            e = Mat.from_triples(field, f_rows, f_cols, [(i, j, 1)])
-            middle = kron(Mat.identity(field, dl), e, Mat.identity(field, dr)).to_fraction_rows()
+            e = [[Fraction(int((r, c) == (i, j))) for c in range(f_cols)] for r in range(f_rows)]
+            middle = _ref_kron(field, _ref_kron(field, eye[0], e), eye[1])
             left_middle = _ref_matmul(field, rl, middle, dl * f_rows * dr, dl * f_cols * dr)
             comp = _ref_matmul(field, left_middle, rr, dl * f_cols * dr, out_cols)
             columns.append([v for row in comp for v in row])
-    want = [list(row) for row in zip(*columns)] if columns else [[] for _ in range(out_rows * out_cols)]
-    _checked(got, field, want, (out_rows * out_cols, f_rows * f_cols))
+    return [list(row) for row in zip(*columns)] if columns else [[] for _ in range(len(rl) * out_cols)]
+
+
+def _entrywise_identity(field, n):
+    """I_n built entry by entry: equal to Mat.identity(field, n) but another
+    object, so kron and middle_operator take their general paths."""
+    return Mat.from_triples(field, n, n, [(i, i, 1) for i in range(n)])
+
+
+# identities at every position, I_0 and I_1 included, around a core with zero
+# rows or columns or none (a product of identities): the padded path must
+# equal the Fraction reference and the general kernel
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(KERNEL_FIELDS), st.lists(_dim, max_size=2), st.lists(_dim, max_size=2),
+    st.one_of(st.none(), st.tuples(_dim, _dim)), st.data(),
+)
+def test_kron_with_identity_factors_matches_general_kernel(field, before, after, core_shape, data):
+    if core_shape is None:
+        core, ref = Mat.identity(field, 2), _ref_mat(field, [[1, 0], [0, 1]])
+    else:
+        core, ref = data.draw(_kernel_matrix(field, *core_shape))
+    factors = [Mat.identity(field, n) for n in before] + [core] + [Mat.identity(field, n) for n in after]
+    rows, cols = math.prod(f.rows for f in factors), math.prod(f.cols for f in factors)
+    want = [[Fraction(1)]]
+    for f in factors:
+        want = _ref_kron(field, want, ref if f is core else _ref_mat(field, Mat.identity(field, f.rows).to_fraction_rows()))
+    want = want if cols else [[] for _ in range(rows)]
+    got = kron(*factors)
+    _checked(got, field, want, (rows, cols))
+    assert got == kron(*(_entrywise_identity(field, f.rows) if f is not core else f for f in factors))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), _dim, _dim, _dim, st.booleans(), st.data())
+def test_middle_operator_with_an_identity_side_matches_the_join(field, f_rows, f_cols, out, identity_left, data):
+    # dl = dr = 1 with an identity side is a padded kron: I (x) right^T or left (x) I
+    if identity_left:
+        left, right = Mat.identity(field, f_rows), data.draw(_kernel_matrix(field, f_cols, out))[0]
+    else:
+        left, right = data.draw(_kernel_matrix(field, out, f_rows))[0], Mat.identity(field, f_cols)
+    got = middle_operator(left, 1, f_rows, f_cols, 1, right)
+    want = _ref_middle(field, left.to_fraction_rows(), 1, f_rows, f_cols, 1, right.to_fraction_rows(), right.cols)
+    _checked(got, field, want, (left.rows * right.cols, f_rows * f_cols))
+    general = [_entrywise_identity(field, m.rows) if m is Mat.identity(field, m.rows) else m for m in (left, right)]
+    assert got == middle_operator(general[0], 1, f_rows, f_cols, 1, general[1])
 
 
 def _stored_max_abs(m: Mat) -> int:

@@ -1,5 +1,7 @@
 """Structure-constant algebra/coalgebra layer and its validators."""
 
+from pathlib import Path
+
 import pytest
 
 from entwine.errors import ShapeMismatchError
@@ -23,6 +25,7 @@ from entwine.structures import (
     validate_bimodule,
     validate_coalgebra,
 )
+from entwine.zoo import load
 
 Z2_MULT = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1)]
 Z2_COMULT = [(0, 0, 0, 1), (1, 1, 1, 1)]
@@ -112,6 +115,16 @@ def test_compose_identity():
     a = kz2_algebra()
     assert compose(a.identity(), a.mult) == a.mult
     assert compose(a.mult, identity_map(QQ, (2, 2))) == a.mult
+
+
+def test_validation_that_holds_does_no_arithmetic(monkeypatch):
+    # a check that holds compares the canonical storage of both sides; only a
+    # failure subtracts them, to find its witness
+    calls = []
+    add = Mat._add
+    monkeypatch.setattr(Mat, "_add", lambda self, other, sign: calls.append(sign) or add(self, other, sign))
+    load(Path(__file__).resolve().parent.parent / "fixtures" / "sweedler.json")
+    assert calls == []
 
 
 def test_compose_shape_check():
