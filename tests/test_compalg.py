@@ -12,11 +12,11 @@ from entwine.compalg import (
     ALGEBRA,
     COALGEBRA,
     CompContext,
+    _commutators,
     _cond2_core,
     _direct_cup,
     _direct_sqcup,
     _pi_grid,
-    _commutators,
     _random_cochain,
     _span_equal,
     _swap_operands,

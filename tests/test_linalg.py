@@ -843,13 +843,14 @@ def test_middle_operator_matches_fraction_reference(field, dl, f_rows, f_cols, d
     left, rl = data.draw(_kernel_matrix(field, out_rows, dl * f_rows * dr))
     right, rr = data.draw(_kernel_matrix(field, dl * f_cols * dr, out_cols))
     got = middle_operator(left, dl, f_rows, f_cols, dr, right)
-    _checked(got, field, _ref_middle(field, rl, dl, f_rows, f_cols, dr, rr, out_cols), (out_rows * out_cols, f_rows * f_cols))
+    want = _ref_middle(field, rl, dl, f_rows, f_cols, dr, rr, out_cols)
+    _checked(got, field, want, (out_rows * out_cols, f_rows * f_cols))
 
 
 def _ref_middle(field, rl, dl, f_rows, f_cols, dr, rr, out_cols):
     """Rows of the operator F |--> left @ (I_dl (x) F (x) I_dr) @ right from the
     Fraction rows of left and right: column (i, j) is vec(left @ (I (x) E_ij (x) I) @ right)."""
-    eye = [[[Fraction(int(r == c)) for c in range(n)] for r in range(n)] for n in (dl, dr)]
+    eye = [_ref_identity(n) for n in (dl, dr)]
     columns = []
     for i in range(f_rows):
         for j in range(f_cols):
@@ -859,6 +860,10 @@ def _ref_middle(field, rl, dl, f_rows, f_cols, dr, rr, out_cols):
             comp = _ref_matmul(field, left_middle, rr, dl * f_cols * dr, out_cols)
             columns.append([v for row in comp for v in row])
     return [list(row) for row in zip(*columns)] if columns else [[] for _ in range(len(rl) * out_cols)]
+
+
+def _ref_identity(n):
+    return [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
 
 
 def _entrywise_identity(field, n):
@@ -877,14 +882,14 @@ def _entrywise_identity(field, n):
 )
 def test_kron_with_identity_factors_matches_general_kernel(field, before, after, core_shape, data):
     if core_shape is None:
-        core, ref = Mat.identity(field, 2), _ref_mat(field, [[1, 0], [0, 1]])
+        core, ref = Mat.identity(field, 2), _ref_identity(2)
     else:
         core, ref = data.draw(_kernel_matrix(field, *core_shape))
     factors = [Mat.identity(field, n) for n in before] + [core] + [Mat.identity(field, n) for n in after]
     rows, cols = math.prod(f.rows for f in factors), math.prod(f.cols for f in factors)
     want = [[Fraction(1)]]
     for f in factors:
-        want = _ref_kron(field, want, ref if f is core else _ref_mat(field, Mat.identity(field, f.rows).to_fraction_rows()))
+        want = _ref_kron(field, want, ref if f is core else _ref_identity(f.rows))
     want = want if cols else [[] for _ in range(rows)]
     got = kron(*factors)
     _checked(got, field, want, (rows, cols))
@@ -900,10 +905,13 @@ def test_middle_operator_with_an_identity_side_matches_the_join(field, f_rows, f
     else:
         left, right = data.draw(_kernel_matrix(field, out, f_rows))[0], Mat.identity(field, f_cols)
     got = middle_operator(left, 1, f_rows, f_cols, 1, right)
-    want = _ref_middle(field, left.to_fraction_rows(), 1, f_rows, f_cols, 1, right.to_fraction_rows(), right.cols)
+    rl, rr = left.to_fraction_rows(), right.to_fraction_rows()
+    want = _ref_middle(field, rl, 1, f_rows, f_cols, 1, rr, right.cols)
     _checked(got, field, want, (left.rows * right.cols, f_rows * f_cols))
-    general = [_entrywise_identity(field, m.rows) if m is Mat.identity(field, m.rows) else m for m in (left, right)]
-    assert got == middle_operator(general[0], 1, f_rows, f_cols, 1, general[1])
+    if identity_left:
+        assert got == middle_operator(_entrywise_identity(field, f_rows), 1, f_rows, f_cols, 1, right)
+    else:
+        assert got == middle_operator(left, 1, f_rows, f_cols, 1, _entrywise_identity(field, f_cols))
 
 
 def _stored_max_abs(m: Mat) -> int:
