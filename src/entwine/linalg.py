@@ -674,12 +674,12 @@ def _padded(factors, k: int) -> Mat:
         counts = (indptr[1:] - indptr[:-1]).repeat(q)
         out_row = np.arange(x.rows * q).repeat(counts)
         new_ptr = np.concatenate(([0], counts.cumsum()))
-        k = indptr[out_row // q] + np.arange(new_ptr[-1]) - new_ptr[out_row]
-        indptr, indices, data = new_ptr, indices[k].astype(np.int64) * q + out_row % q, data[k]
+        src = indptr[out_row // q] + np.arange(new_ptr[-1]) - new_ptr[out_row]  # the entry of x each one copies
+        indptr, indices, data = new_ptr, indices[src].astype(np.int64) * q + out_row % q, data[src]
     if p != 1:
         offsets = np.arange(p)[:, None]
         indptr = np.concatenate(((indptr[:-1] + offsets * data.size).ravel(), [p * data.size]))
-        indices, data = (indices + offsets * x.cols * q).ravel(), data[None].repeat(p, 0).ravel()
+        indices, data = (indices + offsets * (x.cols * q)).ravel(), data[None].repeat(p, 0).ravel()
     return _csr(x.field, (p * x.rows * q, p * x.cols * q), indptr, indices, data, x._den)
 
 
