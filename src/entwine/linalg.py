@@ -11,7 +11,9 @@ compares the stored arrays.
 One construction path.  Every operation computes the CSR arrays of its result
 with numpy (or scipy's compiled CSR kernels, called on the arrays), and _csr
 reduces them to canonical form, checks their structure and hands them to
-Mat.__init__, the one constructor; no scipy object is built.
+Mat.__init__, the one constructor; no scipy object is built.  Those kernels
+are the one scipy module loaded, by _load_sparsetools, without the
+scipy.sparse package init.
 
 All arithmetic is exact and guarded against int64 overflow: matrix products
 and sums fall back to arbitrary-precision Python integers when a bound is
@@ -34,13 +36,16 @@ middle_operator (re-exported by homspace) beside kron.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
-from scipy.sparse import _sparsetools  # the compiled CSR kernels behind scipy's own operators; the one scipy import
 
 from .errors import (
     FieldMismatchError,
@@ -49,6 +54,26 @@ from .errors import (
     StructureParseError,
 )
 
+
+def _load_sparsetools():
+    """scipy.sparse._sparsetools, the compiled CSR kernels behind scipy's own
+    operators, loaded from its file: importing it would first run the
+    scipy.sparse package init, whose array-API layer (numpy.f2py,
+    numpy.testing, ...) costs about 0.2 s of every process start, more than
+    most commands spend computing.  It is registered under its real name, so
+    it and a later `import scipy.sparse` share one module object."""
+    name = "scipy.sparse._sparsetools"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]  # scipy/__init__ not run
+        spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy_dir, "sparse")])
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+_sparsetools = _load_sparsetools()
 _I64_GUARD = 2**62
 _IDX = np.int32  # index dtype of every stored CSR, as the compiled kernels need one
 _IDENTITY_CACHE: dict = {}
@@ -669,6 +694,8 @@ def _padded(factors, k: int) -> Mat:
     holds row i of x with columns j * q + s, and I_p repeats those rows p
     times with column offsets.  The entries are x's, so no guard is needed."""
     x, p, q = factors[k], math.prod(f.rows for f in factors[:k]), math.prod(f.rows for f in factors[k + 1 :])
+    if p == q == 1:
+        return x  # nothing to pad: Mats are immutable
     indptr, indices, data = x._arrays()
     if q != 1:
         counts = (indptr[1:] - indptr[:-1]).repeat(q)
@@ -686,7 +713,9 @@ def _padded(factors, k: int) -> Mat:
 def kron(*factors: Mat) -> Mat:
     """Kronecker product of one or more factors; the leftmost is most significant.
 
-    When every factor but one is a Mat.identity, _padded writes the product.
+    A product of Mat.identity factors is the cached identity, and when every
+    factor but one is a Mat.identity, _padded writes the product (or returns
+    that factor when nothing pads it).
     Otherwise row (i, k) of A (x) B is A[i] (x) B[k], so its entries are
     written straight in CSR order, with no sort.  The guard is on the product
     of the factors' stored numerators; over F_p each step is reduced mod p
@@ -696,7 +725,9 @@ def kron(*factors: Mat) -> Mat:
     field = first.field
     for f in factors[1:]:
         first._check_field(f)
-    cores = [k for k, f in enumerate(factors) if not _is_identity(f)] or [0]
+    cores = [k for k, f in enumerate(factors) if not _is_identity(f)]
+    if not cores:
+        return Mat.identity(field, math.prod(f.rows for f in factors))
     if len(cores) == 1:
         return _padded(factors, cores[0])
     rows, cols, den = first.rows, first.cols, first._den

@@ -2,7 +2,10 @@
 
 import ast
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -661,18 +664,71 @@ def test_storage_format_stays_inside_linalg():
     assert hits == []
 
 
+ROOT = Path(__file__).resolve().parent.parent
+SPARSETOOLS = "scipy.sparse._sparsetools"
+
+
+def _fresh(code: str) -> str:
+    """Run code in a fresh interpreter on the package in src/; returns the
+    last line it prints."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    return done.stdout.splitlines()[-1]
+
+
 def test_only_scipy_import_is_the_compiled_kernels():
     # Mat stores plain arrays: the one scipy dependency is the private
-    # _sparsetools module in linalg, so a scipy upgrade can break one line
-    src = Path(__file__).resolve().parent.parent / "src" / "entwine"
-    found = []
-    for path in sorted(src.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                found += [(path.name, alias.name, None) for alias in node.names if alias.name.split(".")[0] == "scipy"]
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
-                found += [(path.name, node.module, alias.name) for alias in node.names]
-    assert found == [("linalg.py", "scipy.sparse", "_sparsetools")]
+    # _sparsetools module, which linalg loads by name, so a scipy upgrade can
+    # break one function.  No other module names scipy at all; linalg has no
+    # scipy import statement, names no scipy module but the kernels and the
+    # package that holds them, and a fresh import loads no other scipy module.
+    src = ROOT / "src" / "entwine"
+    assert [path.name for path in sorted(src.rglob("*.py")) if "scipy" in path.read_text()] == ["linalg.py"]
+    imports, module_names = [], set()
+    for node in ast.walk(ast.parse((src / "linalg.py").read_text())):
+        if isinstance(node, ast.Import):
+            imports += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imports.append(node.module or "")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"scipy(\.\w+)*", node.value):
+            module_names.add(node.value)
+    assert [name for name in imports if "scipy" in name] == []
+    assert module_names == {"scipy", SPARSETOOLS}
+    loaded = _fresh("import sys, entwine.linalg; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert loaded == str([SPARSETOOLS])
+
+
+def test_cli_run_leaves_scipy_sparse_unimported():
+    last = _fresh(
+        "import sys, entwine, entwine.cli\n"
+        "rc = entwine.cli.main(['verify', 'fixtures/sweedler.json'])\n"
+        "print(rc, 'scipy.sparse' in sys.modules)"
+    )
+    assert last == "0 False"
+
+
+@pytest.mark.parametrize("scipy_first", [True, False], ids=["scipy-first", "entwine-first"])
+def test_kernels_are_the_module_scipy_sparse_uses(scipy_first):
+    # the loader registers the kernels under their real name, so scipy.sparse
+    # and linalg share one module object whichever is imported first
+    imports = ["import scipy.sparse", "import entwine.linalg as linalg"]
+    last = _fresh(
+        "import sys\n"
+        + "\n".join(imports if scipy_first else imports[::-1])
+        + "\nfrom scipy.sparse import _sparsetools\n"
+        + f"print(linalg._sparsetools is sys.modules[{SPARSETOOLS!r}] is _sparsetools)"
+    )
+    assert last == "True"
+
+
+def test_scipy_sparse_products_work_after_the_loader():
+    last = _fresh(
+        "import entwine.linalg, numpy as np, scipy.sparse as sp\n"
+        "a = sp.csr_matrix(np.array([[1, 2], [0, 3]]))\n"
+        "print((a @ a + a.T @ a).toarray().tolist())"
+    )
+    assert last == "[[2, 10], [2, 22]]"
 
 
 # -- canonical CSR kernels: every operation against a pure-Fraction reference,
@@ -894,6 +950,21 @@ def test_kron_with_identity_factors_matches_general_kernel(field, before, after,
     got = kron(*factors)
     _checked(got, field, want, (rows, cols))
     assert got == kron(*(_entrywise_identity(field, f.rows) if f is not core else f for f in factors))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_kron_with_nothing_to_pad_returns_an_existing_object(field):
+    # a product of identities is the cached identity, and a factor whose
+    # other factors are all I_1 is returned itself; the field check stays
+    one, x = Mat.identity(field, 1), Mat.from_triples(field, 2, 3, [(0, 1, 1), (1, 0, 3), (1, 2, 5)])
+    assert kron(Mat.identity(field, 2), one, Mat.identity(field, 3)) is Mat.identity(field, 6)
+    assert kron(one) is one and kron(one, one) is one
+    assert kron(Mat.identity(field, 0), Mat.identity(field, 4)) is Mat.identity(field, 0)
+    assert kron(x) is x and kron(one, x) is x and kron(x, one, one) is x
+    other = F7 if field == QQ else QQ
+    for factors in ([Mat.identity(other, 1), x], [x, Mat.identity(other, 1)], [Mat.identity(other, 2), one]):
+        with pytest.raises(FieldMismatchError):
+            kron(*factors)
 
 
 @settings(max_examples=60, deadline=None)
