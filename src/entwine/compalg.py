@@ -246,7 +246,7 @@ def _direct_sqcup(ctx, f: Cochain, g: Cochain) -> Cochain:
             compose(
                 tensor(e.psi, ida_n),
                 compose(
-                    tensor(tensor(c.identity(), ctx.to_base(f)), ida_n),
+                    tensor(c.identity(), ctx.to_base(f), ida_n),
                     tensor(c.comult, identity_map(e.field, (a.dim,) * (m + n))),
                 ),
             ),

@@ -10,10 +10,13 @@ and the comodule-valued complex has degree-n space Hom(V, A (x) C^n) with the
 dual differential.  The latter is not coded separately: f |-> f^T identifies
 it with the module-valued complex of the dual entwining (C*, A*, psi^T) with
 coefficients V*.  Cochains are flattened row-major; differentials are sparse
-operators on those coordinates.  cohomology() counts classes without bases: a
-contracting homotopy, when its identity holds, proves H^n = 0, and otherwise the
-ranks of the differentials give the count; the cocycle, coboundary and class
-bases are built only when a caller reads them (see CohomologyResult).
+operators on those coordinates, each face term one identity-padded kron.
+cohomology() counts classes without bases: a contracting homotopy, when its
+identity holds, proves H^n = 0, and otherwise the ranks of the differentials
+give the count; the cocycle, coboundary and class bases are built only when a
+caller reads them (see CohomologyResult).  For Hopf data every h^n comes from
+one splitting X: C -> A (x) C (x) A cached on the structure (see
+hopf_contracting_homotopy).
 
 Two independent reference builders (the Hochschild complex of an algebra and
 the Cartier complex of a coalgebra) are coded directly from their classical
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from functools import cache, cached_property, partial
 
-from .entwining import EntwiningStructure, dual, dual_bimodule, translation
+from .entwining import EntwiningStructure, dual, dual_bimodule, splitting
 from .errors import (
     DegreeError,
     InconsistentQuotientError,
@@ -179,18 +182,13 @@ def cohomology(cx: CochainComplex, n: int) -> CohomologyResult:
 
 def module_differential(e: EntwiningStructure, m: Bimodule, n: int) -> Mat:
     """Operator of d^n on Hom(C (x) A^n, M), flattened."""
-    a, c = e.algebra, e.coalgebra
-    da, dc, dm = a.dim, c.dim, m.dim
+    da, dc, dm = e.algebra.dim, e.coalgebra.dim, m.dim
     dom = dc * da**n
-    ida_n = identity_map(e.field, (da,) * n)
-    psi_an = tensor(e.psi, ida_n)
-    total = middle_operator(m.left.mat, da, dm, dom, 1, psi_an.mat)
-    for k in range(1, n + 1):
-        ins = tensor(
-            tensor(identity_map(e.field, (dc,) + (da,) * (k - 1)), a.mult),
-            identity_map(e.field, (da,) * (n - k)),
-        )
-        op = op_precompose(ins.mat, dm)
+    psi_an = kron(e.psi.mat, Mat.identity(e.field, da**n))
+    total = middle_operator(m.left.mat, da, dm, dom, 1, psi_an)
+    mu_t = e.algebra.mult.mat.transpose()
+    for k in range(1, n + 1):  # f |-> f o (C (x) A^{k-1} (x) mu (x) A^{n-k}), one padded kron
+        op = kron(Mat.identity(e.field, dm * dc * da ** (k - 1)), mu_t, Mat.identity(e.field, da ** (n - k)))
         total = total + op if k % 2 == 0 else total - op
     last = middle_operator(m.right.mat, 1, dm, dom, da, Mat.identity(e.field, dc * da ** (n + 1)))
     total = total + last if (n + 1) % 2 == 0 else total - last
@@ -245,10 +243,7 @@ def hochschild_differential(a: FiniteAlgebra, m: Bimodule, n: int) -> Mat:
         m.left.mat, da, dm, dom, 1, Mat.identity(a.field, da ** (n + 1))
     )
     for k in range(1, n + 1):
-        ins = tensor(
-            tensor(identity_map(a.field, (da,) * (k - 1)), a.mult),
-            identity_map(a.field, (da,) * (n - k)),
-        )
+        ins = tensor(identity_map(a.field, (da,) * (k - 1)), a.mult, identity_map(a.field, (da,) * (n - k)))
         op = op_precompose(ins.mat, dm)
         total = total + op if k % 2 == 0 else total - op
     last = middle_operator(m.right.mat, 1, dm, dom, da, Mat.identity(a.field, da ** (n + 1)))
@@ -270,10 +265,7 @@ def cartier_differential(c: FiniteCoalgebra, v: Bicomodule, n: int) -> Mat:
         Mat.identity(c.field, dc ** (n + 1)), dc, cod, dv, 1, v.left.mat
     )
     for k in range(1, n + 1):
-        ins = tensor(
-            tensor(identity_map(c.field, (dc,) * (k - 1)), c.comult),
-            identity_map(c.field, (dc,) * (n - k)),
-        )
+        ins = tensor(identity_map(c.field, (dc,) * (k - 1)), c.comult, identity_map(c.field, (dc,) * (n - k)))
         op = op_postcompose(ins.mat, dv)
         total = total + op if k % 2 == 0 else total - op
     last = middle_operator(Mat.identity(c.field, dc ** (n + 1)), 1, cod, dv, dc, v.right.mat)
@@ -381,31 +373,21 @@ def projectivity_witness(e: EntwiningStructure) -> LinearMap | None:
 
 
 def hopf_contracting_homotopy(e: EntwiningStructure, m: Bimodule, n: int) -> Mat:
-    """Operator of h^n(f)(c, a^1..a^{n-1}) = tau'(c)_1 . f(tau-co-leg, ...).
+    """Operator of h^n(f)(c, a^1..a^{n-1}) = X^1 . f(X^2, X^3, a^1, ..., a^{n-1}).
 
-    Meant for the canonical self-entwining of a Hopf algebra, whose
-    translation map tau(c) = S(c_(1)) (x) c_(2) supplies the contraction.
+    X = splitting(e): C -> A (x) C (x) A, X(c) = S(c_(1)) (x) 1 (x) c_(2), is
+    built once per structure from the translation map tau(c) = S(c_(1)) (x) c_(2)
+    of e.hopf, so h^n is one middle_operator on X (x) A^{n-1}.
     build_CpsiAM and build_ApsiCV hand it to their complex, and cohomology()
     uses it only where CochainComplex.acyclic_at finds
     h^{n+1} d^n + d^{n-1} h^n = id.
     """
-    if e.hopf is None:
-        raise MissingTranslationMapError("structure carries no Hopf/translation data")
+    x = splitting(e)
     if n < 1:
         raise DegreeError("homotopy starts at degree 1")
-    a, c = e.algebra, e.coalgebra
-    da, dc, dm = a.dim, c.dim, m.dim
-    tau = translation(e)
-    ida_pow = identity_map(e.field, (da,) * (n - 1))
-    step1 = tensor(tau, ida_pow)
-    unit_coact = compose(c.comult, LinearMap((), (dc,), e.algebra.unit))
-    step2 = tensor(
-        tensor(identity_map(e.field, (da,)), LinearMap((), (da, dc), unit_coact.mat)),
-        identity_map(e.field, (da,) * n),
-    )
-    step3 = tensor(a.mult, identity_map(e.field, (dc,) + (da,) * n))
-    xi = compose(step3, compose(step2, step1))
-    return middle_operator(m.left.mat, da, dm, dc * da**n, 1, xi.mat)
+    da = e.algebra.dim
+    xi = kron(x.mat, Mat.identity(e.field, da ** (n - 1)))
+    return middle_operator(m.left.mat, da, m.dim, e.coalgebra.dim * da**n, 1, xi)
 
 
 # -- degree-zero characterization -----------------------------------------------------
@@ -434,18 +416,10 @@ def bar_delta(e: EntwiningStructure, n: int) -> LinearMap:
     a, c = e.algebra, e.coalgebra
     da, dc = a.dim, c.dim
     ida_n = identity_map(e.field, (da,) * n)
-    first = compose(
-        tensor(tensor(a.mult, c.identity()), ida_n),
-        tensor(tensor(a.identity(), e.psi), ida_n),
-    )
-    total = first
+    total = compose(tensor(a.mult, c.identity(), ida_n), tensor(a.identity(), e.psi, ida_n))
     for k in range(1, n + 1):
         ins = tensor(
-            tensor(
-                tensor(identity_map(e.field, (da, dc)), identity_map(e.field, (da,) * (k - 1))),
-                a.mult,
-            ),
-            identity_map(e.field, (da,) * (n - k)),
+            identity_map(e.field, (da, dc) + (da,) * (k - 1)), a.mult, identity_map(e.field, (da,) * (n - k))
         )
         total = total + ins if k % 2 == 0 else total - ins
     return total

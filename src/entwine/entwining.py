@@ -19,7 +19,7 @@ downstream, so the towers are cached per structure.
 
 from __future__ import annotations
 
-from .errors import BowTieError, DegreeError, ShapeMismatchError
+from .errors import BowTieError, DegreeError, MissingTranslationMapError, ShapeMismatchError
 from .structures import (
     Bicomodule,
     Bimodule,
@@ -157,6 +157,22 @@ def translation(e: EntwiningStructure) -> LinearMap:
     return e._cached(("tau",), lambda: translation_map(e.hopf))
 
 
+def splitting(e: EntwiningStructure) -> LinearMap:
+    """The splitting X = (mu (x) C (x) A)(A (x) Delta(1) (x) A) tau: C -> A (x) C (x) A
+    of e.hopf, cached on e; X(c) = S(c_(1)) (x) 1 (x) c_(2) for a Hopf algebra."""
+    if e.hopf is None:
+        raise MissingTranslationMapError("structure carries no Hopf/translation data")
+
+    def build():
+        a, c = e.algebra, e.coalgebra
+        ida = a.identity()
+        unit_coaction = LinearMap((), (a.dim, c.dim), c.comult.mat @ a.unit)
+        spread = compose(tensor(ida, unit_coaction, ida), translation(e))
+        return compose(tensor(a.mult, c.identity(), ida), spread)
+
+    return e._cached(("splitting",), build)
+
+
 def dual_bimodule(v: Bicomodule) -> Bimodule:
     """V* as a C*-bimodule: each coaction transposes into an action."""
     return Bimodule(v.dim, v.left.transpose(), v.right.transpose(), labels=v.labels)
@@ -258,8 +274,7 @@ def _multiplication_square(e: EntwiningStructure, n: int, j: int) -> bool:
     """rho_R o mu_j = (mu_j (x) C) o rho_R, mu_j multiplying slots j, j+1 of A^{n+1}."""
     da, dc = e.algebra.dim, e.coalgebra.dim
     mul_inside = tensor(
-        tensor(identity_map(e.field, (dc,) + (da,) * j), e.algebra.mult),
-        identity_map(e.field, (da,) * (n - j - 1)),
+        identity_map(e.field, (dc,) + (da,) * j), e.algebra.mult, identity_map(e.field, (da,) * (n - j - 1))
     )
     lhs = compose(rho_R_coaction(e, n), mul_inside)
     return lhs == compose(tensor(mul_inside, e.coalgebra.identity()), rho_R_coaction(e, n + 1))

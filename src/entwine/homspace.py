@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import ShapeMismatchError
 from .linalg import Mat, kron, middle_operator  # noqa: F401  (re-export)
 from .structures import LinearMap
@@ -35,9 +37,10 @@ def unvec(column: Mat, domain_shape, codomain_shape) -> LinearMap:
     return LinearMap(domain_shape, codomain_shape, column.reshape(rows, cols))
 
 
-def vec_transpose_index(rows: int, cols: int) -> list[int]:
+def vec_transpose_index(rows: int, cols: int) -> np.ndarray:
     """Position of vec(F)[k] inside vec(F^T), for each k, when F is rows x cols."""
-    return [(k % cols) * rows + k // cols for k in range(rows * cols)]
+    k = np.arange(rows * cols)
+    return k % cols * rows + k // cols
 
 
 def op_postcompose(w: Mat, f_cols: int) -> Mat:

@@ -195,7 +195,7 @@ def _csr(field, shape, indptr, indices, data, den=1) -> "Mat":
     reduces residues mod p, drops stored zeros, cancels the common factor of
     numerators and denominator over Q (den is 1 over F_p), checks the array
     sizes (ValueError) and hands the arrays, which it takes over, to
-    Mat.__init__.
+    Mat.__init__ as int32 indices and int64 data.
     """
     rows, cols = shape
     if max(shape) >= 2**31 or data.size >= 2**31:
@@ -213,7 +213,8 @@ def _csr(field, shape, indptr, indices, data, den=1) -> "Mat":
         if g > 1:
             data, den = data // g, den // g
     bound = int(np.abs(data).max()) if data.size else 0
-    return Mat(field, rows, cols, indptr.astype(_IDX, copy=False), indices.astype(_IDX, copy=False), data, den, bound)
+    indptr, indices = indptr.astype(_IDX, copy=False), indices.astype(_IDX, copy=False)
+    return Mat(field, rows, cols, indptr, indices, data.astype(np.int64, copy=False), den, bound)
 
 
 def _trimmed(buffer, n):
@@ -433,8 +434,11 @@ class Mat:
         if self.field != other.field or (self.rows, self.cols) != (other.rows, other.cols):
             return False
         # a canonical matrix is unique (over Q its denominator is the lcm of
-        # its entries' denominators), so equality needs no arithmetic
-        return self._den == other._den and all(map(np.array_equal, self._arrays(), other._arrays()))
+        # its entries' denominators) and _csr fixes the dtypes, so equality
+        # compares the stored bytes, with no arithmetic
+        if self._den != other._den or self.nnz != other.nnz:
+            return False
+        return all(x.tobytes() == y.tobytes() for x, y in zip(self._arrays(), other._arrays()))
 
     def __hash__(self):
         raise TypeError("Mat is not hashable")

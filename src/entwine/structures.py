@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import PreconditionError, ShapeMismatchError, ValidationError
 from .linalg import FieldSpec, Mat, kron
 
@@ -87,11 +89,12 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     return LinearMap(g.domain_shape, f.codomain_shape, f.mat @ g.mat)
 
 
-def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
+def tensor(*maps: LinearMap) -> LinearMap:
+    """The tensor product of one or more maps, the leftmost most significant."""
     return LinearMap(
-        f.domain_shape + g.domain_shape,
-        f.codomain_shape + g.codomain_shape,
-        kron(f.mat, g.mat),
+        sum((f.domain_shape for f in maps), ()),
+        sum((f.codomain_shape for f in maps), ()),
+        kron(*(f.mat for f in maps)),
     )
 
 
@@ -101,9 +104,10 @@ def identity_map(field: FieldSpec, shape) -> LinearMap:
 
 
 def flip_map(field: FieldSpec, d1: int, d2: int) -> LinearMap:
-    """The flip v (x) w -> w (x) v as a permutation matrix."""
-    triples = [(j * d1 + i, i * d2 + j, 1) for i in range(d1) for j in range(d2)]
-    return LinearMap((d1, d2), (d2, d1), Mat.from_triples(field, d1 * d2, d1 * d2, triples))
+    """The flip v (x) w -> w (x) v as a permutation matrix: row j * d1 + i
+    holds its one entry in column i * d2 + j."""
+    row = np.arange(d1 * d2)
+    return LinearMap((d1, d2), (d2, d1), Mat.identity(field, d1 * d2).select_rows(row % d1 * d2 + row // d1))
 
 
 def decode_index(shape, flat: int):
@@ -324,7 +328,7 @@ def validate_bialgebra(b) -> CheckReport:
     lhs = compose(c.comult, a.mult)
     rhs = compose(
         tensor(a.mult, a.mult),
-        compose(tensor(tensor(ida, flip), ida), tensor(c.comult, c.comult)),
+        compose(tensor(ida, flip, ida), tensor(c.comult, c.comult)),
     )
     report.add("comultiplication is an algebra map", lhs == rhs)
     report.add("grouplike unit", compose(c.comult, a.unit_map()) == tensor(a.unit_map(), a.unit_map()))

@@ -101,7 +101,7 @@ def validate_comodule_algebra(c_bialg: Bialgebra, a: FiniteAlgebra, coaction) ->
     lhs = compose(coaction, a.mult)
     rhs = compose(
         tensor(a.mult, c_bialg.algebra.mult),
-        compose(tensor(tensor(ida, flip), idc), tensor(coaction, coaction)),
+        compose(tensor(ida, flip, idc), tensor(coaction, coaction)),
     )
     report.add("coaction is an algebra map", lhs == rhs)
     report.add(

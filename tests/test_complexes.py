@@ -27,9 +27,17 @@ from entwine.complexes import (
     module_differential,
     projectivity_witness,
 )
-from entwine.entwining import bicomodule_on_C_An, check_bowtie, dual
+from entwine.entwining import (
+    bicomodule_on_C_An,
+    bimodule_on_A_Cn,
+    check_bowtie,
+    dual,
+    dual_bimodule,
+    splitting,
+    translation,
+)
 from entwine.errors import DegreeError, MissingTranslationMapError
-from entwine.homspace import middle_operator, op_postcompose, vec
+from entwine.homspace import middle_operator, op_postcompose, op_precompose, vec
 from entwine.linalg import (
     QQ,
     FieldSpec,
@@ -42,6 +50,7 @@ from entwine.linalg import (
     solve,
 )
 from entwine.structures import (
+    Bimodule,
     LinearMap,
     compose,
     identity_map,
@@ -56,6 +65,7 @@ from entwine.zoo import (
     field_algebra,
     field_coalgebra,
     group_algebra_hopf,
+    named_example,
     sweedler_h4,
     trivial_entwining,
 )
@@ -373,6 +383,90 @@ def test_homotopy_requires_hopf_data(triv_z2):
     m = regular_bimodule(triv_z2.algebra)
     with pytest.raises(MissingTranslationMapError):
         hopf_contracting_homotopy(triv_z2, m, 1)
+    with pytest.raises(MissingTranslationMapError):
+        splitting(triv_z2)
+
+
+# -- padded face terms and the splitting X against the formulas they replaced ----------
+
+
+def direct_module_differential(e, m, n):
+    """d^n with each face term f |-> f o (C (x) A^{k-1} (x) mu (x) A^{n-k}) built
+    as nested pads and precomposed."""
+    a, c = e.algebra, e.coalgebra
+    da, dc, dm = a.dim, c.dim, m.dim
+    dom = dc * da**n
+    psi_an = tensor(e.psi, identity_map(e.field, (da,) * n))
+    total = middle_operator(m.left.mat, da, dm, dom, 1, psi_an.mat)
+    for k in range(1, n + 1):
+        ins = tensor(
+            tensor(identity_map(e.field, (dc,) + (da,) * (k - 1)), a.mult),
+            identity_map(e.field, (da,) * (n - k)),
+        )
+        op = op_precompose(ins.mat, dm)
+        total = total + op if k % 2 == 0 else total - op
+    last = middle_operator(m.right.mat, 1, dm, dom, da, Mat.identity(e.field, dc * da ** (n + 1)))
+    return total + last if (n + 1) % 2 == 0 else total - last
+
+
+def direct_hopf_homotopy(e, m, n):
+    """h^n from tau (x) A^{n-1}, then A (x) Delta(1) (x) A^n, then mu (x) C (x) A^n,
+    composed on the full tensor powers of degree n."""
+    a, c = e.algebra, e.coalgebra
+    da, dc = a.dim, c.dim
+    step1 = tensor(translation(e), identity_map(e.field, (da,) * (n - 1)))
+    unit_coact = compose(c.comult, LinearMap((), (dc,), a.unit))
+    step2 = tensor(
+        tensor(a.identity(), LinearMap((), (da, dc), unit_coact.mat)),
+        identity_map(e.field, (da,) * n),
+    )
+    step3 = tensor(a.mult, identity_map(e.field, (dc,) + (da,) * n))
+    xi = compose(step3, compose(step2, step1))
+    return middle_operator(m.left.mat, da, m.dim, dc * da**n, 1, xi.mat)
+
+
+def _hopf_structures_over(field):
+    cases = {name: named_example(name, field) for name in ("z2", "z3", "sweedler")}
+    cases["kz5"] = bialgebra_self_entwining(group_algebra_hopf(5, field))
+    return cases
+
+
+def _coefficient_kinds(e):
+    """(structure, bimodule) pairs: regular, the A (x) C tower, and the dual side."""
+    yield "regular", e, regular_bimodule(e.algebra)
+    yield "A (x) C", e, bimodule_on_A_Cn(e, 1)
+    yield "dual side", dual(e), dual_bimodule(regular_bicomodule(e.coalgebra))
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec.prime(7)], ids=str)
+def test_padded_builders_match_the_direct_formulas(field):
+    for name, e in _hopf_structures_over(field).items():
+        for kind, s, m in _coefficient_kinds(e):
+            for n in range(4):
+                assert module_differential(s, m, n) == direct_module_differential(s, m, n), (name, kind, n)
+            for n in range(1, 5):
+                assert hopf_contracting_homotopy(s, m, n) == direct_hopf_homotopy(s, m, n), (name, kind, n)
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec.prime(7)], ids=str)
+def test_splitting_is_a_normalised_zero_cocycle(field):
+    # (mu (x) C)(A (x) psi) X = eta (x) C, and X is a 0-cocycle of the twisted
+    # complex with coefficients in A (x) C (x) A (outer actions on the outer factors)
+    for name, e in _hopf_structures_over(field).items():
+        a, c = e.algebra, e.coalgebra
+        ida, idc = a.identity(), c.identity()
+        x = splitting(e)
+        assert x is splitting(e)
+        assert (x.domain_shape, x.codomain_shape) == ((c.dim,), (a.dim, c.dim, a.dim))
+        normalised = compose(tensor(a.mult, idc), compose(tensor(ida, e.psi), x))
+        assert normalised == tensor(a.unit_map(), idc), name
+        dim = a.dim * c.dim * a.dim
+        outer = Bimodule(
+            dim,
+            LinearMap((a.dim, dim), (dim,), tensor(a.mult, idc, ida).mat),
+            LinearMap((dim, a.dim), (dim,), tensor(ida, idc, a.mult).mat),
+        )
+        assert (module_differential(e, outer, 0) @ vec(x)).is_zero(), name
 
 
 # -- betti numbers by certificate ----------------------------------------------------

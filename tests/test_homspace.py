@@ -2,13 +2,15 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entwine.errors import StructureParseError
-from entwine.homspace import middle_operator
+from entwine.homspace import middle_operator, vec, vec_transpose_index
 from entwine.linalg import _I64_GUARD, FieldSpec, Mat, kron
+from entwine.structures import LinearMap
 
 FIELDS = (FieldSpec.rationals(), FieldSpec.prime(5), FieldSpec.prime(2**31 - 1))
 
@@ -105,3 +107,20 @@ def test_prime_field_products_are_reduced_before_the_sum():
     op = middle_operator(left, 2, 1, 1, 2, right)
     assert op.entry(0, 0) == 4
     assert op == middle_operator_blockwise(left, 2, 1, 1, 2, right)
+
+
+@given(st.integers(1, 12), st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_vec_transpose_index_matches_the_list_formula(rows, cols):
+    index = vec_transpose_index(rows, cols)
+    assert isinstance(index, np.ndarray)
+    assert index.tolist() == [(k % cols) * rows + k // cols for k in range(rows * cols)]
+    # it is the permutation taking vec(F^T) to vec(F)
+    f = Mat.from_rows(FieldSpec.rationals(), [[i * cols + j + 1 for j in range(cols)] for i in range(rows)])
+    flat_t = vec(LinearMap((rows,), (cols,), f.transpose()))
+    assert flat_t.select_rows(index) == vec(LinearMap((cols,), (rows,), f))
+
+
+def test_vec_transpose_index_of_a_row_or_a_column_is_the_identity_order():
+    for rows, cols in ((1, 1), (1, 5), (5, 1)):
+        assert vec_transpose_index(rows, cols).tolist() == list(range(rows * cols))

@@ -26,6 +26,7 @@ from entwine.linalg import (
     QQ,
     FieldSpec,
     Mat,
+    _csr,
     from_blocks,
     from_columns,
     hstack,
@@ -647,6 +648,37 @@ def test_equality_ignores_the_scale_of_storage():
     assert right == Mat.column(QQ, [Fraction(1, 3), Fraction(2, 3)])
     assert right != Mat.column(QQ, [Fraction(1, 3), Fraction(1, 3)])
     assert m.select_columns([]) == Mat.zeros(QQ, 2, 0)
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec.prime(7)], ids=str)
+def test_mats_built_by_different_routes_compare_equal(field):
+    a = Mat.from_rows(field, [[1, Fraction(1, 2)], [0, -3]])
+    b = Mat.from_rows(field, [[2, 0, 5]])
+    triples = [(i, j * 3 + k, a.entry(i, j) * b.entry(0, k)) for i in range(2) for j in range(2) for k in range(3)]
+    assert kron(a, b) == Mat.from_triples(field, 2, 6, triples)
+    padded = kron(Mat.identity(field, 2), a, Mat.identity(field, 1))
+    assert padded == from_blocks(field, 4, 4, [(0, 0, a), (2, 2, a)])
+    assert a.transpose().transpose() == a
+    assert kron(a, b).transpose().transpose() == kron(a, b)
+    assert kron(a, b) != kron(b, a).transpose()
+
+
+def test_prime_field_residues_compare_equal():
+    fp = FieldSpec.prime(7)
+    assert Mat.from_rows(fp, [[-1, Fraction(1, 2), 8]]) == Mat.from_rows(fp, [[6, 4, 1]])
+    assert Mat.from_rows(fp, [[3, 0]]).scale(5) == Mat.from_rows(fp, [[1, 0]])
+    assert Mat.from_rows(fp, [[7, 14]]) == Mat.zeros(fp, 1, 2)
+
+
+def test_stored_arrays_have_fixed_dtypes():
+    # equality compares stored bytes, so every construction path must store
+    # int32 indices and int64 numerators, whatever dtypes it computed in
+    m = _csr(QQ, (2, 3), np.array([0, 1, 2], np.int64), np.array([2, 0], np.int64), np.array([5, -1], np.int32))
+    a = Mat.from_rows(QQ, [[0, 0, 5], [-1, 0, 0]])
+    for x in (m, a, a.transpose(), kron(Mat.identity(QQ, 2), a), a @ a.transpose(), a.reshape(3, 2)):
+        ptr, idx, data = x._arrays()
+        assert (ptr.dtype, idx.dtype, data.dtype) == (np.int32, np.int32, np.int64)
+    assert m == a
 
 
 def test_storage_format_stays_inside_linalg():

@@ -1,0 +1,84 @@
+"""Deterministic work counts of `cohom` runs: Mat constructions, kron calls,
+and how often the translation map and the splitting X are built.
+
+The counts are exact, so a change that brings back nested identity pads or
+rebuilds X per degree shows here without a timing test.  Identity matrices
+are cached across calls, so each run starts from an empty identity cache.
+"""
+
+import importlib
+import pkgutil
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import entwine
+from entwine import entwining, linalg
+from entwine.cli import main
+from entwine.zoo import bialgebra_self_entwining, group_algebra_hopf, save
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _counted_run(monkeypatch, argv):
+    """Run the CLI on argv; return its exit code, the operation counts, and
+    the translation_map calls and X builds, counted per Hopf algebra resp.
+    structure (a Counter keyed by (what, id))."""
+    counts, builds = Counter(), Counter()
+    new_mat, real_kron = linalg.Mat.__init__, linalg.kron
+    real_translation_map, real_cached = entwining.translation_map, entwining.EntwiningStructure._cached
+
+    def init(self, *args):
+        counts["Mat"] += 1
+        new_mat(self, *args)
+
+    def kron(*factors):
+        counts["kron"] += 1
+        return real_kron(*factors)
+
+    def translation_map(h):
+        builds["translation_map", id(h)] += 1
+        return real_translation_map(h)
+
+    def cached(self, key, build):
+        if key == ("splitting",) and key not in self._cache:
+            builds["splitting", id(self)] += 1
+        return real_cached(self, key, build)
+
+    monkeypatch.setattr(linalg, "_IDENTITY_CACHE", {})
+    monkeypatch.setattr(linalg.Mat, "__init__", init)
+    monkeypatch.setattr(entwining, "translation_map", translation_map)
+    monkeypatch.setattr(entwining.EntwiningStructure, "_cached", cached)
+    for info in pkgutil.iter_modules(entwine.__path__):  # kron is bound by name in each importer
+        module = importlib.import_module(f"entwine.{info.name}")
+        if getattr(module, "kron", None) is real_kron:
+            monkeypatch.setattr(module, "kron", kron)
+    code = main([str(a) for a in argv])
+    return code, dict(counts), builds
+
+
+@pytest.fixture
+def kz5_file(tmp_path):
+    path = tmp_path / "kz5.json"
+    save(bialgebra_self_entwining(group_algebra_hopf(5)), path)
+    return path
+
+
+def test_cohom_kz5_op_counts(monkeypatch, capsys, kz5_file):
+    code, counts, builds = _counted_run(monkeypatch, ["cohom", kz5_file, "--max-degree", "3"])
+    assert code == 0 and "-- betti numbers --\n  0: 5\n  1: 0\n  2: 0\n" in capsys.readouterr().out
+    assert counts == {"Mat": 116, "kron": 45}
+    # h^1..h^3 come from one translation map and one X
+    assert sorted(what for what, _ in builds) == ["splitting", "translation_map"]
+    assert set(builds.values()) == {1}
+
+
+def test_cohom_sweedler_side_c_op_counts(monkeypatch, capsys):
+    argv = ["cohom", FIXTURES / "sweedler.json", "--side", "C", "--max-degree", "4"]
+    code, counts, builds = _counted_run(monkeypatch, argv)
+    assert code == 0 and "-- betti numbers --\n  0: 4\n  1: 0\n  2: 0\n  3: 0\n" in capsys.readouterr().out
+    assert counts == {"Mat": 172, "kron": 50}
+    # side C runs on dual(e): h^1..h^4 come from one translation map and one X of it
+    assert sorted(what for what, _ in builds) == ["splitting", "translation_map"]
+    assert set(builds.values()) == {1}

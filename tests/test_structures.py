@@ -6,7 +6,7 @@ import pytest
 
 from entwine.errors import ShapeMismatchError
 from entwine.homspace import middle_operator, op_postcompose, op_precompose, unvec, vec
-from entwine.linalg import QQ, Mat
+from entwine.linalg import QQ, FieldSpec, Mat
 from entwine.structures import (
     Bicomodule,
     Bimodule,
@@ -25,7 +25,7 @@ from entwine.structures import (
     validate_bimodule,
     validate_coalgebra,
 )
-from entwine.zoo import load
+from entwine.zoo import load, sweedler_h4
 
 Z2_MULT = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1)]
 Z2_COMULT = [(0, 0, 0, 1), (1, 1, 1, 1)]
@@ -165,6 +165,28 @@ def test_flip_squares_to_identity():
     f = flip_map(QQ, 2, 3)
     g = flip_map(QQ, 3, 2)
     assert compose(g, f) == identity_map(QQ, (2, 3))
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec.prime(7)], ids=str)
+def test_flip_map_matches_the_triples_formula(field):
+    for d1 in range(1, 5):
+        for d2 in range(1, 5):
+            triples = [(j * d1 + i, i * d2 + j, 1) for i in range(d1) for j in range(d2)]
+            flip = flip_map(field, d1, d2)
+            assert flip.mat == Mat.from_triples(field, d1 * d2, d1 * d2, triples), (d1, d2)
+            assert (flip.domain_shape, flip.codomain_shape) == ((d1, d2), (d2, d1))
+
+
+def test_tensor_of_many_maps_is_the_nested_tensor():
+    a = sweedler_h4().algebra
+    ida, unit, flip = a.identity(), a.unit_map(), flip_map(QQ, 4, 4)
+    for maps in ((a.mult,), (ida, flip, ida), (unit, a.mult, unit, ida)):
+        nested = maps[0]
+        for f in maps[1:]:
+            nested = tensor(nested, f)
+        many = tensor(*maps)
+        assert many == nested
+        assert (many.domain_shape, many.codomain_shape) == (nested.domain_shape, nested.codomain_shape)
 
 
 def test_decode_index():
