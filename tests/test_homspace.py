@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entwine.errors import StructureParseError
@@ -110,6 +110,9 @@ def test_prime_field_products_are_reduced_before_the_sum():
 
 
 @given(st.integers(1, 12), st.integers(1, 12))
+@example(1, 1)
+@example(1, 5)
+@example(5, 1)
 @settings(max_examples=60, deadline=None)
 def test_vec_transpose_index_matches_the_list_formula(rows, cols):
     index = vec_transpose_index(rows, cols)
@@ -119,8 +122,3 @@ def test_vec_transpose_index_matches_the_list_formula(rows, cols):
     f = Mat.from_rows(FieldSpec.rationals(), [[i * cols + j + 1 for j in range(cols)] for i in range(rows)])
     flat_t = vec(LinearMap((rows,), (cols,), f.transpose()))
     assert flat_t.select_rows(index) == vec(LinearMap((cols,), (rows,), f))
-
-
-def test_vec_transpose_index_of_a_row_or_a_column_is_the_identity_order():
-    for rows, cols in ((1, 1), (1, 5), (5, 1)):
-        assert vec_transpose_index(rows, cols).tolist() == list(range(rows * cols))
