@@ -12,9 +12,9 @@ it with the module-valued complex of the dual entwining (C*, A*, psi^T) with
 coefficients V*.  Cochains are flattened row-major; differentials are sparse
 operators on those coordinates, each face term one identity-padded kron.
 cohomology() counts classes without bases: a contracting homotopy, when its
-identity holds, proves H^n = 0, and otherwise the ranks of the differentials
-give the count; the cocycle, coboundary and class bases are built only when a
-caller reads them (see CohomologyResult).  For Hopf data every h^n comes from
+identity holds, proves H^n = 0 (and gives rank d^0 as a trace), and otherwise
+the ranks of the differentials give the count; the cocycle, coboundary and
+class bases are built only when a caller reads them (see CohomologyResult).  For Hopf data every h^n comes from
 one splitting X: C -> A (x) C (x) A cached on the structure (see
 hopf_contracting_homotopy).
 
@@ -108,6 +108,17 @@ class CochainComplex:
         d = self.differentials
         return h_up @ d[n] + d[n - 1] @ h_n == Mat.identity(self.field, self.space_dims[n])
 
+    def differential_rank(self, n) -> int:
+        """rank d^n by elimination, except that when h^1 certifies degree 1, P = h^1 d^0
+        is idempotent (P^2 = P - h^1 h^2 d^1 d^0; checked) with ker P = ker d^0, so
+        rank d^0 = tr P, over F_p too while dim C^0 < p."""
+        dim, p = self.space_dims[0], self.field.p
+        if n == 0 and self.max_degree > 1 and (p is None or dim < p) and self.acyclic_at(1):
+            proj = self._homotopy(1) @ self.differentials[0]
+            if proj @ proj == proj:
+                return int(proj.trace())
+        return rank(self.differential(n))
+
     def differential(self, n) -> Mat:
         if not 0 <= n < len(self.differentials):
             raise DegreeError(f"no differential at degree {n}")
@@ -120,9 +131,10 @@ class CohomologyResult:
     betti is 0 when the complex's homotopy certifies H^n = 0 (acyclic_at: two
     sparse products, no elimination).  Otherwise betti = dim C^n - rank d^n -
     rank d^{n-1}, exact because the complex verified d o d = 0, so im d^{n-1}
-    lies in ker d^n; each rank is one elimination, cached on its Mat.  Both
-    paths give the same number.  class_reps and reduce come from
-    quotient_with_projection, whose span-containment check runs when read;
+    lies in ker d^n; each rank is one elimination, cached on its Mat, except
+    that a homotopy certifying degree 1 gives rank d^0 as a trace
+    (CochainComplex.differential_rank).  Every path gives the same number.
+    class_reps and reduce come from quotient_with_projection, whose span-containment check runs when read;
     reduce maps cocycle columns to class coordinates (betti x columns).  When
     betti is 0 there are no classes: reduce only checks d^n V = 0, with no
     elimination.
@@ -134,8 +146,8 @@ class CohomologyResult:
         if cx.acyclic_at(degree):
             self.betti = 0
         else:
-            below = rank(cx.differential(degree - 1)) if degree else 0
-            self.betti = cx.space_dims[degree] - rank(cx.differential(degree)) - below
+            below = cx.differential_rank(degree - 1) if degree else 0
+            self.betti = cx.space_dims[degree] - cx.differential_rank(degree) - below
 
     @cached_property
     def cocycle_basis(self) -> list[Mat]:

@@ -9,11 +9,18 @@ denominator with no common factor.  A canonical matrix is unique, so equality
 compares the stored arrays.
 
 One construction path.  Every operation computes the CSR arrays of its result
-with numpy (or scipy's compiled CSR kernels, called on the arrays), and _csr
-reduces them to canonical form, checks their structure and hands them to
-Mat.__init__, the one constructor; no scipy object is built.  Those kernels
-are the one scipy module loaded, by _load_sparsetools, without the
-scipy.sparse package init.
+with numpy (or scipy's compiled CSR kernels, called on the arrays: the one
+scipy module loaded, by _load_sparsetools, without the scipy.sparse package
+init), and _csr reduces them to canonical form, checks their structure and
+hands them to Mat.__init__, the one constructor; no scipy object is built.
+_csr normalises only what an operation can change: a result that re-indexes
+the entries of one canonical Mat (padded kron, transpose, reshape, negation
+over Q, row and column selections) inherits its residues, non-zeros and
+max-abs bound, and gets the gcd pass only if it is a selection or empty.  Any
+other result finds its bound when a guard first reads it.  A transpose and
+each identity pad are built once and cached on their source, which they do
+not reference, so no cycle outlives them; racing threads may both build one
+(the last, equal, Mat stays).
 
 All arithmetic is exact and guarded against int64 overflow: matrix products
 and sums fall back to arbitrary-precision Python integers when a bound is
@@ -178,7 +185,7 @@ def format_coeff(value: Fraction) -> str:
 
 def _coeff_to_field(field: FieldSpec, value) -> tuple[int, int]:
     """Return (numerator, denominator) of value normalised into the field."""
-    frac = parse_coeff(value)
+    frac = value if type(value) is Fraction else parse_coeff(value)
     if field.kind == "Q":
         return frac.numerator, frac.denominator
     p = field.p
@@ -188,31 +195,35 @@ def _coeff_to_field(field: FieldSpec, value) -> tuple[int, int]:
     return num, 1
 
 
-def _csr(field, shape, indptr, indices, data, den=1) -> "Mat":
+def _csr(field, shape, indptr, indices, data, den=1, source=None, subset=False) -> "Mat":
     """The one construction path: CSR arrays in canonical order -> one Mat.
 
     indices must be sorted within each row and free of duplicates.  This
     reduces residues mod p, drops stored zeros, cancels the common factor of
     numerators and denominator over Q (den is 1 over F_p), checks the array
     sizes (ValueError) and hands the arrays, which it takes over, to
-    Mat.__init__ as int32 indices and int64 data.
+    Mat.__init__ as int32 indices and int64 data, with no max-abs bound yet.
+
+    With source, the Mat whose entries the arrays re-index, the result keeps its bound; only
+    the gcd pass runs, when subset=True (a subset may share a factor with den) or none is left.
     """
     rows, cols = shape
     if max(shape) >= 2**31 or data.size >= 2**31:
         raise ShapeMismatchError(f"{rows}x{cols} with {data.size} entries exceeds 32-bit CSR indices")
     if indptr.size != rows + 1 or indptr[0] != 0 or not indices.size == data.size == indptr[-1]:
         raise ValueError(f"malformed CSR arrays for a {rows}x{cols} matrix")
-    if field.kind == "Fp":
-        data = data % field.p
-    if np.count_nonzero(data) != data.size:
-        keep = data != 0
-        indptr = np.concatenate(([0], keep.cumsum()))[indptr]
-        indices, data = indices[keep], data[keep]
-    if den != 1:
+    bound = None if source is None else source._bound
+    if source is None:
+        if field.kind == "Fp":
+            data = data % field.p
+        if np.count_nonzero(data) != data.size:
+            keep = data != 0
+            indptr = np.concatenate(([0], keep.cumsum()))[indptr]
+            indices, data = indices[keep], data[keep]
+    if den != 1 and (source is None or subset or not data.size):
         g = math.gcd(int(np.gcd.reduce(data)), den) if data.size else den
         if g > 1:
             data, den = data // g, den // g
-    bound = int(np.abs(data).max()) if data.size else 0
     indptr, indices = indptr.astype(_IDX, copy=False), indices.astype(_IDX, copy=False)
     return Mat(field, rows, cols, indptr, indices, data.astype(np.int64, copy=False), den, bound)
 
@@ -264,15 +275,16 @@ class Mat:
     """Immutable exact matrix over a FieldSpec, stored canonically (see the
     module docstring); only _csr calls the constructor."""
 
-    __slots__ = ("field", "rows", "cols", "_ptr", "_idx", "_data", "_den", "_bound", "_rref_cache")
+    __slots__ = ("field", "rows", "cols", "_ptr", "_idx", "_data", "_den", "_bound", "_rref_cache", "_derived")
 
-    def __init__(self, field: FieldSpec, rows: int, cols: int, ptr, idx, data, den: int, bound: int):
+    def __init__(self, field: FieldSpec, rows: int, cols: int, ptr, idx, data, den: int, bound: int | None):
         self.field = field
         self.rows, self.cols = rows, cols
         self._ptr, self._idx, self._data = ptr, idx, data  # never changed after _csr
         self._den = den
-        self._bound = bound  # largest |numerator|
+        self._bound = bound  # at least the largest |numerator|; None until _max_abs computes it
         self._rref_cache = None
+        self._derived = None  # transpose and identity pads, built on first use
 
     # -- construction -----------------------------------------------------
 
@@ -328,7 +340,16 @@ class Mat:
         return self._ptr, self._idx, self._data
 
     def _max_abs(self) -> int:
+        if self._bound is None:
+            self._bound = int(np.abs(self._data).max()) if self._data.size else 0
         return self._bound
+
+    def _derive(self, key, build, *args) -> "Mat":
+        """build(*args), cached on self under key (the result holds no link back)."""
+        derived = self._derived = self._derived or {}
+        if key not in derived:
+            derived[key] = build(*args)
+        return derived[key]
 
     def _check_field(self, other: "Mat"):
         if self.field != other.field:
@@ -400,7 +421,8 @@ class Mat:
 
     def __neg__(self) -> "Mat":
         indptr, indices, data = self._arrays()
-        return _csr(self.field, (self.rows, self.cols), indptr, indices, -data, self._den)
+        source = None if self.field.p else self  # over F_p, -x mod p is a new residue with its own bound
+        return _csr(self.field, (self.rows, self.cols), indptr, indices, -data, self._den, source)
 
     def scale(self, value) -> "Mat":
         n, d = _coeff_to_field(self.field, value)
@@ -419,14 +441,10 @@ class Mat:
         # row-major positions of a canonical matrix are already sorted
         flat = _row_ids(indptr) * self.cols + indices
         new_ptr = np.searchsorted(flat, np.arange(rows + 1) * cols)
-        return _csr(self.field, (rows, cols), new_ptr, flat % max(cols, 1), data, self._den)
+        return _csr(self.field, (rows, cols), new_ptr, flat % max(cols, 1), data, self._den, self)
 
     def transpose(self) -> "Mat":
-        # Gustavson's permuted transposition: a counting sort on the column
-        # indices, which leaves every row of the result sorted
-        indptr, indices, data = np.empty(self.cols + 1, _IDX), np.empty(self.nnz, _IDX), np.empty(self.nnz, np.int64)
-        _sparsetools.csr_tocsc(self.rows, self.cols, *self._arrays(), indptr, indices, data)
-        return _csr(self.field, (self.cols, self.rows), indptr, indices, data, self._den)
+        return self._derive("T", _transposed, self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
@@ -466,7 +484,7 @@ class Mat:
         """The columns idx (a list or a slice), as self @ a 0/1 selection."""
         idx = np.arange(self.cols)[idx]
         arrays = _product(self.rows, idx.size, self._arrays(), _selection(self.cols, idx))
-        return _csr(self.field, (self.rows, idx.size), *arrays, self._den)
+        return _csr(self.field, (self.rows, idx.size), *arrays, self._den, self, subset=True)
 
     def select_rows(self, idx) -> "Mat":
         """The rows idx (a list or a slice), gathered row by row."""
@@ -475,7 +493,12 @@ class Mat:
         counts = (indptr[1:] - indptr[:-1])[idx]
         new_ptr = np.concatenate(([0], counts.cumsum()))
         take = (indptr[idx] - new_ptr[:-1]).repeat(counts) + np.arange(new_ptr[-1])
-        return _csr(self.field, (idx.size, self.cols), new_ptr, indices[take], data[take], self._den)
+        return _csr(self.field, (idx.size, self.cols), new_ptr, indices[take], data[take], self._den, self, subset=True)
+
+    def trace(self) -> Fraction:
+        """The sum of the diagonal entries, in the field."""
+        total = sum(self._data[_row_ids(self._ptr) == self._idx].tolist())
+        return Fraction(total % self.field.p if self.field.p else total, self._den)
 
     def nonzero_columns(self) -> list[int]:
         """The columns holding a stored (non-zero) entry, in increasing order."""
@@ -513,6 +536,13 @@ class Mat:
         if self._rref_cache is None:
             self._rref_cache = _rref(self._row_dicts(), self.cols, self.field.p)
         return self._rref_cache
+
+
+def _transposed(m: Mat) -> Mat:
+    """Gustavson's transposition: a counting sort on the column indices, leaving each row sorted."""
+    indptr, indices, data = np.empty(m.cols + 1, _IDX), np.empty(m.nnz, _IDX), np.empty(m.nnz, np.int64)
+    _sparsetools.csr_tocsc(m.rows, m.cols, *m._arrays(), indptr, indices, data)
+    return _csr(m.field, (m.cols, m.rows), indptr, indices, data, m._den, m)
 
 
 def _rref(rows, ncols, p=None):
@@ -694,12 +724,17 @@ def _is_identity(m: Mat) -> bool:
 
 def _padded(factors, k: int) -> Mat:
     """The Kronecker product I_p (x) x (x) I_q of factors, all identities but
-    x = factors[k], written straight in CSR order: row (i, s) of x (x) I_q
-    holds row i of x with columns j * q + s, and I_p repeats those rows p
-    times with column offsets.  The entries are x's, so no guard is needed."""
+    x = factors[k], built once per (p, q) and cached on x."""
     x, p, q = factors[k], math.prod(f.rows for f in factors[:k]), math.prod(f.rows for f in factors[k + 1 :])
     if p == q == 1:
         return x  # nothing to pad: Mats are immutable
+    return x._derive((p, q), _pad, x, p, q)
+
+
+def _pad(x: Mat, p: int, q: int) -> Mat:
+    """I_p (x) x (x) I_q written straight in CSR order: row (i, s) of x (x) I_q
+    holds row i of x with columns j * q + s, and I_p repeats those rows p
+    times with column offsets.  The entries are x's, so no guard is needed."""
     indptr, indices, data = x._arrays()
     if q != 1:
         counts = (indptr[1:] - indptr[:-1]).repeat(q)
@@ -711,7 +746,7 @@ def _padded(factors, k: int) -> Mat:
         offsets = np.arange(p)[:, None]
         indptr = np.concatenate(((indptr[:-1] + offsets * data.size).ravel(), [p * data.size]))
         indices, data = (indices + offsets * (x.cols * q)).ravel(), data[None].repeat(p, 0).ravel()
-    return _csr(x.field, (p * x.rows * q, p * x.cols * q), indptr, indices, data, x._den)
+    return _csr(x.field, (p * x.rows * q, p * x.cols * q), indptr, indices, data, x._den, x)
 
 
 def kron(*factors: Mat) -> Mat:
@@ -786,21 +821,22 @@ def middle_operator(left: Mat, dl: int, f_rows: int, f_cols: int, dr: int, right
         raise StructureParseError("entry growth beyond engine bounds")
     lp, lj, lx = left._arrays()
     rp, rj, rx = right._arrays()
-    l_row, l_col = _row_ids(lp), lj.astype(np.int64)
-    r_row, r_col = _row_ids(rp), rj.astype(np.int64)
+    l_col, r_row = lj.astype(np.int64), _row_ids(rp)
     l_key = l_col // (f_rows * dr) * dr + l_col % dr
     r_key = r_row // (f_cols * dr) * dr + r_row % dr
-    # pair each entry of left with every entry of right in its block
-    r_order = r_key.argsort(kind="stable")
-    r_count = np.bincount(r_key, minlength=dl * dr)
-    r_start = r_count.cumsum() - r_count
-    reps = r_count[l_key]
-    li = np.arange(lx.size).repeat(reps)
-    within = np.arange(li.size) - (reps.cumsum() - reps).repeat(reps)
-    ri = r_order[r_start[l_key[li]] + within]
     shape = (left.rows * right.cols, f_rows * f_cols)
-    key = (l_row[li] * right.cols + r_col[ri]) * shape[1] + l_col[li] // dr % f_rows * f_cols + r_row[ri] // dr % f_cols
-    data = lx[li] * rx[ri]
+    # each side's share of the output key (x * right.cols + y) * F + i * f_cols + j, once per
+    # entry (the right side's in block order); the k-th pair of left entry e with an entry of
+    # right in its block takes the right entry at block-order position first[e] + k
+    l_share = _row_ids(lp) * (right.cols * shape[1]) + l_col // dr % f_rows * f_cols
+    r_order = r_key.argsort(kind="stable")
+    r_share, r_vals = (rj.astype(np.int64) * shape[1] + r_row // dr % f_cols)[r_order], rx[r_order]
+    r_count = np.bincount(r_key, minlength=dl * dr)
+    reps = r_count[l_key]
+    first = (r_count.cumsum() - r_count)[l_key] - (reps.cumsum() - reps)
+    pos = np.arange(reps.sum()) + first.repeat(reps)
+    key = l_share.repeat(reps) + r_share[pos]
+    data = lx.repeat(reps) * r_vals[pos]
     if field.kind == "Fp":
         data %= field.p
     return _csr(field, shape, *_sorted_coo(shape, key, data), left._den * right._den)

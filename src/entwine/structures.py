@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import PreconditionError, ShapeMismatchError, ValidationError
+from .errors import ShapeMismatchError, ValidationError
 from .linalg import FieldSpec, Mat, kron
 
 
@@ -349,21 +349,11 @@ def validate_antipode(h) -> CheckReport:
 
 
 def translation_map(h: HopfAlgebra) -> LinearMap:
-    """tau(c) = S(c_(1)) (x) c_(2), with both splitting identities verified."""
-    a, c = h.algebra, h.coalgebra
-    ida, idc = a.identity(), c.identity()
-    tau = compose(tensor(h.antipode, idc), c.comult)
-    tau = LinearMap((c.dim,), (a.dim, a.dim), tau.mat)
-    # c^(1) c^(2)_(0) (x) c^(2)_(1) = 1 (x) c  (coaction of the canonical cover)
-    lhs1 = compose(tensor(a.mult, idc), tensor(ida, c.comult))
-    lhs1 = compose(lhs1, tau)
-    if lhs1 != tensor(a.unit_map(), idc):
-        raise PreconditionError("translation map identity (cover splitting) fails")
-    # a_(0) a_(1)^(1) (x) a_(1)^(2) = 1 (x) a
-    lhs2 = compose(tensor(a.mult, ida), compose(tensor(ida, tau), c.comult))
-    if lhs2 != tensor(a.unit_map(), ida):
-        raise PreconditionError("translation map identity (counit splitting) fails")
-    return tau
+    """tau(c) = S(c_(1)) (x) c_(2).  Its splitting identities follow from the antipode and
+    counit axioms, which EntwiningStructure checks on load; on unchecked data nothing
+    rests on them, as every homotopy built from tau is checked."""
+    tau = compose(tensor(h.antipode, h.coalgebra.identity()), h.coalgebra.comult)
+    return LinearMap((h.coalgebra.dim,), (h.algebra.dim, h.algebra.dim), tau.mat)
 
 
 # -- (bi)modules ----------------------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import warnings
 from contextlib import contextmanager
+from functools import cache
 
 from .entwining import EntwiningStructure
 from .errors import PreconditionError, ShapeMismatchError, StructureParseError
@@ -273,7 +274,8 @@ def _entries(doc, key, bounds):
                 raise StructureParseError(
                     f"bad entry {entry!r}: want {len(bounds)} indices in range and a coefficient"
                 )
-        return [(*entry[:-1], parse_coeff(entry[-1])) for entry in entries]
+        parse = cache(parse_coeff)  # each distinct text once (other JSON values may not hash)
+        return [(*entry[:-1], (parse if type(entry[-1]) is str else parse_coeff)(entry[-1])) for entry in entries]
 
 
 def _matrix(doc, key, field, rows, cols) -> Mat:

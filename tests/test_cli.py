@@ -360,14 +360,14 @@ def count_eliminations(monkeypatch, argv):
     return counts
 
 
-def test_cohom_command_eliminates_each_differential_once(monkeypatch, tmp_path):
-    # d^0 is the one elimination: the Hopf contracting homotopy certifies
-    # H^1..H^3 = 0, and no kernel/image basis or quotient scan runs (the
-    # rank path made 4 rref calls, the eager path 12)
+def test_cohom_command_eliminates_nothing_on_hopf_data(monkeypatch, tmp_path):
+    # the Hopf contracting homotopy certifies H^1..H^3 = 0 and gives rank d^0
+    # as the trace of h^1 d^0, and no kernel/image basis or quotient scan runs
+    # (the certificate alone made 1 rref call, the rank path 4, the eager path 12)
     out = tmp_path / "r.json"
     counts = count_eliminations(monkeypatch, ["cohom", FIXTURES / "sweedler.json", "--max-degree", "4", "--json", out])
     assert json.loads(out.read_text())["tables"]["betti numbers"] == {"0": 4, "1": 0, "2": 0, "3": 0}
-    assert counts == {"_rref": 1, "kernel_basis": 0, "image_basis": 0, "quotient_with_projection": 0}
+    assert counts == {"_rref": 0, "kernel_basis": 0, "image_basis": 0, "quotient_with_projection": 0}
 
 
 def test_cup_on_acyclic_degrees_eliminates_nothing(monkeypatch, tmp_path):
@@ -428,7 +428,7 @@ def test_cup_without_class_pairs_builds_nothing(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("name,side", [("sweedler", "C"), ("kz6", "A"), ("kz6", "C")])
-def test_cohom_certificate_leaves_only_d0(monkeypatch, tmp_path, name, side):
+def test_cohom_certificate_eliminates_nothing(monkeypatch, tmp_path, name, side):
     from entwine.zoo import bialgebra_self_entwining, group_algebra_hopf, save
 
     path = FIXTURES / "sweedler.json"
@@ -439,4 +439,4 @@ def test_cohom_certificate_leaves_only_d0(monkeypatch, tmp_path, name, side):
     counts = count_eliminations(monkeypatch, ["cohom", path, "--side", side, "--max-degree", "4", "--json", out])
     betti = json.loads(out.read_text())["tables"]["betti numbers"]
     assert betti == {"0": 4 if name == "sweedler" else 6, "1": 0, "2": 0, "3": 0}
-    assert counts == {"_rref": 1, "kernel_basis": 0, "image_basis": 0, "quotient_with_projection": 0}
+    assert counts == {"_rref": 0, "kernel_basis": 0, "image_basis": 0, "quotient_with_projection": 0}

@@ -563,6 +563,101 @@ def test_acyclic_degree_reduces_without_elimination(examples, monkeypatch):
             reduce(off)
 
 
+def _counting_ranks(monkeypatch):
+    """The Mats complexes eliminates for a rank, recorded in call order."""
+    import entwine.complexes as complexes
+
+    ranked = []
+    monkeypatch.setattr(complexes, "rank", lambda m: ranked.append(m) or rank(m))
+    return ranked
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec.prime(7)], ids=str)
+def test_trace_betti_0_equals_rank_betti_0(field, monkeypatch):
+    # where h^1 certifies degree 1 (Hopf data) and dim C^0 < p, rank d^0 is the
+    # trace of h^1 d^0 and no elimination runs; elsewhere d^0 is eliminated
+    # (over F_7 that is z3 and Sweedler, with dim C^0 = 9 and 16)
+    ranked = _counting_ranks(monkeypatch)
+    traced = []
+    for name in ("trivial-k", "trivial-z2", "z2", "z3", "sweedler", "graded-z2"):
+        e = named_example(name, field)
+        for cx in _both_sides(e, n_max=2):
+            ranked.clear()
+            assert cohomology(cx, 0).betti == _rank_betti(cx, 0), (name, cx.label)
+            assert cx.acyclic_at(1) is (e.hopf is not None), (name, cx.label)
+            if e.hopf is not None and cx.space_dims[0] < (field.p or 17):
+                assert ranked == [], (name, cx.label)
+                traced.append(name)
+            else:
+                assert len(ranked) == 1 and ranked[0] is cx.differential(0), (name, cx.label)
+    assert traced == (["z2"] * 2 if field.p else ["z2", "z2", "z3", "z3", "sweedler", "sweedler"])
+
+
+def test_trace_mod_p_needs_dim_c0_below_p(monkeypatch):
+    # z3 over F_3: h^1 certifies degree 1, but dim C^0 = 9 >= 3, and the trace
+    # of the idempotent h^1 d^0 is rank d^0 = 6 only mod 3; d^0 is eliminated
+    with pytest.warns(UserWarning):
+        e = named_example("z3", FieldSpec.prime(3))
+    ranked = _counting_ranks(monkeypatch)
+    for cx in _both_sides(e, n_max=2):
+        assert cx.acyclic_at(1) and cx.space_dims[0] == 9
+        assert cohomology(cx, 0).betti == _rank_betti(cx, 0) == 3, cx.label
+        assert len(ranked) == 1 and ranked.pop() is cx.differential(0)
+    side_a = build_CpsiAM(e, regular_bimodule(e.algebra), 2)
+    proj = hopf_contracting_homotopy(e, regular_bimodule(e.algebra), 1) @ side_a.differential(0)
+    assert proj @ proj == proj and sum(proj.entry(i, i) for i in range(9)) % 3 == 0
+
+
+@pytest.mark.parametrize("wrong", ["scaled by 2", "zero map"])
+def test_wrong_homotopy_leaves_betti_0_to_the_rank(examples, monkeypatch, wrong):
+    import entwine.complexes as complexes
+
+    true_homotopy = complexes.hopf_contracting_homotopy
+
+    def broken(e, m, n):
+        h = true_homotopy(e, m, n)
+        return h.scale(2) if wrong == "scaled by 2" else Mat.zeros(h.field, h.rows, h.cols)
+
+    monkeypatch.setattr(complexes, "hopf_contracting_homotopy", broken)
+    ranked = _counting_ranks(monkeypatch)
+    for name, e in _hopf_cases(examples).items():
+        for cx in _both_sides(e, n_max=2):
+            ranked.clear()
+            assert not cx.acyclic_at(1)
+            assert cohomology(cx, 0).betti == _rank_betti(cx, 0) == e.algebra.dim, (name, cx.label)
+            assert len(ranked) == 1 and ranked[0] is cx.differential(0)
+
+
+def test_failed_idempotence_check_falls_back_to_the_rank(kz2, monkeypatch):
+    # a degree-1 verdict forced past a wrong h^1 = 2 h: P = 2 h^1 d^0 has
+    # P^2 = 2P != P, so the trace is not read
+    import entwine.complexes as complexes
+
+    true_homotopy = complexes.hopf_contracting_homotopy
+    monkeypatch.setattr(complexes, "hopf_contracting_homotopy", lambda e, m, n: true_homotopy(e, m, n).scale(2))
+    ranked = _counting_ranks(monkeypatch)
+    for cx in _both_sides(kz2, n_max=2):
+        monkeypatch.setattr(cx, "_contracts", lambda n: True)
+        ranked.clear()
+        assert cohomology(cx, 0).betti == _rank_betti(cx, 0) == 2
+        assert len(ranked) == 1 and ranked[0] is cx.differential(0)
+
+
+def test_unchecked_structure_with_a_bad_antipode_gets_rank_betti_numbers():
+    # translation_map no longer re-checks its splitting identities: on an
+    # unchecked structure whose antipode is scaled by 2, every homotopy built
+    # from tau fails its check, and each degree falls back to ranks
+    from entwine.entwining import EntwiningStructure
+    from entwine.structures import HopfAlgebra
+
+    z3 = named_example("z3")
+    bad = HopfAlgebra(z3.algebra, z3.coalgebra, z3.hopf.antipode.scale(2))
+    e = EntwiningStructure.unchecked(z3.algebra, z3.coalgebra, z3.psi, hopf=bad)
+    for cx in _both_sides(e, n_max=3):
+        assert not any(cx.acyclic_at(n) for n in (1, 2))
+        assert [cohomology(cx, n).betti for n in range(3)] == [_rank_betti(cx, n) for n in range(3)] == [3, 0, 0]
+
+
 def test_hopf_data_with_a_foreign_psi_exits_like_the_rank_path(tmp_path):
     # z2's antipode beside trivial-z2's flip psi: a valid structure whose Hopf
     # data does not describe psi; cohom must give the rank-path numbers

@@ -1,12 +1,14 @@
 """Exact linear algebra kernel: ranks, kernels, quotients, Kronecker products."""
 
 import ast
+import gc
 import math
 import os
 import re
 import subprocess
 import sys
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -1045,6 +1047,106 @@ def test_stored_bound_after_the_python_integer_fallback():
     c = Mat.from_rows(QQ, [[Fraction(1, 5)], [2**40]])
     for m in (a + b, a - (-b), a @ c):
         assert m._max_abs() == _stored_max_abs(m)
+
+
+# results that re-index the entries of one canonical Mat skip the residue,
+# zero and gcd passes and inherit its bound: they must still be canonical
+# (a selection keeps its gcd pass, an empty result gets den 1), and the bound
+# must not be below their largest numerator
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), _dim, _dim, _dim, _dim, st.data())
+def test_reindexed_results_are_canonical_below_their_bound(field, rows, cols, p, q, data):
+    m, ref = data.draw(_kernel_matrix(field, rows, cols))
+    pick_rows = data.draw(st.lists(st.integers(0, rows - 1), max_size=4)) if rows else []
+    pick_cols = data.draw(st.lists(st.integers(0, cols - 1), max_size=4)) if cols else []
+    flat = [v for row in ref for v in row]
+    padded = _ref_kron(field, _ref_kron(field, _ref_identity(p), ref), _ref_identity(q))
+    cases = [
+        (kron(Mat.identity(field, p), m, Mat.identity(field, q)), padded, (p * rows * q, p * cols * q)),
+        (m.transpose(), _ref_transpose(ref, rows, cols), (cols, rows)),
+        (m.reshape(cols, rows), [flat[k * rows : (k + 1) * rows] for k in range(cols)], (cols, rows)),
+        (-m, _ref_mat(field, [[-v for v in row] for row in ref]), (rows, cols)),
+        (m.select_rows(pick_rows), [ref[i] for i in pick_rows], (len(pick_rows), cols)),
+        (m.select_columns(pick_cols), [[row[j] for j in pick_cols] for row in ref], (rows, len(pick_cols))),
+    ]
+    for got, want, shape in cases:
+        _checked(got, field, want if shape[1] else [[] for _ in range(shape[0])], shape)
+        assert got._max_abs() >= _stored_max_abs(got)
+
+
+def test_reindexing_cancels_what_a_subset_shares_with_den():
+    # den 6 with numerators 1, 2, 4: the column of 1/3 and 2/3 and the row of
+    # 2/3 alone share 2 with it; empty results (I_0 pads, empty selections)
+    # get den 1; F_p negation stores p - x
+    m = Mat.from_rows(QQ, [[Fraction(1, 6), Fraction(1, 3)], [0, Fraction(2, 3)]])
+    half, i0 = Mat.from_rows(QQ, [[Fraction(1, 2)]]), Mat.identity(QQ, 0)
+    for got in (
+        m.select_columns([1]), m.select_rows([1]), m.col_vector(1), m.select_rows([1, 1]).transpose(),
+        kron(i0, half), kron(half, i0), kron(Mat.identity(QQ, 2), half, i0),
+        m.select_rows([]), m.select_columns([]), -m, m.reshape(1, 4), kron(Mat.identity(QQ, 2), m).transpose(),
+    ):
+        _assert_canonical(got)
+        assert got._max_abs() >= _stored_max_abs(got)
+    assert m.select_columns([1]).to_fraction_rows() == [[Fraction(1, 3)], [Fraction(2, 3)]]
+    assert kron(i0, half).to_fraction_rows() == [] and kron(half, i0).rows == 0
+    neg = -Mat.from_rows(F7, [[1, 6], [0, 3]])
+    _assert_canonical(neg)
+    assert neg.to_fraction_rows() == [[6, 1], [0, 4]] and neg._max_abs() == 6
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), _dim, _dim, st.data())
+def test_trace_matches_fraction_reference(field, rows, cols, data):
+    m, ref = data.draw(_kernel_matrix(field, rows, cols))
+    assert m.trace() == _ref(field, sum((ref[i][i] for i in range(min(rows, cols))), Fraction(0)))
+
+
+# arithmetic results store no bound until a guard reads it, and then the exact one
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_arithmetic_bounds_are_lazy_and_exact(field, rows, cols, data):
+    a, b = data.draw(_kernel_matrix(field, rows, cols))[0], data.draw(_kernel_matrix(field, rows, cols))[0]
+    c = data.draw(_kernel_matrix(field, cols, rows))[0]
+    results = [
+        a + b, a - b, a @ c, kron(a, c), middle_operator(a, 1, cols, cols, 1, c),
+        from_blocks(field, 2 * rows, cols, [(0, 0, a), (rows, 0, c.transpose())]),
+    ]
+    assert [m._bound for m in results] == [None] * len(results)
+    for m in results:
+        assert m._max_abs() == _stored_max_abs(m) and m._bound == _stored_max_abs(m)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_pads_and_transposes_are_built_once(field):
+    # each I_p (x) x (x) I_q is cached on x under (p, q), each transpose on its source
+    x = Mat.from_triples(field, 2, 3, [(0, 1, 1), (1, 0, 3), (1, 2, 5)])
+    i1, i2, i3 = (Mat.identity(field, n) for n in (1, 2, 3))
+    assert x.transpose() is x.transpose()
+    assert kron(i2, x, i3) is kron(i2, x, i3) is kron(i1, i2, x, i3, i1)
+    assert kron(x, i2) is kron(x, i2) and kron(x, i2) is not kron(i2, x)
+    assert middle_operator(x, 1, 3, 3, 1, i3) is kron(x, i3)
+    assert x.transpose().transpose() == x and x.transpose().transpose() is not x
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_a_dropped_source_is_freed_by_reference_counting(field):
+    # a source links to what it derived and nothing links back, so dropping
+    # it frees it at once, with the cyclic collector off
+    x = Mat.from_triples(field, 2, 3, [(0, 1, 1), (1, 0, 3), (1, 2, 5)])
+    t = x.transpose()
+    derived = [t, t.transpose(), kron(Mat.identity(field, 2), x), kron(t, Mat.identity(field, 2))]
+    x_data, t_data = weakref.ref(x._arrays()[2]), weakref.ref(t._arrays()[2])
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del x
+        assert x_data() is None and t_data() is not None
+        assert derived[1].to_fraction_rows() == [[0, 1, 0], [3, 0, 5]]
+        del t, derived
+        assert t_data() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)

@@ -68,7 +68,7 @@ def kz5_file(tmp_path):
 def test_cohom_kz5_op_counts(monkeypatch, capsys, kz5_file):
     code, counts, builds = _counted_run(monkeypatch, ["cohom", kz5_file, "--max-degree", "3"])
     assert code == 0 and "-- betti numbers --\n  0: 5\n  1: 0\n  2: 0\n" in capsys.readouterr().out
-    assert counts == {"Mat": 116, "kron": 45}
+    assert counts == {"Mat": 94, "kron": 39}
     # h^1..h^3 come from one translation map and one X
     assert sorted(what for what, _ in builds) == ["splitting", "translation_map"]
     assert set(builds.values()) == {1}
@@ -78,7 +78,7 @@ def test_cohom_sweedler_side_c_op_counts(monkeypatch, capsys):
     argv = ["cohom", FIXTURES / "sweedler.json", "--side", "C", "--max-degree", "4"]
     code, counts, builds = _counted_run(monkeypatch, argv)
     assert code == 0 and "-- betti numbers --\n  0: 4\n  1: 0\n  2: 0\n  3: 0\n" in capsys.readouterr().out
-    assert counts == {"Mat": 172, "kron": 50}
+    assert counts == {"Mat": 135, "kron": 44}
     # side C runs on dual(e): h^1..h^4 come from one translation map and one X of it
     assert sorted(what for what, _ in builds) == ["splitting", "translation_map"]
     assert set(builds.values()) == {1}

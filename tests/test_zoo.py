@@ -107,11 +107,49 @@ def test_translation_map_kz2():
 
 
 def test_translation_map_sweedler():
-    tau = translation_map(sweedler_h4())  # identity checks run inside
+    tau = translation_map(sweedler_h4())
     # tau(x) = S(x)(x)1 + S(g)(x)x = -gx(x)1 + g(x)x
     col = [tau.mat.entry(i, 2) for i in range(16)]
     assert col[3 * 4 + 0] == -1  # gx (x) 1
     assert col[1 * 4 + 2] == 1  # g (x) x
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec.prime(7)], ids=str)
+def test_translation_map_splits_on_every_hopf_example(field):
+    # the two identities translation_map no longer checks, which the antipode
+    # and counit axioms imply: c^(1) c^(2)_(0) (x) c^(2)_(1) = 1 (x) c and
+    # a_(0) a_(1)^(1) (x) a_(1)^(2) = 1 (x) a
+    from entwine.structures import compose, tensor
+
+    hopfs = [named_example(name, field).hopf for name in ("z2", "z3", "sweedler")] + [group_algebra_hopf(5, field)]
+    for h in hopfs:
+        a, c, tau = h.algebra, h.coalgebra, translation_map(h)
+        ida, idc = a.identity(), c.identity()
+        cover = compose(compose(tensor(a.mult, idc), tensor(ida, c.comult)), tau)
+        assert cover == tensor(a.unit_map(), idc)
+        counit = compose(tensor(a.mult, ida), compose(tensor(ida, tau), c.comult))
+        assert counit == tensor(a.unit_map(), ida)
+
+
+def test_each_coefficient_text_is_parsed_once_per_section(monkeypatch, tmp_path):
+    # entry sections parse each distinct text once, the unit and counit each
+    # value, and Mat.from_triples takes the parsed Fractions as they are
+    import entwine.linalg as linalg
+    import entwine.zoo as zoo
+
+    kz5, path = bialgebra_self_entwining(group_algebra_hopf(5)), tmp_path / "kz5.json"
+    save(kz5, path)
+    doc = json.loads(path.read_text())
+    parsed, reparsed = [], []
+    real = zoo.parse_coeff
+    monkeypatch.setattr(zoo, "parse_coeff", lambda v: parsed.append(v) or real(v))
+    monkeypatch.setattr(linalg, "parse_coeff", lambda v: reparsed.append(v) or real(v))
+    e = load(path, validate=False)
+    sections = [doc["algebra"]["mult"], doc["coalgebra"]["comult"], doc["psi"], doc["hopf"]["antipode"]]
+    distinct = sum(len({entry[-1] for entry in section}) for section in sections)
+    assert len(parsed) == distinct + len(doc["algebra"]["unit"]) + len(doc["coalgebra"]["counit"]) < len(doc["psi"])
+    assert reparsed == []
+    assert e.psi == kz5.psi and e.hopf.antipode == kz5.hopf.antipode
 
 
 def test_save_load_round_trip(tmp_path):
