@@ -21,8 +21,10 @@ Each product has one formula here: cup and sqcup go through the insertions,
 the coboundary through the cached complex differential.  The alternatives
 (_direct_cup, _direct_sqcup, and the coboundary as (-1)^{m-1} pi <> f - f <> pi)
 are oracles in tests/test_compalg.py, which compares them on the fixtures.
-Products of many cochains at once (classes, equivariant bases) go through
-_pi_grid; the per-pair cup/sqcup loop is the oracle in the tests.
+Products of many cochains at once (classes, equivariant bases) are product
+grids (_grid, _pi_grid): for cochains xs and ys stacked as columns vec(x) and
+vec(y), the matrix whose column (x, y), in (x, y) order, is vec of the product
+of x and y.  The per-pair cup/sqcup loop is the oracle in the tests.
 
 The axiom verifier does not loop over basis tuples: each axiom is multilinear
 in its cochain slots, so it holds for all tuples exactly when a slot-free
@@ -491,11 +493,16 @@ def check_prelie_identities(ctx, f: Cochain, g: Cochain, h: Cochain) -> CheckRep
 
 
 def _grid(ctx, xs: Mat, i: int, m: int, ys: Mat, n: int) -> Mat:
-    """x o_i y on base for every pair of the stacked cochains xs (columns
-    vec(x), degree m) and ys (degree n), in rows (x, s) and columns y: one
-    insertion operator, whose left factor stacks the matrices of the xs."""
-    da = ctx.base.algebra.dim
-    return ctx.insertion_operator(xs.transpose().reshape(xs.cols * da, xs.rows // da), i, m, n) @ ys
+    """The product grid of x o_i y on base (xs of degree m, ys of degree n):
+    one insertion operator, whose left factor stacks the matrices of the xs,
+    gives rows (x, s) and columns y; one row selection and reshape move x
+    into the columns, unless a single x makes rows (x, s) rows s."""
+    a, da = xs.cols, ctx.base.algebra.dim
+    grid = ctx.insertion_operator(xs.transpose().reshape(a * da, xs.rows // da), i, m, n) @ ys
+    if a == 1:
+        return grid
+    length = ctx.space_dim(m + n - 1)
+    return grid.select_rows(vec_transpose_index(length, a)).reshape(length, a * ys.cols)
 
 
 def _pi_grid(ctx, slot: int, xs: Mat, m: int, ys: Mat, n: int) -> Mat:
@@ -505,30 +512,19 @@ def _pi_grid(ctx, slot: int, xs: Mat, m: int, ys: Mat, n: int) -> Mat:
     return _grid(ctx, outer, m if slot == 0 else 0, m + 1, ys, n)
 
 
-def _swap_operands(grid: Mat, a: int, b: int) -> Mat:
-    """A grid over a cochains x and b cochains y, in rows (x, s) and columns
-    y, rearranged to rows (y, s) and columns x: a block transpose."""
-    length = grid.rows // a
-    by_pair = grid.transpose().reshape(b * a, length).select_rows(vec_transpose_index(a, b))
-    return by_pair.reshape(a, b * length).transpose()
-
-
 def class_products(ctx, m: int, n: int) -> tuple[Mat, Mat]:
     """Columns vec(xi cup eta) and vec(eta sqcup xi) on base, for every class
-    pair (xi, eta) of H^m x H^n, in (xi, eta) order, from the _pi_grid of the
+    pair (xi, eta) of H^m x H^n, in (xi, eta) order: the two _pi_grids of the
     stacked classes.  With no class pair the results have no columns, and no
     operator is built.
     """
     xis = ctx.cohomology_at(m).class_reps
     etas = ctx.cohomology_at(n).class_reps if xis else []
-    length = ctx.space_dim(m + n)
     if not etas:
-        empty = Mat.zeros(ctx.e.field, length, 0)
+        empty = Mat.zeros(ctx.e.field, ctx.space_dim(m + n), 0)
         return empty, empty
     xs, ys = from_columns(ctx.e.field, ctx.space_dim(m), xis), from_columns(ctx.e.field, ctx.space_dim(n), etas)
-    order = vec_transpose_index(length, len(xis))  # rows (xi, s) to (s, xi): a column per (xi, eta)
-    grids = (_pi_grid(ctx, slot, xs, m, ys, n).select_rows(order) for slot in (0, 1))
-    return tuple(grid.reshape(length, len(xis) * len(etas)) for grid in grids)
+    return _pi_grid(ctx, 0, xs, m, ys, n), _pi_grid(ctx, 1, xs, m, ys, n)
 
 
 def graded_commutativity(ctx, m: int, n: int) -> CheckReport:
@@ -607,14 +603,11 @@ def _span_equal(field, length, vs, ws) -> bool:
 
 def _commutators(ctx, xis: Mat, m: int, etas: Mat, n: int) -> Mat:
     """Columns vec(xi cup eta - (-1)^{mn} eta cup xi) on base for every pair of
-    the stacked cochains xis (degree m) and etas (degree n), in (eta, xi)
+    the stacked cochains xis (degree m) and etas (degree n), in (xi, eta)
     order."""
-    a, b, length = xis.cols, etas.cols, ctx.space_dim(m + n)
     xi_cup = _pi_grid(ctx, 0, xis, m, etas, n)
-    cup_xi = _swap_operands(_pi_grid(ctx, 0, etas, n, xis, m), b, a)
-    grid = xi_cup + cup_xi if (m * n) % 2 else xi_cup - cup_xi
-    # rows (xi, s) and columns eta become rows s and columns (eta, xi)
-    return grid.reshape(a, length * b).transpose().reshape(length, b * a)
+    cup_xi = _pi_grid(ctx, 0, etas, n, xis, m).select_columns(vec_transpose_index(xis.cols, etas.cols))
+    return xi_cup + cup_xi if (m * n) % 2 else xi_cup - cup_xi
 
 
 def equivariant_checks(ctx, degree_cap: int = 2) -> CheckReport:
@@ -637,19 +630,25 @@ def equivariant_checks(ctx, degree_cap: int = 2) -> CheckReport:
     if degree_cap >= 2:
         report.add("pi is equivariant", (ops[2] @ vec(ctx.pi.map_)).is_zero())
 
-    # the detail names the last violation in (m, n, f, g, i) order
+    # the detail names the last violation in (m, n, f, g, i) order; grid
+    # column p holds the pair (f, g) = divmod(p, |B_n|)
     closure_ok, closure_detail = True, "all basis pairs"
     for m in range(1, degree_cap + 1):
         for n in range(min(degree_cap, degree_cap + 2 - m) + 1):
-            check, per_f = kron(Mat.identity(field, len(bases[m])), ops[m + n - 1]), ops[m + n - 1].rows
-            outs = [check @ _grid(ctx, stacked[m], i, m, stacked[n], n) for i in range(m)]
-            violations = [(row // per_f, g, i) for i, out in enumerate(outs) for row, g, _ in out.triples()]
+            violations = [
+                (*divmod(p, len(bases[n])), i)
+                for i in range(m)
+                for p in (ops[m + n - 1] @ _grid(ctx, stacked[m], i, m, stacked[n], n)).nonzero_columns()
+            ]
             if violations:
                 closure_ok, closure_detail = False, f"violated at m={m} n={n} i={max(violations)[2]}"
     report.add("closure under insertions", closure_ok, closure_detail)
 
+    # the cup grid runs over (f, g), the sqcup grid over (g, f)
     agree = all(
-        _swap_operands(_pi_grid(ctx, 0, stacked[m], m, stacked[n], n), len(bases[m]), len(bases[n]))
+        _pi_grid(ctx, 0, stacked[m], m, stacked[n], n).select_columns(
+            vec_transpose_index(len(bases[n]), len(bases[m]))
+        )
         == _pi_grid(ctx, 1, stacked[n], n, stacked[m], m)
         for m in bases
         for n in range(min(degree_cap, degree_cap + 1 - m) + 1)

@@ -34,7 +34,6 @@ from .errors import (
     InconsistentQuotientError,
     InternalConsistencyError,
     MissingTranslationMapError,
-    PreconditionError,
     ShapeMismatchError,
 )
 from .homspace import (
@@ -103,7 +102,7 @@ class CochainComplex:
     def _contracts(self, n) -> bool:
         try:
             h_n, h_up = self._homotopy(n), self._homotopy(n + 1)
-        except (MissingTranslationMapError, PreconditionError):
+        except MissingTranslationMapError:
             return False
         d = self.differentials
         return h_up @ d[n] + d[n - 1] @ h_n == Mat.identity(self.field, self.space_dims[n])

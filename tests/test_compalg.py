@@ -19,7 +19,6 @@ from entwine.compalg import (
     _pi_grid,
     _random_cochain,
     _span_equal,
-    _swap_operands,
     check_prelie_identities,
     class_products,
     coboundary,
@@ -516,36 +515,34 @@ def test_equivariant_command_extracts_each_kernel_once(monkeypatch, tmp_path):
 @pytest.mark.parametrize("side", (ALGEBRA, COALGEBRA))
 @pytest.mark.parametrize("name", ("z2", "z3", "sweedler", "graded-z2"))
 def test_product_grids_match_per_pair_products(side, name):
-    # block x of column y holds vec(x cup y) in the cup grid and
-    # vec(y sqcup x) in the sqcup grid; _swap_operands moves block x of
-    # column y to block y of column x; column (y, x) of the commutators is
-    # vec(x cup y -+ y cup x)
+    # column (x, y) holds vec(x cup y) in the cup grid, vec(y sqcup x) in the
+    # sqcup grid and vec(x cup y -+ y cup x) in the commutators; a single x
+    # takes the grid's no-reorder path, and an empty stack on either side
+    # gives a grid with no columns
     ctx = CompContext(named_example(name), side)
     rng = np.random.default_rng(1)
 
     def stack(cochains, degree):
         return from_columns(ctx.e.field, ctx.space_dim(degree), [vec(ctx.to_base(c)) for c in cochains])
 
-    def block(grid, k, length):
-        return grid.select_rows(slice(k * length, (k + 1) * length))
-
     for m, n in [(0, 1), (1, 0), (1, 1)]:
         xs = [ctx.basis(m)[0], _random_cochain(ctx, m, rng)]
         ys = [ctx.basis(n)[-1], _random_cochain(ctx, n, rng), _random_cochain(ctx, n, rng)]
-        cups = _pi_grid(ctx, 0, stack(xs, m), m, stack(ys, n), n)
-        sqcups = _pi_grid(ctx, 1, stack(ys, n), n, stack(xs, m), m)
-        swapped = _swap_operands(cups, len(xs), len(ys))
-        commutators = _commutators(ctx, stack(xs, m), m, stack(ys, n), n)
-        length = ctx.space_dim(m + n)
-        for a, x in enumerate(xs):
-            for b, y in enumerate(ys):
-                want_cup = vec(ctx.to_base(cup(ctx, x, y)))
-                assert block(cups, a, length).col_vector(b) == want_cup
-                assert block(swapped, b, length).col_vector(a) == want_cup
-                assert block(sqcups, b, length).col_vector(a) == vec(ctx.to_base(sqcup(ctx, x, y)))
-                sign = -1 if m * n % 2 else 1
-                commutator = lin_comb(ctx, m + n, [(1, cup(ctx, x, y)), (-sign, cup(ctx, y, x))])
-                assert commutators.col_vector(b * len(xs) + a) == vec(ctx.to_base(commutator))
+        cases = [(xs, m, ys, n), (xs[1:], m, ys, n), (ys, n, xs[:1], m), (xs, m, [], n), ([], m, ys, n)]
+        for lefts, p, rights, q in cases:
+            grids = [
+                _pi_grid(ctx, 0, stack(lefts, p), p, stack(rights, q), q),
+                _pi_grid(ctx, 1, stack(lefts, p), p, stack(rights, q), q),
+                _commutators(ctx, stack(lefts, p), p, stack(rights, q), q),
+            ]
+            assert {(g.rows, g.cols) for g in grids} == {(ctx.space_dim(p + q), len(lefts) * len(rights))}
+            sign = -1 if p * q % 2 else 1
+            for a, x in enumerate(lefts):
+                for b, y in enumerate(rights):
+                    commutator = lin_comb(ctx, p + q, [(1, cup(ctx, x, y)), (-sign, cup(ctx, y, x))])
+                    products = [cup(ctx, x, y), sqcup(ctx, y, x), commutator]
+                    for grid, product in zip(grids, products):
+                        assert grid.col_vector(a * len(rights) + b) == vec(ctx.to_base(product))
 
 
 # -- oracles: the alternative formulas the library no longer evaluates ----------

@@ -531,10 +531,10 @@ def test_wrong_homotopy_falls_back_to_ranks(examples, monkeypatch, wrong):
 
 def test_unusable_translation_map_falls_back_to_ranks(monkeypatch):
     import entwine.entwining as entwining
-    from entwine.errors import PreconditionError
+    from entwine.errors import MissingTranslationMapError
 
     def refuse(h):
-        raise PreconditionError("translation map identity fails")
+        raise MissingTranslationMapError("no translation map")
 
     monkeypatch.setattr(entwining, "translation_map", refuse)
     e = bialgebra_self_entwining(group_algebra_hopf(3))

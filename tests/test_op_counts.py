@@ -1,9 +1,11 @@
-"""Deterministic work counts of `cohom` runs: Mat constructions, kron calls,
-and how often the translation map and the splitting X are built.
+"""Deterministic work counts: Mat constructions, kron calls, and how often
+the translation map and the splitting X are built by `cohom` runs, and the
+largest matrix the equivariant battery builds.
 
-The counts are exact, so a change that brings back nested identity pads or
-rebuilds X per degree shows here without a timing test.  Identity matrices
-are cached across calls, so each run starts from an empty identity cache.
+The counts are exact, so a change that brings back nested identity pads,
+rebuilds X per degree or assembles a block-diagonal operator shows here
+without a timing test.  Identity matrices are cached across calls, so each
+run starts from an empty identity cache.
 """
 
 import importlib
@@ -16,6 +18,7 @@ import pytest
 import entwine
 from entwine import entwining, linalg
 from entwine.cli import main
+from entwine.compalg import ALGEBRA, CompContext, equivariant_checks
 from entwine.zoo import bialgebra_self_entwining, group_algebra_hopf, save
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -82,3 +85,24 @@ def test_cohom_sweedler_side_c_op_counts(monkeypatch, capsys):
     # side C runs on dual(e): h^1..h^4 come from one translation map and one X of it
     assert sorted(what for what, _ in builds) == ["splitting", "translation_map"]
     assert set(builds.values()) == {1}
+
+
+def test_equivariant_checks_kz5_largest_mat(monkeypatch):
+    # the closure check applies each equivariance operator to a grid whose
+    # columns are the basis pairs (f, g), so no I_{|B_m|} (x) op is built.
+    # The most entries are in d^2 (3125 x 625); the most rows in the insertion
+    # operator that stacks the 125 equivariant 2-cochains.  The Mat count
+    # rises if a grid over a single x is reordered
+    shapes = []
+    new_mat = linalg.Mat.__init__
+
+    def init(self, *args):
+        new_mat(self, *args)
+        shapes.append((self.nnz, self.rows))
+
+    monkeypatch.setattr(linalg, "_IDENTITY_CACHE", {})
+    monkeypatch.setattr(linalg.Mat, "__init__", init)
+    ctx = CompContext(bialgebra_self_entwining(group_algebra_hopf(5)), ALGEBRA)
+    assert equivariant_checks(ctx, 2).ok
+    largest = max(nnz for nnz, _ in shapes), max(rows for _, rows in shapes)
+    assert (len(shapes), *largest) == (1240, 9200, 390625)
