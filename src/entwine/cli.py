@@ -160,6 +160,8 @@ def cmd_equivariant(args) -> dict:
 
 
 def cmd_deform(args) -> dict:
+    if args.seed < 0:
+        raise StructureParseError("--seed must be non-negative")
     e = load(args.path)
     n_max = max(3, min(_max_degree(args), 4))  # H^2 needs the degree-3 space
     report = rep.new_report("deform", e.summary(), args.seed)

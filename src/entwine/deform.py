@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
 
+from ._rng import Generator
 from .complexes import (
     CochainComplex,
     cartier_differential,
@@ -339,10 +340,7 @@ def coboundary_equivalence(e: EntwiningStructure, z: Mat, w: Mat, tc: TotalCompl
 
 
 def random_two_cochain(tc: TotalComplex, seed: int = 0) -> Mat:
-    """Seeded pseudorandom degree-2 cochain (for non-cocycle rejection demos)."""
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+    """numpy's default_rng(seed).integers(-3, 4, size=dim) as a degree-2 cochain (for rejection demos)."""
     dim = tc.dims[2]
-    triples = [(i, 0, int(rng.integers(-3, 4))) for i in range(dim)]
-    return Mat.from_triples(tc.e.field, dim, 1, triples)
+    values = Generator(seed).integers(-3, 4, size=dim)
+    return Mat.from_triples(tc.e.field, dim, 1, [(i, 0, v) for i, v in enumerate(values)])

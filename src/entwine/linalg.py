@@ -502,7 +502,8 @@ class Mat:
 
     def nonzero_columns(self) -> list[int]:
         """The columns holding a stored (non-zero) entry, in increasing order."""
-        return np.unique(self._idx).tolist()
+        cols = np.sort(self._idx)  # nnz-sized: a grid's cols can be far larger
+        return cols[:1].tolist() + cols[1:][cols[1:] != cols[:-1]].tolist()
 
     def to_fraction_rows(self) -> list[list[Fraction]]:
         out = [[Fraction(0)] * self.cols for _ in range(self.rows)]

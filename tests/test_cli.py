@@ -207,6 +207,12 @@ def test_negative_degree_is_usage_error(argv):
     assert run([command, FIXTURES / "z2.json", *flags]) == 2
 
 
+def test_negative_seed_on_deform_is_usage_error(capsys):
+    # numpy's generator raises ValueError there; the CLI refuses first, in one line
+    assert run(["deform", FIXTURES / "z2.json", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be non-negative\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

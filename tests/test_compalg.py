@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from entwine import compalg
 from entwine.compalg import (
     ALGEBRA,
     COALGEBRA,
@@ -200,6 +201,24 @@ def test_weak_comp_degree_cap():
     with pytest.raises(DegreeError):
         verify_weak_comp(ctx, 4)
     assert verify_weak_comp(ctx, 3).ok  # adds seeded degree-3 samples
+
+
+def test_sampled_triples_are_numpys_default_rng_stream(monkeypatch):
+    ctx = CompContext(named_example("sweedler"), ALGEBRA)
+
+    def sampled(make_rng):
+        drawn = []
+
+        def record(*args):
+            drawn.append(_random_cochain(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(compalg, "Generator", make_rng)
+        monkeypatch.setattr(compalg, "_random_cochain", record)
+        return verify_weak_comp(ctx, 3).items, drawn
+
+    ours = sampled(compalg.Generator)
+    assert len(ours[1]) == 12 and ours == sampled(np.random.default_rng)
 
 
 def test_condition3_fails_for_non_pi(kz2_ctx):

@@ -135,6 +135,19 @@ def test_random_non_cocycle_rejected(kz2, kz2_ch):
         deformation_from_cocycle(kz2, z, kz2_ch)
 
 
+@pytest.mark.parametrize("name", ["trivial-k", "sweedler"])
+def test_random_two_cochain_is_numpys_default_rng_stream(name):
+    # trivial-k's 3-dimensional degree-2 space often samples a cocycle, so a
+    # different stream changes its deform reports
+    tc = TotalComplex(named_example(name), 3)
+    for seed in range(25):
+        rng = np.random.default_rng(seed)
+        oracle = [(i, 0, int(rng.integers(-3, 4))) for i in range(tc.dims[2])]
+        assert random_two_cochain(tc, seed) == Mat.from_triples(tc.e.field, tc.dims[2], 1, oracle), seed
+    with pytest.raises(ValueError):
+        random_two_cochain(tc, -1)
+
+
 def test_first_order_laws_iff_cocycle(kz2, kz2_ch):
     # validity of the mod-t^2 deformation is exactly the cocycle condition
     d2 = kz2_ch.differential(2)

@@ -63,3 +63,18 @@ def test_every_imported_name_is_used_or_reexported():
         keep = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _reexports(path, tree)
         unused += [f"{name}.py:{line} {imported}" for imported, line in bound.items() if imported not in keep]
     assert unused == []
+
+
+def test_numpy_random_and_unique_stay_out_of_the_package():
+    # sampled checks draw from entwine._rng, and np.unique loads numpy.ma
+    uses = []
+    for name, (_, tree) in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                uses += [f"{name}: import {alias.name}" for alias in node.names if alias.name.startswith("numpy.")]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                uses.append(f"{name}: from {node.module}")
+            elif isinstance(node, ast.Attribute) and node.attr in ("random", "unique"):
+                if getattr(node.value, "id", None) in ("np", "numpy"):
+                    uses.append(f"{name}: np.{node.attr}")
+    assert uses == []

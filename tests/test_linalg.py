@@ -581,6 +581,7 @@ _SCALED = [[1, 11, 0, 4], [2, 0, 3, 1], [3, 11, 3, 5], [0, 22, -3, 7]]  # rank 2
 @example(Mat.from_rows(QQ, [[Fraction(v, 210) for v in row] for row in _SCALED]))
 def test_rref_matches_per_field_oracle(m):
     assert m.rref() == _oracle_rref(m)
+    assert m.nonzero_columns() == np.unique(m._idx).tolist()
 
 
 def _differentials(e, side, n_max):
@@ -733,13 +734,21 @@ def test_only_scipy_import_is_the_compiled_kernels():
     assert loaded == str([SPARSETOOLS])
 
 
-def test_cli_run_leaves_scipy_sparse_unimported():
+def test_cli_commands_load_no_module_beyond_the_import():
+    # every command runs inside what importing the CLI and building its parser
+    # (argparse's gettext loads locale) loads: no scipy.sparse, no numpy.random
+    # (sampled checks use entwine._rng), no numpy.ma (np.unique loads it)
     last = _fresh(
-        "import sys, entwine, entwine.cli\n"
-        "rc = entwine.cli.main(['verify', 'fixtures/sweedler.json'])\n"
-        "print(rc, 'scipy.sparse' in sys.modules)"
+        "import contextlib, io, sys, entwine.cli as cli\n"
+        "cli.build_parser()\n"
+        "loaded = set(sys.modules)\n"
+        "runs = [['verify'], ['cohom'], ['cohom', '--side', 'C'], ['cup', '--deg', '0', '0'],\n"
+        "        ['equivariant', '--max-degree', '2'], ['deform']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main([run[0], 'fixtures/z2.json', *run[1:]]) for run in runs]\n"
+        "print(codes, sorted(set(sys.modules) - loaded), 'scipy.sparse' in loaded)"
     )
-    assert last == "0 False"
+    assert last == "[0, 0, 0, 0, 0, 0] [] False"
 
 
 @pytest.mark.parametrize("scipy_first", [True, False], ids=["scipy-first", "entwine-first"])
