@@ -25,15 +25,16 @@ from entwine.zoo import named_example
 kz2 = named_example("z2")
 ctx = CompContext(kz2, ALGEBRA)
 
-dims = {n: len(equivariant_basis(ctx, n)) for n in (0, 1, 2)}
+dims = {n: equivariant_basis(ctx, n).cols for n in (0, 1, 2)}
 print("equivariant dimensions for kZ2:", dims)
 full = {n: ctx.space_dim(n) for n in (0, 1, 2)}
 print("ambient cochain dimensions:   ", full)
 
 # pi is always equivariant; products of equivariant cochains stay equivariant.
 print("\npi equivariant:", (equivariance_operator(ctx, 2) @ vec(ctx.pi.map_)).is_zero())
-f = equivariant_basis(ctx, 1)[0]
-g = equivariant_basis(ctx, 1)[1]
+# a basis is one matrix whose columns are vec(f) of the basis cochains f
+basis = equivariant_basis(ctx, 1)
+f, g = ctx.from_vec(1, basis.col_vector(0)), ctx.from_vec(1, basis.col_vector(1))
 out = comp_i(ctx, f, 0, g)
 print("insertion of equivariant cochains stays equivariant:",
       (equivariance_operator(ctx, 1) @ vec(out.map_)).is_zero())

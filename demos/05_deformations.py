@@ -34,11 +34,11 @@ for n in range(3, -1, -1):
 tc = TotalComplex(kz2, 3)
 print("\nglued total complex dimensions by degree:", tc.dims)
 h2 = cohomology(tc.complex, 2)
-print(f"degree 2: {len(h2.cocycle_basis)} cocycles / {len(h2.coboundary_basis)} coboundaries"
+print(f"degree 2: {h2.cocycle_basis.cols} cocycles / {h2.coboundary_basis.cols} coboundaries"
       f" -> {h2.betti} deformation class(es)")
 
 # A representative of the nontrivial class, split into its three directions.
-rep = h2.class_reps[0]
+rep = h2.class_reps.col_vector(0)
 deformation = deformation_from_cocycle(kz2, rep, tc)
 print("\nnontrivial deformation direction:")
 print("  mu'  =", [[str(v) for v in row] for row in deformation.mu1.mat.to_fraction_rows()])
@@ -47,7 +47,7 @@ print("  all first-order laws:", first_order_checks(kz2, deformation).ok)
 print("  has no bounding 1-cochain:", solve(tc.differential(1), rep) is None)
 
 # Coboundaries are equivalent to the trivial deformation via explicit maps.
-z = h2.coboundary_basis[0]
+z = h2.coboundary_basis.col_vector(0)
 w = solve(tc.differential(1), z)
 alpha1, gamma1 = coboundary_equivalence(kz2, z, w, tc)
 print("\na coboundary class trivializes via alpha' =",

@@ -9,8 +9,8 @@
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (the failing
 relation or law is named in the report), 2 I/O or parse error.  Every command
-accepts --json PATH for a machine-readable report and --seed (default 0) for
-the few sampled checks; reports are byte-identical across runs for fixed
+accepts --json PATH for a machine-readable report and --seed (non-negative,
+default 0) for the few sampled checks; reports are byte-identical across runs for fixed
 input and seed.  cohom, equivariant and deform take --max-degree (default 3);
 degrees above 4 are refused unless --unsafe-degree is given, which those three
 and cup accept.
@@ -35,7 +35,7 @@ from .deform import (
 )
 from .entwining import check_bowtie
 from .errors import EntwineError, StructureParseError
-from .linalg import from_columns, hstack, vstack
+from .linalg import hstack, vstack
 from .structures import (
     regular_bicomodule,
     regular_bimodule,
@@ -151,7 +151,7 @@ def cmd_equivariant(args) -> dict:
     n_max = _max_degree(args)
     report = rep.new_report("equivariant", e.summary(), args.seed)
     ctx = CompContext(e, ALGEBRA)
-    dims = {n: len(equivariant_basis(ctx, n)) for n in range(n_max + 1)}
+    dims = {n: equivariant_basis(ctx, n).cols for n in range(n_max + 1)}
     rep.add_table(report, "equivariant dimensions", dims)
     checks = equivariant_checks(ctx, min(n_max, 2))
     for name, ok, detail in checks.items:
@@ -160,22 +160,20 @@ def cmd_equivariant(args) -> dict:
 
 
 def cmd_deform(args) -> dict:
-    if args.seed < 0:
-        raise StructureParseError("--seed must be non-negative")
     e = load(args.path)
     n_max = max(3, min(_max_degree(args), 4))  # H^2 needs the degree-3 space
     report = rep.new_report("deform", e.summary(), args.seed)
     tc = TotalComplex(e, n_max)
     rep.add_table(report, "total complex dimensions", {n: d for n, d in enumerate(tc.dims)})
     h2 = cohomology(tc.complex, 2)
-    counts = {"cocycles": len(h2.cocycle_basis), "coboundaries": len(h2.coboundary_basis), "classes": h2.betti}
+    zs = h2.coboundary_basis
+    counts = {"cocycles": h2.cocycle_basis.cols, "coboundaries": zs.cols, "classes": h2.betti}
     rep.add_table(report, "degree-2 classification", counts)
-    failures = [f for f in first_order_laws(e).failures(from_columns(e.field, tc.dims[2], h2.cocycle_basis)) if f]
+    failures = [f for f in first_order_laws(e).failures(h2.cocycle_basis) if f]
     for failed in failures:
         rep.add_check(report, "cocycle deforms mod t^2", False, "first-order law failed: " + ", ".join(failed))
-    rep.add_check(report, "every basis cocycle deforms mod t^2", not failures, f"{len(h2.cocycle_basis)} cocycles")
+    rep.add_check(report, "every basis cocycle deforms mod t^2", not failures, f"{h2.cocycle_basis.cols} cocycles")
     # one witness per coboundary, checked with one product, then every transport at once
-    zs = from_columns(e.field, tc.dims[2], h2.coboundary_basis)
     ws = coboundary_witnesses(tc)
     eq_ok = tc.differential(1) @ ws == zs and not any(transport_laws(e).failures(vstack([ws, zs])))
     rep.add_check(report, "every basis coboundary is equivalent to trivial", eq_ok, f"{zs.cols} coboundaries")
@@ -248,6 +246,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        if args.seed < 0:
+            raise StructureParseError("--seed must be non-negative")
         report = args.func(args)
         rep.render_text(report, elapsed=time.perf_counter() - started)
         if args.json_path:

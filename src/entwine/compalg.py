@@ -48,7 +48,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .homspace import unvec, vec, vec_transpose_index
-from .linalg import Mat, from_columns, hstack, kernel_basis, kron, middle_operator, rank, solve
+from .linalg import Mat, hstack, kernel_basis, kron, middle_operator, rank, solve
 from .structures import CheckReport, LinearMap, compose, identity_map, regular_bimodule, tensor
 
 ALGEBRA = "algebra"
@@ -104,13 +104,14 @@ class CompContext:
         self.e = e
         self.side = side
         self.base = e if side == ALGEBRA else dual(e)
-        self._diff_ops: dict[int, Mat] = {}
-        self._equivariance_ops: dict[int, Mat] = {}
-        self._equivariant_bases: dict[int, list] = {}
-        self._cohomology: dict[int, object] = {}
-        self._feeds: dict = {}
+        self._cache: dict = {}
         b = self.base
         self.pi = self.from_base(2, tensor(b.coalgebra.counit, b.algebra.mult).mat)
+
+    def _cached(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     # -- the f <-> f^T boundary -------------------------------------------------
 
@@ -168,11 +169,10 @@ class CompContext:
 
     def P(self, i, s) -> Mat:
         """rho_R^{(i)} (x) id_{A^{s-i}}, acting on C (x) A^s of base."""
-        key = ("P", i, s)
-        if key not in self._feeds:
-            b = self.base
-            self._feeds[key] = kron(rho_R_coaction(b, i).mat, Mat.identity(b.field, b.algebra.dim ** (s - i)))
-        return self._feeds[key]
+        b = self.base
+        return self._cached(
+            ("P", i, s), lambda: kron(rho_R_coaction(b, i).mat, Mat.identity(b.field, b.algebra.dim ** (s - i)))
+        )
 
     def K(self, i, g: Cochain, outer_degree) -> Mat:
         """Insertion of g into slot i of a degree-outer_degree cochain of base."""
@@ -191,18 +191,13 @@ class CompContext:
 
     def differential_operator(self, m) -> Mat:
         """The complexes-module differential of base, cached per degree."""
-        if m not in self._diff_ops:
-            self._diff_ops[m] = module_differential(self.base, regular_bimodule(self.base.algebra), m)
-        return self._diff_ops[m]
+        return self._cached(("d", m), lambda: module_differential(self.base, regular_bimodule(self.base.algebra), m))
 
     def self_complex(self, n_max):
         return build_CpsiAM(self.base, regular_bimodule(self.base.algebra), n_max)
 
     def cohomology_at(self, n):
-        if n not in self._cohomology:
-            cx = self.self_complex(n + 1)
-            self._cohomology[n] = cohomology(cx, n)
-        return self._cohomology[n]
+        return self._cached(("H", n), lambda: cohomology(self.self_complex(n + 1), n))
 
 
 # -- elementary operations ------------------------------------------------------
@@ -517,12 +512,10 @@ def class_products(ctx, m: int, n: int) -> tuple[Mat, Mat]:
     stacked classes.  With no class pair the results have no columns, and no
     operator is built.
     """
-    xis = ctx.cohomology_at(m).class_reps
-    etas = ctx.cohomology_at(n).class_reps if xis else []
-    if not etas:
+    xs = ctx.cohomology_at(m).class_reps
+    if not xs.cols or not (ys := ctx.cohomology_at(n).class_reps).cols:
         empty = Mat.zeros(ctx.e.field, ctx.space_dim(m + n), 0)
         return empty, empty
-    xs, ys = from_columns(ctx.e.field, ctx.space_dim(m), xis), from_columns(ctx.e.field, ctx.space_dim(n), etas)
     return _pi_grid(ctx, 0, xs, m, ys, n), _pi_grid(ctx, 1, xs, m, ys, n)
 
 
@@ -555,7 +548,8 @@ def equivariance_operator(ctx, n: int) -> Mat:
     """
     if ctx.side != ALGEBRA:
         raise ShapeMismatchError("equivariant subcomplex lives on the algebra side")
-    if n not in ctx._equivariance_ops:
+
+    def build():
         e = ctx.e
         da, dc = e.algebra.dim, e.coalgebra.dim
         dom = dc * da**n
@@ -563,16 +557,15 @@ def equivariance_operator(ctx, n: int) -> Mat:
             Mat.identity(e.field, da * dc), 1, da, dom, dc, rho_R_coaction(e, n).mat
         )
         term2 = middle_operator(e.psi.mat, dc, da, dom, 1, rho_L_coaction(e, n).mat)
-        ctx._equivariance_ops[n] = term1 - term2
-    return ctx._equivariance_ops[n]
+        return term1 - term2
+
+    return ctx._cached(("equivariance", n), build)
 
 
-def equivariant_basis(ctx, n: int) -> list[Cochain]:
-    """Kernel basis of the degree-n equivariance operator, cached on ctx."""
-    if n not in ctx._equivariant_bases:
-        kernel = kernel_basis(equivariance_operator(ctx, n))
-        ctx._equivariant_bases[n] = [ctx.from_vec(n, v) for v in kernel]
-    return ctx._equivariant_bases[n]
+def equivariant_basis(ctx, n: int) -> Mat:
+    """Kernel basis of the degree-n equivariance operator, cached on ctx: its
+    columns are vec(f) on base."""
+    return ctx._cached(("equivariant basis", n), lambda: kernel_basis(equivariance_operator(ctx, n)))
 
 
 def hopf_criterion_operator(ctx, n: int) -> Mat:
@@ -594,10 +587,9 @@ def hopf_criterion_operator(ctx, n: int) -> Mat:
     return op1 - op2
 
 
-def _span_equal(field, length, vs, ws) -> bool:
-    """Whether the columns vs and ws span the same subspace of k^length."""
-    vmat, wmat = from_columns(field, length, vs), from_columns(field, length, ws)
-    return rank(vmat) == rank(wmat) == rank(hstack([vmat, wmat]))
+def _span_equal(vs: Mat, ws: Mat) -> bool:
+    """Whether the columns of vs and of ws span the same subspace."""
+    return rank(vs) == rank(ws) == rank(hstack([vs, ws]))
 
 
 def _commutators(ctx, xis: Mat, m: int, etas: Mat, n: int) -> Mat:
@@ -614,17 +606,12 @@ def equivariant_checks(ctx, degree_cap: int = 2) -> CheckReport:
     Hopf translation-map criterion for the equivariant subcomplex.
 
     Every check is linear in each cochain slot, so it runs on all basis pairs
-    of two degrees at once, as a _grid of the stacked bases F_m (the columns
-    vec(f), f in bases[m]).
+    of two degrees at once, as a _grid of the bases F_m = equivariant_basis(ctx, m)
+    (the columns vec(f) of the equivariant m-cochains f).
     """
     report = CheckReport("equivariant subcomplex")
-    field = ctx.e.field
-    bases = {n: equivariant_basis(ctx, n) for n in range(degree_cap + 1)}
+    stacked = {n: equivariant_basis(ctx, n) for n in range(degree_cap + 1)}
     ops = {n: equivariance_operator(ctx, n) for n in range(degree_cap + 2)}
-    stacked = {
-        n: from_columns(field, ctx.space_dim(n), [vec(f.map_) for f in bases[n]])
-        for n in bases
-    }
 
     if degree_cap >= 2:
         report.add("pi is equivariant", (ops[2] @ vec(ctx.pi.map_)).is_zero())
@@ -635,7 +622,7 @@ def equivariant_checks(ctx, degree_cap: int = 2) -> CheckReport:
     for m in range(1, degree_cap + 1):
         for n in range(min(degree_cap, degree_cap + 2 - m) + 1):
             violations = [
-                (*divmod(p, len(bases[n])), i)
+                (*divmod(p, stacked[n].cols), i)
                 for i in range(m)
                 for p in (ops[m + n - 1] @ _grid(ctx, stacked[m], i, m, stacked[n], n)).nonzero_columns()
             ]
@@ -646,27 +633,24 @@ def equivariant_checks(ctx, degree_cap: int = 2) -> CheckReport:
     # the cup grid runs over (f, g), the sqcup grid over (g, f)
     agree = all(
         _pi_grid(ctx, 0, stacked[m], m, stacked[n], n).select_columns(
-            vec_transpose_index(len(bases[n]), len(bases[m]))
+            vec_transpose_index(stacked[n].cols, stacked[m].cols)
         )
         == _pi_grid(ctx, 1, stacked[n], n, stacked[m], m)
-        for m in bases
+        for m in stacked
         for n in range(min(degree_cap, degree_cap + 1 - m) + 1)
-        if bases[m] and bases[n]
+        if stacked[m].cols and stacked[n].cols
     )
     report.add("cup = sqcup on equivariant cochains", agree)
 
-    images = {m: ctx.differential_operator(m) @ stacked[m] for m in bases}
-    report.add("differential preserves the subcomplex", all((ops[m + 1] @ images[m]).is_zero() for m in bases))
+    images = {m: ctx.differential_operator(m) @ stacked[m] for m in stacked}
+    report.add("differential preserves the subcomplex", all((ops[m + 1] @ images[m]).is_zero() for m in stacked))
     commutes = _equivariant_graded_commutativity(ctx, stacked, images, degree_cap)
     report.add("graded commutativity of equivariant classes", commutes)
 
     if ctx.e.hopf is not None:
         for n in range(min(degree_cap, 2) + 1):
             crit = kernel_basis(hopf_criterion_operator(ctx, n))
-            report.add(
-                f"translation-map criterion at degree {n}",
-                _span_equal(field, ctx.space_dim(n), [vec(f.map_) for f in bases[n]], crit),
-            )
+            report.add(f"translation-map criterion at degree {n}", _span_equal(stacked[n], crit))
     return report
 
 
@@ -677,14 +661,13 @@ def _equivariant_graded_commutativity(ctx, stacked, images, degree_cap) -> bool:
     per degree); the cocycles are F_m ker X.  A degree pair holds when all its
     _commutators lie in the span of d F_{m+n-1}, or vanish for m + n = 0 (one
     solve)."""
-    field = ctx.e.field
-    boundaries = {-1: Mat.zeros(field, ctx.space_dim(0), 0), **images}
+    boundaries = {-1: Mat.zeros(ctx.e.field, ctx.space_dim(0), 0), **images}
     cocycles = {}
     for m in range(degree_cap):
         sub_d = solve(stacked[m + 1], images[m])
         if sub_d is None:  # the differential leaves the subcomplex
             return False
-        cocycles[m] = stacked[m] @ from_columns(field, sub_d.cols, kernel_basis(sub_d))
+        cocycles[m] = stacked[m] @ kernel_basis(sub_d)
     return all(
         solve(boundaries[m + n - 1], _commutators(ctx, cocycles[m], m, cocycles[n], n)) is not None
         for m in range(degree_cap)

@@ -133,6 +133,9 @@ class CohomologyResult:
     lies in ker d^n; each rank is one elimination, cached on its Mat, except
     that a homotopy certifying degree 1 gives rank d^0 as a trace
     (CochainComplex.differential_rank).  Every path gives the same number.
+    cocycle_basis, coboundary_basis and class_reps are Mats whose columns are
+    the basis vectors (coboundary_basis has none in degree 0, class_reps none
+    when betti is 0).
     class_reps and reduce come from quotient_with_projection, whose span-containment check runs when read;
     reduce maps cocycle columns to class coordinates (betti x columns).  When
     betti is 0 there are no classes: reduce only checks d^n V = 0, with no
@@ -149,12 +152,13 @@ class CohomologyResult:
             self.betti = cx.space_dims[degree] - cx.differential_rank(degree) - below
 
     @cached_property
-    def cocycle_basis(self) -> list[Mat]:
+    def cocycle_basis(self) -> Mat:
         return kernel_basis(self._cx.differential(self.degree))
 
     @cached_property
-    def coboundary_basis(self) -> list[Mat]:
-        return [] if self.degree == 0 else image_basis(self._cx.differential(self.degree - 1))
+    def coboundary_basis(self) -> Mat:
+        cx, n = self._cx, self.degree
+        return image_basis(cx.differential(n - 1)) if n else Mat.zeros(cx.field, cx.space_dims[0], 0)
 
     @cached_property
     def _quotient(self):
@@ -166,11 +170,11 @@ class CohomologyResult:
                     raise InconsistentQuotientError("vector outside span(big)")
                 return Mat.zeros(cx.field, 0, vs.cols)
 
-            return [], reduce_zero
+            return Mat.zeros(cx.field, cx.space_dims[n], 0), reduce_zero
         return quotient_with_projection(self.coboundary_basis, self.cocycle_basis)
 
     @property
-    def class_reps(self) -> list[Mat]:
+    def class_reps(self) -> Mat:
         return self._quotient[0]
 
     @property
@@ -414,7 +418,7 @@ def h0_characterization(e: EntwiningStructure) -> list[LinearMap]:
     lhs = middle_operator(a.mult.mat, da, da, dc, 1, e.psi.mat)
     rhs = middle_operator(a.mult.mat, 1, da, dc, da, Mat.identity(e.field, dc * da))
     basis = kernel_basis(lhs - rhs)
-    return [unvec(v, (dc,), (da,)) for v in basis]
+    return [unvec(basis.col_vector(j), (dc,), (da,)) for j in range(basis.cols)]
 
 
 # -- resolution scaffolding: bar, and cobar as its transpose on dual(e) ---------------

@@ -320,9 +320,9 @@ def transport_laws(e: EntwiningStructure) -> LawOperator:
 
 
 def coboundary_witnesses(tc: TotalComplex) -> Mat:
-    """Columns w with D w = z, one per degree-2 coboundary basis vector z: that
-    basis is the pivot columns of D^1 (image_basis), so w is the unit vector
-    at z's pivot, read off the cached echelon form of D^1."""
+    """The matrix W with D^1 W = Z for the degree-2 coboundary basis Z: Z is
+    the pivot columns of D^1 (image_basis), so column k of W is the unit
+    vector at the k-th pivot, read off the cached echelon form of D^1."""
     d1 = tc.differential(1)
     return Mat.identity(tc.e.field, d1.cols).select_columns(list(d1.rref()[0]))
 

@@ -36,6 +36,7 @@ Rank / kernel / image / solve go through one sparse RREF driver, _rref, for
 both fields: integer rows in (stored numerators over Q, residues over F_p),
 canonical rows out (Fraction entries over Q, residues mod p over F_p).  RREF
 is canonical, which keeps every downstream computation reproducible bit for bit.
+A basis is one Mat whose columns are the basis vectors.
 
 This module is the only reader of the storage format, so it also builds
 middle_operator (re-exported by homspace) beside kron.
@@ -619,17 +620,16 @@ def rank(m: Mat) -> int:
     return len(m.rref()[0])
 
 
-def kernel_basis(m: Mat) -> list[Mat]:
-    """Null space basis in reduced echelon form, one vector per free column."""
+def kernel_basis(m: Mat) -> Mat:
+    """Null space basis in reduced echelon form: column j is the vector of the
+    j-th free column."""
     piv_cols, piv_rows = m.rref()
     piv_set = set(piv_cols)
-    free = {fc: [(fc, 0, 1)] for fc in range(m.cols) if fc not in piv_set}
+    free = {fc: j for j, fc in enumerate(fc for fc in range(m.cols) if fc not in piv_set)}
+    entries = [(fc, j, 1) for fc, j in free.items()]
     # a reduced pivot row holds its pivot and otherwise only free columns
-    for c, row in zip(piv_cols, piv_rows):
-        for k, v in row.items():
-            if k != c:
-                free[k].append((c, 0, -v))
-    return [_from_rref_entries(m.field, m.cols, 1, entries) for entries in free.values()]
+    entries += [(c, free[k], -v) for c, row in zip(piv_cols, piv_rows) for k, v in row.items() if k != c]
+    return _from_rref_entries(m.field, m.cols, len(free), entries)
 
 
 def _from_rref_entries(field, rows, cols, entries) -> Mat:
@@ -646,10 +646,9 @@ def _from_rref_entries(field, rows, cols, entries) -> Mat:
     return _csr(field, (rows, cols), indptr, indices, np.array(data, np.int64), den)
 
 
-def image_basis(m: Mat) -> list[Mat]:
+def image_basis(m: Mat) -> Mat:
     """Basis of the column space: the original columns at pivot positions."""
-    piv_cols, _ = m.rref()
-    return [m.col_vector(j) for j in piv_cols]
+    return m.select_columns(list(m.rref()[0]))
 
 
 def solve(m: Mat, b: Mat) -> Mat | None:
@@ -694,12 +693,6 @@ def from_blocks(field, rows, cols, blocks) -> Mat:
     if summed.size != stored:
         raise ShapeMismatchError("overlapping blocks")
     return _csr(field, (rows, cols), indptr, indices, summed, den)
-
-
-def from_columns(field, length, columns) -> Mat:
-    if any(col.rows != length or col.cols != 1 for col in columns):
-        raise ShapeMismatchError("column of wrong length")
-    return from_blocks(field, length, len(columns), [(0, j, col) for j, col in enumerate(columns)])
 
 
 def hstack(mats: list[Mat]) -> Mat:
@@ -843,34 +836,27 @@ def middle_operator(left: Mat, dl: int, f_rows: int, f_cols: int, dr: int, right
     return _csr(field, shape, *_sorted_coo(shape, key, data), left._den * right._den)
 
 
-def quotient_with_projection(sub: list[Mat], big: list[Mat]):
-    """Complete span(sub) to span(big); return (class_basis, reduce).
+def quotient_with_projection(sub: Mat, big: Mat):
+    """Complete the column span of sub to that of big; return (chosen, reduce).
 
-    sub and big must not both be empty.  reduce maps a matrix whose columns
-    lie in span(big) to the matrix of their coordinates on class_basis modulo
-    span(sub) (len(class_basis) x columns), with one elimination for all
-    columns.  Raises InconsistentQuotientError when span(sub) is not contained
-    in span(big) or a column fed to reduce is outside span(big).
+    chosen holds the columns of big that complete sub.  reduce maps a matrix
+    whose columns lie in span(big) to the matrix of their coordinates on
+    chosen modulo span(sub) (chosen.cols x columns), with one elimination for
+    all columns.  Raises InconsistentQuotientError when span(sub) is not
+    contained in span(big) or a column fed to reduce is outside span(big).
     """
-    probe = (big or sub)[0]
-    field = probe.field
-    length = probe.rows
-    big_mat = from_columns(field, length, big)
-    sub_mat = from_columns(field, length, sub)
-    scan = hstack([sub_mat, big_mat])
-    piv_cols, _ = scan.rref()
-    if len(piv_cols) != rank(big_mat):
+    piv_cols, _ = hstack([sub, big]).rref()
+    if len(piv_cols) != rank(big):
         raise InconsistentQuotientError("span(sub) not contained in span(big)")
     # pivot columns past the sub block are exactly the greedy completion of
     # sub to a basis of span(big), scanning big in the given order
-    chosen = [big[j - len(sub)] for j in piv_cols if j >= len(sub)]
-    class_mat = from_columns(field, length, chosen)
-    combined = hstack([sub_mat, class_mat])
+    chosen = big.select_columns([j - sub.cols for j in piv_cols if j >= sub.cols])
+    combined = hstack([sub, chosen])
 
     def reduce(vs: Mat) -> Mat:
         x = solve(combined, vs)
         if x is None:
             raise InconsistentQuotientError("vector outside span(big)")
-        return x.select_rows(slice(len(sub), None))
+        return x.select_rows(slice(sub.cols, None))
 
     return chosen, reduce

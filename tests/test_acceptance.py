@@ -254,11 +254,12 @@ def test_criterion_13_deformations(examples):
     e = examples["z2"]
     tc = TotalComplex(e, 3)
     h2 = cohomology(tc.complex, 2)
-    assert (len(h2.cocycle_basis), len(h2.coboundary_basis)) == (9, 8)
-    for z in h2.cocycle_basis:
-        deformation_from_cocycle(e, z, tc)
+    assert (h2.cocycle_basis.cols, h2.coboundary_basis.cols) == (9, 8)
+    for j in range(h2.cocycle_basis.cols):
+        deformation_from_cocycle(e, h2.cocycle_basis.col_vector(j), tc)
     d1 = tc.differential(1)
-    for z in h2.coboundary_basis:
+    for j in range(h2.coboundary_basis.cols):
+        z = h2.coboundary_basis.col_vector(j)
         w = solve(d1, z)
         assert w is not None
         coboundary_equivalence(e, z, w, tc)

@@ -207,10 +207,15 @@ def test_negative_degree_is_usage_error(argv):
     assert run([command, FIXTURES / "z2.json", *flags]) == 2
 
 
-def test_negative_seed_on_deform_is_usage_error(capsys):
-    # numpy's generator raises ValueError there; the CLI refuses first, in one line
-    assert run(["deform", FIXTURES / "z2.json", "--seed", "-1"]) == 2
+@pytest.mark.parametrize("command", ["verify", "cohom", "cup", "equivariant", "deform", "example"])
+def test_negative_seed_is_usage_error(capsys, tmp_path, command):
+    # deform's generator raises ValueError on it, and the other commands would
+    # copy it into their reports; the CLI refuses first, in one line
+    written = tmp_path / "z2.json"
+    target = ["z2", "--out", written] if command == "example" else [FIXTURES / "z2.json"]
+    assert run([command, *target, "--seed", "-1", "--json", tmp_path / "report.json"]) == 2
     assert capsys.readouterr().err == "error: --seed must be non-negative\n"
+    assert not written.exists() and not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -38,7 +38,7 @@ from entwine.compalg import (
 from entwine.entwining import EntwiningStructure, convolution_psi
 from entwine.errors import DegreeError, InconsistentQuotientError
 from entwine.homspace import vec
-from entwine.linalg import QQ, FieldSpec, Mat, from_columns
+from entwine.linalg import QQ, FieldSpec, Mat, hstack
 from entwine.structures import LinearMap, compose, identity_map, tensor
 from entwine.zoo import load, named_example, sweedler_h4, trivial_entwining
 
@@ -314,12 +314,12 @@ def test_graded_commutativity_empty_degrees(kz2_ctx):
 def test_one_dim_everything_equivariant():
     ctx = CompContext(named_example("trivial-k"), ALGEBRA)
     for n in (0, 1, 2):
-        assert len(equivariant_basis(ctx, n)) == ctx.space_dim(n)
+        assert equivariant_basis(ctx, n).cols == ctx.space_dim(n)
 
 
 def test_equivariant_dims_kz2(kz2_ctx):
     # solver-computed subspace dimensions, frozen
-    assert [len(equivariant_basis(kz2_ctx, n)) for n in (0, 1, 2)] == [2, 4, 8]
+    assert [equivariant_basis(kz2_ctx, n).cols for n in (0, 1, 2)] == [2, 4, 8]
 
 
 def test_pi_is_equivariant(kz2_ctx):
@@ -348,8 +348,11 @@ def test_equivariant_checks_kz2(kz2_ctx):
     ],
 )
 def test_span_equal(vs, ws, equal):
-    vs, ws = ([Mat.column(QQ, v) for v in vectors] for vectors in (vs, ws))
-    assert _span_equal(QQ, 3, vs, ws) is equal
+    vs, ws = (
+        Mat.from_triples(QQ, 3, len(vectors), [(i, j, x) for j, v in enumerate(vectors) for i, x in enumerate(v)])
+        for vectors in (vs, ws)
+    )
+    assert _span_equal(vs, ws) is equal
 
 
 def test_equivariant_checks_sweedler():
@@ -403,6 +406,16 @@ def test_equivariant_failure_details_are_pinned(build, cap, items):
     assert equivariant_checks(CompContext(build(), ALGEBRA), cap).items == items
 
 
+def _stack(ctx, cochains, degree):
+    """The columns vec(c) on base of the cochains, as one Mat."""
+    columns = [vec(ctx.to_base(c)) for c in cochains]
+    return hstack(columns) if columns else Mat.zeros(ctx.e.field, ctx.space_dim(degree), 0)
+
+
+def _columns(m):
+    return [m.col_vector(j) for j in range(m.cols)]
+
+
 def _per_pair_checks(ctx, bases, cap):
     """Oracle: closure, cup = sqcup and stability, one basis pair at a time."""
     ops = {n: equivariance_operator(ctx, n) for n in range(cap + 2)}
@@ -445,13 +458,13 @@ def test_stacked_checks_match_per_pair_checks(monkeypatch, kz2_ctx, extra):
     # per-pair loops do, with the same closure detail
     import entwine.compalg as compalg
 
-    subsets = {n: list(equivariant_basis(kz2_ctx, n)) for n in range(3)}
+    subsets = {n: [kz2_ctx.from_vec(n, v) for v in _columns(equivariant_basis(kz2_ctx, n))] for n in range(3)}
     if extra == "random":
         subsets[1].insert(1, _random_cochain(kz2_ctx, 1, np.random.default_rng(0)))
     elif extra is not None:
         degree, k = extra
         subsets[degree].insert(1, kz2_ctx.basis(degree)[k])
-    monkeypatch.setattr(compalg, "equivariant_basis", lambda ctx, n: subsets[n])
+    monkeypatch.setattr(compalg, "equivariant_basis", lambda ctx, n: _stack(ctx, subsets[n], n))
     for cap in (1, 2):
         want = _per_pair_checks(kz2_ctx, subsets, cap)
         names = {name for name, _, _ in want}
@@ -480,7 +493,7 @@ def test_equivariant_checks_work_grows_with_the_basis(monkeypatch):
 
     counts = _count_calls(monkeypatch, compalg, ["comp_i"])
     ctx = CompContext(named_example("sweedler"), ALGEBRA)
-    assert [len(equivariant_basis(ctx, n)) for n in (0, 1)] == [4, 16]
+    assert [equivariant_basis(ctx, n).cols for n in (0, 1)] == [4, 16]
     assert equivariant_checks(ctx, 1).ok
     assert counts == {"comp_i": 0}
 
@@ -541,18 +554,15 @@ def test_product_grids_match_per_pair_products(side, name):
     ctx = CompContext(named_example(name), side)
     rng = np.random.default_rng(1)
 
-    def stack(cochains, degree):
-        return from_columns(ctx.e.field, ctx.space_dim(degree), [vec(ctx.to_base(c)) for c in cochains])
-
     for m, n in [(0, 1), (1, 0), (1, 1)]:
         xs = [ctx.basis(m)[0], _random_cochain(ctx, m, rng)]
         ys = [ctx.basis(n)[-1], _random_cochain(ctx, n, rng), _random_cochain(ctx, n, rng)]
         cases = [(xs, m, ys, n), (xs[1:], m, ys, n), (ys, n, xs[:1], m), (xs, m, [], n), ([], m, ys, n)]
         for lefts, p, rights, q in cases:
             grids = [
-                _pi_grid(ctx, 0, stack(lefts, p), p, stack(rights, q), q),
-                _pi_grid(ctx, 1, stack(lefts, p), p, stack(rights, q), q),
-                _commutators(ctx, stack(lefts, p), p, stack(rights, q), q),
+                _pi_grid(ctx, 0, _stack(ctx, lefts, p), p, _stack(ctx, rights, q), q),
+                _pi_grid(ctx, 1, _stack(ctx, lefts, p), p, _stack(ctx, rights, q), q),
+                _commutators(ctx, _stack(ctx, lefts, p), p, _stack(ctx, rights, q), q),
             ]
             assert {(g.rows, g.cols) for g in grids} == {(ctx.space_dim(p + q), len(lefts) * len(rights))}
             sign = -1 if p * q % 2 else 1
@@ -615,9 +625,9 @@ def _per_pair_class_products(ctx, m, n):
     hm, hn, target = (ctx.cohomology_at(d) for d in (m, n, m + n))
     sign = -1 if (m * n) % 2 else 1
     cups, sqcups, items = [], [], []
-    for xv in hm.class_reps:
+    for xv in _columns(hm.class_reps):
         xi = ctx.from_vec(m, xv)
-        for ev in hn.class_reps:
+        for ev in _columns(hn.class_reps):
             eta = ctx.from_vec(n, ev)
             product, twisted = cup(ctx, xi, eta), sqcup(ctx, eta, xi)
             cups.append(vec(ctx.to_base(product)))
@@ -652,7 +662,7 @@ def test_class_products_match_per_pair_loop(name, field, side):
             cups, sqcups, items = _per_pair_class_products(ctx, m, n)
             got = class_products(ctx, m, n)
             for want, mat in zip((cups, sqcups), got):
-                assert [mat.col_vector(k) for k in range(mat.cols)] == want, (m, n)
+                assert _columns(mat) == want, (m, n)
             assert graded_commutativity(ctx, m, n).items == items, (m, n)
 
 
@@ -663,7 +673,7 @@ def test_graded_commutativity_flags_the_pairs_the_loop_flags(monkeypatch, side):
     # pairs with the same details
     ctx = CompContext(named_example("graded-z2"), side)
     real = ctx.cohomology_at
-    fake = SimpleNamespace(class_reps=[vec(ctx.to_base(f)) for f in ctx.basis(1)])
+    fake = SimpleNamespace(class_reps=_stack(ctx, ctx.basis(1), 1))
     monkeypatch.setattr(ctx, "cohomology_at", lambda d: fake if d == 1 else real(d))
     _, _, items = _per_pair_class_products(ctx, 1, 1)
     assert {(ok, detail) for _, ok, detail in items} >= {(False, "residual is not a cocycle"), (True, "deg (1,1)")}

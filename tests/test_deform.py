@@ -23,7 +23,7 @@ from entwine.deform import (
 )
 from entwine.entwining import bimodule_on_A_Cn
 from entwine.errors import CocycleConditionError, DegreeError
-from entwine.linalg import Mat, from_columns, kron, rank, solve, vstack
+from entwine.linalg import Mat, hstack, kron, rank, solve, vstack
 from entwine.zoo import named_example
 
 
@@ -93,7 +93,7 @@ def test_total_differential_matches_triples_assembly(monkeypatch, name):
 
 def test_kz2_total_cohomology(kz2_ch):
     h2 = cohomology(kz2_ch.complex, 2)
-    assert (len(h2.cocycle_basis), len(h2.coboundary_basis), h2.betti) == (9, 8, 1)
+    assert (h2.cocycle_basis.cols, h2.coboundary_basis.cols, h2.betti) == (9, 8, 1)
     assert cohomology(kz2_ch.complex, 1).betti == 0
 
 
@@ -108,14 +108,15 @@ def test_zero_cochain_is_trivial_deformation(kz2, kz2_ch):
 
 def test_every_cocycle_deforms(kz2, kz2_ch):
     h2 = cohomology(kz2_ch.complex, 2)
-    for z in h2.cocycle_basis:
-        deformation_from_cocycle(kz2, z, kz2_ch)
+    for j in range(h2.cocycle_basis.cols):
+        deformation_from_cocycle(kz2, h2.cocycle_basis.col_vector(j), kz2_ch)
 
 
 def test_every_coboundary_is_equivalent_to_trivial(kz2, kz2_ch):
     h2 = cohomology(kz2_ch.complex, 2)
     d1 = kz2_ch.differential(1)
-    for z in h2.coboundary_basis:
+    for j in range(h2.coboundary_basis.cols):
+        z = h2.coboundary_basis.col_vector(j)
         w = solve(d1, z)
         assert w is not None
         coboundary_equivalence(kz2, z, w, kz2_ch)
@@ -124,8 +125,8 @@ def test_every_coboundary_is_equivalent_to_trivial(kz2, kz2_ch):
 def test_nontrivial_class_has_no_witness(kz2, kz2_ch):
     h2 = cohomology(kz2_ch.complex, 2)
     assert h2.betti > 0
-    for rep in h2.class_reps:
-        assert solve(kz2_ch.differential(1), rep) is None
+    for j in range(h2.class_reps.cols):
+        assert solve(kz2_ch.differential(1), h2.class_reps.col_vector(j)) is None
 
 
 def test_random_non_cocycle_rejected(kz2, kz2_ch):
@@ -166,7 +167,7 @@ def test_first_order_laws_iff_cocycle(kz2, kz2_ch):
 
 def test_bad_witness_rejected(kz2, kz2_ch):
     h2 = cohomology(kz2_ch.complex, 2)
-    z = h2.coboundary_basis[0]
+    z = h2.coboundary_basis.col_vector(0)
     assert not z.is_zero()
     zero_w = Mat.zeros(kz2.field, kz2_ch.dims[1], 1)
     with pytest.raises(CocycleConditionError):
@@ -184,7 +185,7 @@ def test_deformed_structure_is_entwining_mod_t2(kz2, kz2_ch):
     # build the deformed triple over Q[t]/(t^2) ~ explicit first-order arithmetic:
     # checked here by re-deriving the first-order laws from scratch for one class
     h2 = cohomology(kz2_ch.complex, 2)
-    rep = h2.class_reps[0]
+    rep = h2.class_reps.col_vector(0)
     deformation = deformation_from_cocycle(kz2, rep, kz2_ch)
     assert isinstance(deformation, InfinitesimalDeformation)
     report = first_order_checks(kz2, deformation)
@@ -306,7 +307,8 @@ def test_first_order_operator_matches_formulas(deform_case):
     samples = (_random_column(e.field, tc.dims[2], seed) for seed in range(1, 20))
     randoms = [z for z in samples if not (tc.differential(2) @ z).is_zero()][:2]
     assert len(randoms) == 2
-    for z in list(h2.cocycle_basis) + randoms:
+    cocycles = h2.cocycle_basis
+    for z in [cocycles.col_vector(j) for j in range(cocycles.cols)] + randoms:
         oracle = _first_order_residuals(e, split_degree2(tc, z))
         _assert_blocks_match(laws, z, oracle)
         report = first_order_checks(e, split_degree2(tc, z))
@@ -314,30 +316,30 @@ def test_first_order_operator_matches_formulas(deform_case):
             (name, all(r.is_zero() for r in pieces)) for name, pieces in oracle
         ]
     # the non-cocycles break some law, and the batched reading agrees per column
-    stacked = from_columns(e.field, tc.dims[2], list(h2.cocycle_basis) + randoms)
-    failures = laws.failures(stacked)
-    assert not any(failures[: len(h2.cocycle_basis)]) and all(failures[len(h2.cocycle_basis) :])
+    failures = laws.failures(hstack([cocycles, *randoms]))
+    assert not any(failures[: cocycles.cols]) and all(failures[cocycles.cols :])
 
 
 def test_transport_operator_matches_formulas(deform_case):
     e, tc, h2 = deform_case
     laws = transport_laws(e)
     ws = coboundary_witnesses(tc)
-    pairs = [(z, ws.col_vector(k)) for k, z in enumerate(h2.coboundary_basis)]
+    zs = h2.coboundary_basis
+    pairs = [(zs.col_vector(k), ws.col_vector(k)) for k in range(zs.cols)]
     for seed in (1, 2):  # unrelated (w, z): every identity has a nonzero residual to compare
         pairs.append((_random_column(e.field, tc.dims[2], seed), _random_column(e.field, tc.dims[1], seed + 10)))
     for z, w in pairs:
         _assert_blocks_match(laws, vstack([w, z]), _transport_residuals(e, z, w, tc))
-    assert not any(laws.failures(vstack([ws, from_columns(e.field, tc.dims[2], h2.coboundary_basis)])))
+    assert not any(laws.failures(vstack([ws, zs])))
 
 
 def test_batched_witnesses_equal_solves(deform_case):
     e, tc, h2 = deform_case
     d1 = tc.differential(1)
     ws = coboundary_witnesses(tc)
-    assert ws.cols == len(h2.coboundary_basis)
-    for k, z in enumerate(h2.coboundary_basis):
-        assert ws.col_vector(k) == solve(d1, z)
+    assert ws.cols == h2.coboundary_basis.cols
+    for k in range(ws.cols):
+        assert ws.col_vector(k) == solve(d1, h2.coboundary_basis.col_vector(k))
 
 
 def test_first_order_laws_cut_out_the_cocycles(deform_case):

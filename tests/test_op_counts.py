@@ -1,11 +1,12 @@
-"""Deterministic work counts: Mat constructions, kron calls, and how often
-the translation map and the splitting X are built by `cohom` runs, and the
-largest matrix the equivariant battery builds.
+"""Deterministic work counts: Mat constructions and kron calls of `cohom`,
+`deform` and `equivariant` runs, how often the translation map and the
+splitting X are built by `cohom` runs, and the largest matrix the equivariant
+battery builds.
 
 The counts are exact, so a change that brings back nested identity pads,
-rebuilds X per degree or assembles a block-diagonal operator shows here
-without a timing test.  Identity matrices are cached across calls, so each
-run starts from an empty identity cache.
+rebuilds X per degree, assembles a block-diagonal operator or builds a basis
+one vector at a time shows here without a timing test.  Identity matrices
+are cached across calls, so each run starts from an empty identity cache.
 """
 
 import importlib
@@ -87,12 +88,29 @@ def test_cohom_sweedler_side_c_op_counts(monkeypatch, capsys):
     assert set(builds.values()) == {1}
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["deform", "--max-degree", "4"], {"Mat": 595, "kron": 254}),
+        (["equivariant", "--max-degree", "1"], {"Mat": 235, "kron": 54}),
+    ],
+    ids=["deform", "equivariant"],
+)
+def test_basis_consumers_sweedler_op_counts(monkeypatch, capsys, argv, want):
+    # every kernel, image and class basis is one Mat, built once and passed on
+    # as it is, so a basis built or restacked one vector at a time shows here
+    command, *flags = argv
+    code, counts, _ = _counted_run(monkeypatch, [command, FIXTURES / "sweedler.json", *flags])
+    assert code == 0 and counts == want
+
+
 def test_equivariant_checks_kz5_largest_mat(monkeypatch):
     # the closure check applies each equivariance operator to a grid whose
     # columns are the basis pairs (f, g), so no I_{|B_m|} (x) op is built.
     # The most entries are in d^2 (3125 x 625); the most rows in the insertion
     # operator that stacks the 125 equivariant 2-cochains.  The Mat count
-    # rises if a grid over a single x is reordered
+    # rises if a grid over a single x is reordered, or if a basis is built or
+    # stacked one vector at a time
     shapes = []
     new_mat = linalg.Mat.__init__
 
@@ -105,4 +123,4 @@ def test_equivariant_checks_kz5_largest_mat(monkeypatch):
     ctx = CompContext(bialgebra_self_entwining(group_algebra_hopf(5)), ALGEBRA)
     assert equivariant_checks(ctx, 2).ok
     largest = max(nnz for nnz, _ in shapes), max(rows for _, rows in shapes)
-    assert (len(shapes), *largest) == (1240, 9200, 390625)
+    assert (len(shapes), *largest) == (457, 9200, 390625)
