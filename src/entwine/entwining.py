@@ -19,6 +19,8 @@ downstream, so the towers are cached per structure.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import BowTieError, DegreeError, MissingTranslationMapError, ShapeMismatchError
 from .structures import (
     Bicomodule,
@@ -28,6 +30,8 @@ from .structures import (
     FiniteCoalgebra,
     HopfAlgebra,
     LinearMap,
+    _dense,
+    _Exact,
     compose,
     identity_map,
     tensor,
@@ -41,39 +45,36 @@ from .structures import (
 
 
 def check_bowtie(a: FiniteAlgebra, c: FiniteCoalgebra, psi: LinearMap) -> CheckReport:
-    """Evaluate the four bow-tie relations as exact matrix identities."""
+    """Evaluate the four bow-tie relations as exact identities of dense structure constants."""
     if psi.domain_shape != (c.dim, a.dim) or psi.codomain_shape != (a.dim, c.dim):
         raise ShapeMismatchError("psi must map C(x)A -> A(x)C")
-    ida, idc = a.identity(), c.identity()
+    da, dc, p = a.dim, c.dim, a.field.p
+    mu, unit, delta, eps, ps = _dense(p, a.mult.mat, a.unit, c.comult.mat, c.counit.mat, psi.mat)
+    # psi(e_c (x) e_i) = sum ps[(a, d), (c, i)] e_a (x) e_d; each side below is indexed
+    # [codomain factors, domain factors]
+    labels = [c.basis_labels, a.basis_labels, a.basis_labels]
     report = CheckReport("bow-tie")
-    # psi o (C (x) mu) = (mu (x) C) o (A (x) psi) o (psi (x) A)
-    report.check(
-        "left pentagon",
-        compose(psi, tensor(idc, a.mult)),
-        compose(tensor(a.mult, idc), compose(tensor(ida, psi), tensor(psi, ida))),
-        [c.basis_labels, a.basis_labels, a.basis_labels],
-    )
+    # psi o (C (x) mu) = (mu (x) C) o (A (x) psi) o (psi (x) A):
+    # sum mu[k, (y, z)] ps[(z, d), (e, j)] ps[(y, e), (c, i)], first over z, then over (y, e)
+    lhs = (ps.reshape(-1, da) @ mu).reshape(da, dc, dc, da, da)
+    q = (mu.reshape(da * da, da) @ ps.reshape(da, -1)).reshape(da, da, dc, dc, da).transpose(0, 2, 1, 3, 4)
+    rhs = ps.transpose() @ q.reshape(da * dc, da * dc, da)  # [(k, d), (c, i), j], one product per (k, d)
+    report.check_exact("left pentagon", lhs, rhs.reshape(da, dc, dc, da, da), labels)
     # psi o (C (x) 1) = 1 (x) C
-    report.check(
-        "left triangle",
-        compose(psi, tensor(idc, a.unit_map())),
-        tensor(a.unit_map(), idc),
-        [c.basis_labels],
-    )
-    # (A (x) Delta) o psi = (psi (x) C) o (C (x) psi) o (Delta (x) A)
-    report.check(
-        "right pentagon",
-        compose(tensor(ida, c.comult), psi),
-        compose(tensor(psi, idc), compose(tensor(idc, psi), tensor(c.comult, ida))),
-        [c.basis_labels, a.basis_labels],
-    )
+    lhs = (ps.reshape(-1, da) @ unit).reshape(da, dc, dc)
+    rhs = (unit @ _Exact(np.eye(dc).reshape(1, -1), 1, 1, p)).reshape(da, dc, dc)
+    report.check_exact("left triangle", lhs, rhs, labels[:1])
+    # (A (x) Delta) o psi = (psi (x) C) o (C (x) psi) o (Delta (x) A):
+    # sum ps[(a, x), (x1, b)] ps[(b, y), (x2, i)] delta[(x1, x2), c], first over x2, then over (x1, b)
+    by_a = ps.reshape(da, dc, dc * da)  # [a, d, (c, i)]: each product below runs once per a
+    lhs = (delta @ by_a).reshape(da, dc, dc, dc, da)
+    r = delta.reshape(dc, dc, dc).transpose(0, 2, 1).reshape(dc * dc, dc) @ ps.reshape(da * dc, dc, da)
+    r = r.reshape(da, dc, dc, dc, da).transpose(2, 0, 1, 3, 4)  # [x1, b, y, c, i]
+    rhs = (ps @ r.reshape(dc * da, -1)).reshape(da, dc, dc, dc, da)
+    report.check_exact("right pentagon", lhs, rhs, labels[:2])
     # (A (x) eps) o psi = eps (x) A
-    report.check(
-        "right triangle",
-        compose(tensor(ida, c.counit), psi),
-        tensor(c.counit, ida),
-        [c.basis_labels, a.basis_labels],
-    )
+    rhs = (_Exact(np.eye(da).reshape(-1, 1), 1, 1, p) @ eps).reshape(da, da, dc).transpose(0, 2, 1)
+    report.check_exact("right triangle", (eps @ by_a).reshape(da, dc, da), rhs, labels[:2])
     return report
 
 

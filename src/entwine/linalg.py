@@ -17,8 +17,8 @@ _csr normalises only what an operation can change: a result that re-indexes
 the entries of one canonical Mat (padded kron, transpose, reshape, negation
 over Q, row and column selections) inherits its residues, non-zeros and
 max-abs bound, and gets the gcd pass only if it is a selection or empty.  Any
-other result finds its bound when a guard first reads it.  A transpose and
-each identity pad are built once and cached on their source, which they do
+other result finds its bound when a guard first reads it.  A transpose, the
+dense numerators and each identity pad are built once and cached on their source, which they do
 not reference, so no cycle outlives them; racing threads may both build one
 (the last, equal, Mat stays).
 
@@ -506,6 +506,11 @@ class Mat:
         cols = np.sort(self._idx)  # nnz-sized: a grid's cols can be far larger
         return cols[:1].tolist() + cols[1:][cols[1:] != cols[:-1]].tolist()
 
+    def dense(self):
+        """(numerators, denominator, bound), built once: the stored numerators as a read-only dense
+        array, float64 while their bound is below 2**53 (so exact), else Python ints."""
+        return self._derive("dense", _densified, self)
+
     def to_fraction_rows(self) -> list[list[Fraction]]:
         out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
         for i, j, v in self.triples():
@@ -538,6 +543,13 @@ class Mat:
         if self._rref_cache is None:
             self._rref_cache = _rref(self._row_dicts(), self.cols, self.field.p)
         return self._rref_cache
+
+
+def _densified(m: Mat):
+    out = np.zeros((m.rows, m.cols), np.float64 if m._max_abs() < 2**53 else object)
+    out[_row_ids(m._ptr), m._idx] = m._data if out.dtype == np.float64 else m._data.tolist()
+    out.flags.writeable = False
+    return out, m._den, m._bound
 
 
 def _transposed(m: Mat) -> Mat:

@@ -78,3 +78,56 @@ def test_numpy_random_and_unique_stay_out_of_the_package():
                 if getattr(node.value, "id", None) in ("np", "numpy"):
                     uses.append(f"{name}: np.{node.attr}")
     assert uses == []
+
+
+# the axiom validators decide on dense structure constants (structures._Exact)
+VALIDATORS = {
+    "structures": ["validate_algebra", "validate_coalgebra", "validate_bialgebra", "validate_antipode"],
+    "entwining": ["check_bowtie"],
+}
+# map builders and Mat arithmetic; CheckReport.check compares (and subtracts) Mats
+MAP_CALLS = {"kron", "tensor", "compose", "identity_map", "flip_map", "unit_map", "identity", "check", "Mat", "LinearMap"}
+
+
+def _functions(tree):
+    """Module-level functions and class methods by (qualified) name."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            found.update({f"{node.name}.{f.name}": f for f in node.body if isinstance(f, ast.FunctionDef)})
+    return found
+
+
+def _map_use_violations(where, func):
+    """Calls of MAP_CALLS, and reads of a structure map's Mat (.mat, .unit) that are not
+    arguments of structures._dense, which hands the validators its dense numerators."""
+    parent = {child: node for node in ast.walk(func) for child in ast.iter_child_nodes(node)}
+    bad = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in MAP_CALLS:
+                bad.append(f"{where}:{node.lineno} calls {name}")
+        elif isinstance(node, ast.Attribute) and node.attr in ("mat", "unit"):
+            up = parent[node]
+            if not (isinstance(up, ast.Call) and getattr(up.func, "id", None) == "_dense" and node in up.args):
+                bad.append(f"{where}:{node.lineno} uses .{node.attr} as a Mat")
+    return bad
+
+
+def test_axiom_validators_do_no_mat_arithmetic():
+    # each axiom is decided as products of dense arrays of the structure constants: the
+    # validators, _Exact and CheckReport.check_exact call no kron, tensor or compose, build
+    # no LinearMap or Mat, and read a structure map's Mat only to hand it to _dense
+    modules = _modules()
+    bad = []
+    for name, wanted in VALIDATORS.items():
+        functions = _functions(modules[name][1])
+        bad += [v for f in wanted for v in _map_use_violations(f"{name}.{f}", functions[f])]
+    helpers = _functions(modules["structures"][1])
+    for qualified, func in helpers.items():
+        if qualified.startswith("_Exact.") or qualified in ("_dense", "CheckReport.check_exact"):
+            bad += _map_use_violations(f"structures.{qualified}", func)
+    assert bad == []

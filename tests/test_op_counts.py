@@ -1,10 +1,10 @@
-"""Deterministic work counts: Mat constructions and kron calls of `cohom`,
-`deform` and `equivariant` runs, how often the translation map and the
-splitting X are built by `cohom` runs, and the largest matrix the equivariant
-battery builds.
+"""Deterministic work counts: Mat constructions of a validated load, Mat
+constructions and kron calls of `cohom`, `deform` and `equivariant` runs, how
+often the translation map and the splitting X are built by `cohom` runs, and
+the largest matrix the equivariant battery builds.
 
 The counts are exact, so a change that brings back nested identity pads,
-rebuilds X per degree, assembles a block-diagonal operator or builds a basis
+builds a Mat to check an axiom, rebuilds X per degree, assembles a block-diagonal operator or builds a basis
 one vector at a time shows here without a timing test.  Identity matrices
 are cached across calls, so each run starts from an empty identity cache.
 """
@@ -20,7 +20,7 @@ import entwine
 from entwine import entwining, linalg
 from entwine.cli import main
 from entwine.compalg import ALGEBRA, CompContext, equivariant_checks
-from entwine.zoo import bialgebra_self_entwining, group_algebra_hopf, save
+from entwine.zoo import bialgebra_self_entwining, group_algebra_hopf, load, save
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -69,10 +69,30 @@ def kz5_file(tmp_path):
     return path
 
 
+def test_validated_load_builds_only_the_parsed_mats(monkeypatch, kz5_file):
+    # the axioms are decided on the dense structure constants: mu, eta, Delta, eps, psi
+    # and S are the only Mats a validated load builds, as for an unchecked one
+    counts = []
+    for validate in (True, False):
+        new_mat = linalg.Mat.__init__
+        built = Counter()
+
+        def init(self, *args, _built=built):
+            _built["Mat"] += 1
+            new_mat(self, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_IDENTITY_CACHE", {})
+            m.setattr(linalg.Mat, "__init__", init)
+            load(kz5_file, validate=validate)
+        counts.append(built["Mat"])
+    assert counts == [6, 6]
+
+
 def test_cohom_kz5_op_counts(monkeypatch, capsys, kz5_file):
     code, counts, builds = _counted_run(monkeypatch, ["cohom", kz5_file, "--max-degree", "3"])
     assert code == 0 and "-- betti numbers --\n  0: 5\n  1: 0\n  2: 0\n" in capsys.readouterr().out
-    assert counts == {"Mat": 94, "kron": 39}
+    assert counts == {"Mat": 51, "kron": 12}
     # h^1..h^3 come from one translation map and one X
     assert sorted(what for what, _ in builds) == ["splitting", "translation_map"]
     assert set(builds.values()) == {1}
@@ -82,7 +102,7 @@ def test_cohom_sweedler_side_c_op_counts(monkeypatch, capsys):
     argv = ["cohom", FIXTURES / "sweedler.json", "--side", "C", "--max-degree", "4"]
     code, counts, builds = _counted_run(monkeypatch, argv)
     assert code == 0 and "-- betti numbers --\n  0: 4\n  1: 0\n  2: 0\n  3: 0\n" in capsys.readouterr().out
-    assert counts == {"Mat": 135, "kron": 44}
+    assert counts == {"Mat": 90, "kron": 17}
     # side C runs on dual(e): h^1..h^4 come from one translation map and one X of it
     assert sorted(what for what, _ in builds) == ["splitting", "translation_map"]
     assert set(builds.values()) == {1}
@@ -91,8 +111,8 @@ def test_cohom_sweedler_side_c_op_counts(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv, want",
     [
-        (["deform", "--max-degree", "4"], {"Mat": 595, "kron": 254}),
-        (["equivariant", "--max-degree", "1"], {"Mat": 235, "kron": 54}),
+        (["deform", "--max-degree", "4"], {"Mat": 560, "kron": 227}),
+        (["equivariant", "--max-degree", "1"], {"Mat": 196, "kron": 27}),
     ],
     ids=["deform", "equivariant"],
 )
@@ -123,4 +143,4 @@ def test_equivariant_checks_kz5_largest_mat(monkeypatch):
     ctx = CompContext(bialgebra_self_entwining(group_algebra_hopf(5)), ALGEBRA)
     assert equivariant_checks(ctx, 2).ok
     largest = max(nnz for nnz, _ in shapes), max(rows for _, rows in shapes)
-    assert (len(shapes), *largest) == (457, 9200, 390625)
+    assert (len(shapes), *largest) == (419, 9200, 390625)
