@@ -12,7 +12,8 @@ axioms (and entwining.check_bowtie) are decided on the dense structure
 constants: each side is one to three products of reshaped numerator arrays
 (_Exact), in float64 while every partial sum stays below 2**53, else on Python
 ints, with the denominators cross-multiplied and, over F_p, compared mod p.
-The (bi)module axioms compose sparse maps, as their spaces can be large.
+The arrays reach dim(A)^3 dim(C)^2 entries, which beats sparse composition
+only on small structures; the (bi)module axioms still compose sparse maps.
 Constructors of higher layers demand validated inputs.
 """
 
