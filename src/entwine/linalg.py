@@ -34,8 +34,9 @@ and serialize boundary, where entries are Fractions.
 
 Rank / kernel / image / solve go through one sparse RREF driver, _rref, for
 both fields: integer rows in (stored numerators over Q, residues over F_p),
-canonical rows out (Fraction entries over Q, residues mod p over F_p).  RREF
-is canonical, which keeps every downstream computation reproducible bit for bit.
+inserted one at a time into a fully reduced basis, and canonical rows out
+(Fraction entries over Q, residues mod p over F_p).  RREF is canonical, which
+keeps every downstream computation reproducible bit for bit.
 A basis is one Mat whose columns are the basis vectors.
 
 This module is the only reader of the storage format, so it also builds
@@ -528,12 +529,6 @@ class Mat:
 
     # -- echelon form -------------------------------------------------------
 
-    def _row_dicts(self):
-        """One dict col -> stored non-zero integer per row; dropping the common
-        denominator over Q scales every row alike, so the RREF is unchanged."""
-        ptr, cols, vals = (x.tolist() for x in self._arrays())
-        return [dict(zip(cols[ptr[i] : ptr[i + 1]], vals[ptr[i] : ptr[i + 1]])) for i in range(self.rows)]
-
     def rref(self):
         """Canonical reduced row echelon data: (pivot_cols, pivot_rows).
 
@@ -541,7 +536,7 @@ class Mat:
         pivot_cols[k]; pivots are 1 and pivot columns are cleared elsewhere.
         """
         if self._rref_cache is None:
-            self._rref_cache = _rref(self._row_dicts(), self.cols, self.field.p)
+            self._rref_cache = _rref(self)
         return self._rref_cache
 
 
@@ -559,67 +554,80 @@ def _transposed(m: Mat) -> Mat:
     return _csr(m.field, (m.cols, m.rows), indptr, indices, data, m._den, m)
 
 
-def _rref(rows, ncols, p=None):
-    """Reduced row echelon form of integer row dicts over Q (p None) or F_p.
+def _rref(m: Mat):
+    """Reduced row echelon form of m's stored numerators (over Q the common
+    denominator scales every row alike, so the RREF is unchanged).
 
-    Entries are non-zero ints, residues in [1, p) over F_p; the rows are
-    consumed.  index[c] holds the ids of all rows with an entry in column c,
-    pivot rows included, kept exact as entries fill in or cancel: its
-    unpivoted rows are the pivot candidates, the others the rows to clear.
-    The pivot is a row holding a unit (+-1) there if any, then the shortest,
-    then the first: that choice only sets the work, because the RREF is
-    unique.  Over Q the update r <- (pv/g) r - (v/g) prow is fraction-free and
-    r is then divided by the gcd of its entries; pivot rows are divided by
-    their pivots only on exit (Fraction entries, pivots Fraction(1)).
+    The non-zero rows are built as dicts one at a time, shortest first (then
+    highest leading column first: a new pivot then tends to lie left of every
+    basis row, and clears little), and each is reduced once against a basis
+    kept fully reduced, so nothing cascades.  A row that reduces to zero is
+    dropped; otherwise its leading column becomes a pivot, cleared from the
+    basis rows that holders (column -> pivots of the rows with an entry there)
+    lists.  The RREF is unique, so the order only sets the work.  Over Q the
+    update is fraction-free, each new or changed row is divided by the gcd of
+    its entries, and rows are divided by their pivots only on exit (Fraction
+    entries, pivots Fraction(1)); over F_p basis rows have pivot 1.
     """
-    units = (1, -1) if p is None else (1, p - 1)
-    index = [set() for _ in range(ncols)]
-    for i, r in enumerate(rows):
-        for k in r:
-            index[k].add(i)
-    pivoted = [False] * len(rows)
-    piv = []
-    for c in range(ncols):
-        hits = index[c]
-        cands = [i for i in hits if not pivoted[i]]
-        if not cands:
+    p = m.field.p
+    ptr, idx, data = m._arrays()
+    lengths = np.diff(ptr)
+    rows = np.flatnonzero(lengths)
+    order = rows[np.lexsort((-idx[ptr[rows]], lengths[rows]))].tolist()
+    ptr = ptr.tolist()
+    basis: dict[int, dict] = {}  # pivot column -> its row
+    holders: dict[int, set] = {}
+
+    def sub(r, b, c):  # r <- (pv/g) r - (v/g) b for v = r[c], pv = b[c], g = gcd(pv, v); zeros stay
+        v, pv = r[c], b[c]
+        if pv != 1:  # over Q only
+            g = math.gcd(pv, v)
+            v //= g
+            if pv != g:
+                for k in r:
+                    r[k] *= pv // g
+        if p is None:
+            for k, w in b.items():
+                r[k] = r.get(k, 0) - v * w
+        else:
+            for k, w in b.items():
+                r[k] = (r.get(k, 0) - v * w) % p
+
+    def primitive(r):
+        g = math.gcd(*r.values())
+        if g != 1:
+            for k in r:
+                r[k] //= g
+
+    for i in order:
+        r = dict(zip(idx[ptr[i] : ptr[i + 1]].tolist(), data[ptr[i] : ptr[i + 1]].tolist()))
+        for c in [k for k in r if k in basis]:
+            sub(r, basis[c], c)
+        r = {k: w for k, w in r.items() if w}
+        if not r:
             continue
-        i = min(cands, key=lambda i: (rows[i][c] not in units, len(rows[i]), i))
-        pivoted[i] = True
-        prow, pv = rows[i], rows[i][c]
-        if p is not None and pv != 1:
-            inv = pow(pv, p - 2, p)
-            prow = rows[i] = {k: w * inv % p for k, w in prow.items()}
-            pv = 1
-        for j in list(hits):
-            if j == i:
-                continue
-            r = rows[j]
-            v = r[c]
-            if pv != 1:  # over Q only (F_p pivots are 1 by now): r <- (pv/g) r first
-                g = math.gcd(pv, v)
-                v //= g
-                if pv != g:
-                    a = pv // g
-                    for k in r:
-                        r[k] *= a
-            for k, w in prow.items():
-                nv = r.get(k, 0) - v * w
-                if p is not None:
-                    nv %= p
-                if nv:
-                    if k not in r:
-                        index[k].add(j)
-                    r[k] = nv
+        c = min(r)
+        if p is None:
+            primitive(r)
+        elif r[c] != 1:
+            inv = pow(r[c], p - 2, p)
+            r = {k: w * inv % p for k, w in r.items()}
+        targets = list(holders.get(c, ()))
+        for k in r:
+            holders.setdefault(k, set()).add(c)
+        for d in targets:
+            b = basis[d]
+            sub(b, r, c)
+            for k in r:
+                if b[k]:
+                    holders[k].add(d)
                 else:
-                    del r[k]
-                    index[k].discard(j)
-            if p is None and r:
-                g = math.gcd(*r.values())
-                if g != 1:
-                    for k in r:
-                        r[k] //= g
-        piv.append((c, prow))
+                    del b[k]
+                    holders[k].discard(d)
+            if p is None:
+                primitive(b)
+        basis[c] = r
+    piv = sorted(basis.items())
     if p is None:
         return tuple(c for c, _ in piv), [{k: Fraction(w, r[c]) for k, w in r.items()} for c, r in piv]
     return tuple(c for c, _ in piv), [r for _, r in piv]

@@ -38,9 +38,9 @@ def all_passed(report: dict) -> bool:
 
 
 def write_json(report: dict, path):
+    text = json.dumps(report, indent=1, sort_keys=False) + "\n"
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=False)
-        fh.write("\n")
+        fh.write(text)  # one write: json.dump with indent writes chunk by chunk
 
 
 def render_text(report: dict, elapsed: float):

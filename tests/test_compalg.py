@@ -19,7 +19,6 @@ from entwine.compalg import (
     _direct_sqcup,
     _pi_grid,
     _random_cochain,
-    _span_equal,
     check_prelie_identities,
     class_products,
     coboundary,
@@ -31,6 +30,7 @@ from entwine.compalg import (
     equivariant_basis,
     equivariant_checks,
     graded_commutativity,
+    hopf_criterion_operator,
     lin_comb,
     sqcup,
     verify_weak_comp,
@@ -38,7 +38,7 @@ from entwine.compalg import (
 from entwine.entwining import EntwiningStructure, convolution_psi
 from entwine.errors import DegreeError, InconsistentQuotientError
 from entwine.homspace import vec
-from entwine.linalg import QQ, FieldSpec, Mat, hstack
+from entwine.linalg import QQ, FieldSpec, Mat, hstack, kernel_basis, rank
 from entwine.structures import LinearMap, compose, identity_map, tensor
 from entwine.zoo import load, named_example, sweedler_h4, trivial_entwining
 
@@ -333,6 +333,12 @@ def test_equivariant_checks_kz2(kz2_ctx):
     assert any("translation-map criterion" in n for n in names)
 
 
+def _span_equal(vs: Mat, ws: Mat) -> bool:
+    """Whether the columns of vs and of ws span the same subspace: the oracle
+    for comparing canonical kernel bases with ==."""
+    return rank(vs) == rank(ws) == rank(hstack([vs, ws]))
+
+
 @pytest.mark.parametrize(
     "vs, ws, equal",
     [
@@ -353,6 +359,20 @@ def test_span_equal(vs, ws, equal):
         for vectors in (vs, ws)
     )
     assert _span_equal(vs, ws) is equal
+
+
+@pytest.mark.parametrize("name", ["z2", "z3", "sweedler"])
+def test_criterion_equality_matches_span_oracle(name):
+    # equivariant_checks compares the equivariant basis with the criterion's
+    # kernel basis by ==: canonical kernel bases are equal exactly when their
+    # spans are.  The kernel of d^n is a different span, so == must fail there
+    ctx = CompContext(named_example(name), ALGEBRA)
+    for n in range(3):
+        vs = equivariant_basis(ctx, n)
+        criterion = kernel_basis(hopf_criterion_operator(ctx, n))
+        cocycles = kernel_basis(ctx.differential_operator(n))
+        assert (vs == criterion) is _span_equal(vs, criterion) is True
+        assert (vs == cocycles) is _span_equal(vs, cocycles) is False
 
 
 def test_equivariant_checks_sweedler():
