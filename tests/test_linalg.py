@@ -666,7 +666,7 @@ def test_kernel_basis_depends_only_on_the_kernel(drawn):
 def test_rref_peak_memory_on_a_wall_differential():
     # d^3 of the trivial entwining of kZ5 over Q (15625 x 3125) keeps only the
     # reduced basis and the row being reduced alive: a tracemalloc peak of
-    # 6.3 MB, against 31.1 MB when every row dict was built before eliminating
+    # 6.3-6.4 MB, against 31.1 MB when every row dict was built before eliminating
     h = group_algebra_hopf(5)
     e = trivial_entwining(h.algebra, h.coalgebra)
     d = build_CpsiAM(e, regular_bimodule(e.algebra), 4).differential(3)
