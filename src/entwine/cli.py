@@ -115,8 +115,8 @@ def cmd_cup(args) -> dict:
     e = load(args.path)
     report = rep.new_report("cup", e.summary(), args.seed)
     ctx = CompContext(e, ALGEBRA)
+    target = ctx.cohomology_at(m + n)  # first, so its complex serves H^m and H^n too
     hm, hn = ctx.cohomology_at(m), ctx.cohomology_at(n)
-    target = ctx.cohomology_at(m + n)
     rep.add_table(
         report,
         "class counts",

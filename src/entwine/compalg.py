@@ -195,11 +195,15 @@ class CompContext:
         return self._cached(("d", m), lambda: module_differential(self.base, regular_bimodule(self.base.algebra), m))
 
     def self_complex(self, n_max):
-        """build_CpsiAM(base, regular bimodule, n_max), with each d^n and h^n built once per context."""
-        b = self.base
-        h = self._cached("h", lambda: cache(partial(hopf_contracting_homotopy, b, regular_bimodule(b.algebra))))
-        diffs = [self.differential_operator(n) for n in range(n_max)]
-        return CochainComplex(self.e.field, [self.space_dim(n) for n in range(n_max + 1)], diffs, "C_psi(A,M)", h)
+        """build_CpsiAM(base, regular bimodule, n_max) or longer: one complex per context, rebuilt
+        only to reach a higher degree, with each d^n and h^n built once per context."""
+        cx = self._cache.get("complex")
+        if cx is None or cx.max_degree < n_max:
+            b = self.base
+            h = self._cached("h", lambda: cache(partial(hopf_contracting_homotopy, b, regular_bimodule(b.algebra))))
+            diffs, dims = [self.differential_operator(n) for n in range(n_max)], map(self.space_dim, range(n_max + 1))
+            cx = self._cache["complex"] = CochainComplex(self.e.field, dims, diffs, "C_psi(A,M)", h)
+        return cx
 
     def cohomology_at(self, n):
         return self._cached(("H", n), lambda: cohomology(self.self_complex(n + 1), n))

@@ -29,8 +29,9 @@ products raise StructureParseError instead (neither happens for the structure
 constants handled here).
 
 Stacking and re-indexing (from_blocks, Mat.reshape) work on the numerators
-over one common denominator; Mat.from_triples and Mat.triples() are the parse
-and serialize boundary, where entries are Fractions.
+over one common denominator and put each entry straight into its CSR slot, with
+no sort; Mat.from_triples and Mat.triples() are the parse and serialize
+boundary, where entries are Fractions.
 
 Rank / kernel / image / solve go through one sparse RREF driver, _rref, for
 both fields: integer rows in (stored numerators over Q, residues over F_p),
@@ -692,27 +693,36 @@ def solve(m: Mat, b: Mat) -> Mat | None:
 def from_blocks(field, rows, cols, blocks) -> Mat:
     """The rows x cols matrix holding each (row_off, col_off, m) block at its offset.
 
-    Blocks must not overlap.  The numerators are rescaled to one common
-    denominator, under the same int64 guard as addition.
+    No two blocks share a cell: an h x w block at (r, c) covers rows r..r+h-1
+    and columns c..c+w-1, and a cell covered twice raises ShapeMismatchError,
+    whatever the blocks store there.  Row lengths are summed first; then the
+    blocks, in column-offset order, write their entries straight into their
+    CSR slots, rescaled to one common denominator under addition's int64 guard.
     """
+    blocks = sorted(blocks, key=lambda block: block[1])
     den = math.lcm(*(m._den for _, _, m in blocks))
-    keys, data = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    indptr, edge = np.zeros(rows + 1, np.int64), np.zeros(rows, np.int64)  # edge: end column of a row's blocks
     for r, c, m in blocks:
         if m.field != field:
             raise FieldMismatchError(f"{m.field} block in a {field} matrix")
         if r < 0 or c < 0 or r + m.rows > rows or c + m.cols > cols:
             raise ShapeMismatchError(f"{m.rows}x{m.cols} block at ({r},{c}) outside {rows}x{cols}")
-        scale = den // m._den
-        if m._max_abs() * scale >= _I64_GUARD:
+        if m._max_abs() * (den // m._den) >= _I64_GUARD:
             raise StructureParseError("entry growth beyond engine bounds")
-        indptr, indices, values = m._arrays()
-        keys.append((_row_ids(indptr) + r) * cols + indices + c)
-        data.append(values * scale)
-    stored = sum(d.size for d in data)
-    indptr, indices, summed = _sorted_coo((rows, cols), np.concatenate(keys), np.concatenate(data))
-    if summed.size != stored:
-        raise ShapeMismatchError("overlapping blocks")
-    return _csr(field, (rows, cols), indptr, indices, summed, den)
+        if m.cols:
+            if edge[r : r + m.rows].max(initial=c) > c:
+                raise ShapeMismatchError("overlapping blocks")
+            edge[r : r + m.rows] = c + m.cols
+        indptr[r + 1 : r + m.rows + 1] += m._ptr[1:] - m._ptr[:-1]
+    indptr = indptr.cumsum()
+    fill = indptr[:-1].copy()  # each row's next free slot
+    indices, data = np.empty(indptr[-1], _IDX), np.empty(indptr[-1], np.int64)
+    for r, c, m in blocks:
+        counts = m._ptr[1:] - m._ptr[:-1]
+        slots = np.arange(m.nnz) + (fill[r : r + m.rows] - m._ptr[:-1]).repeat(counts)
+        indices[slots], data[slots] = m._idx + np.int64(c), m._data * (den // m._den)  # _csr checks the width
+        fill[r : r + m.rows] += counts
+    return _csr(field, (rows, cols), indptr, indices, data, den)
 
 
 def hstack(mats: list[Mat]) -> Mat:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse._base as sparse_base
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from entwine.errors import (
@@ -26,10 +26,13 @@ from entwine.errors import (
     StructureParseError,
 )
 from entwine.linalg import (
+    _I64_GUARD,
     QQ,
     FieldSpec,
     Mat,
     _csr,
+    _row_ids,
+    _sorted_coo,
     from_blocks,
     hstack,
     image_basis,
@@ -346,21 +349,52 @@ def _matrix(draw, field, rows, cols):
     )
 
 
+def _sorted_assembly(field, rows, cols, blocks):
+    """The sort-based block assembly from_blocks replaced, kept as its oracle:
+    one int64 row-major key per stored entry, one stable argsort, and
+    colliding stored entries (only those) raise."""
+    den = math.lcm(*(m._den for _, _, m in blocks))
+    keys, data = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for r, c, m in blocks:
+        if m.field != field:
+            raise FieldMismatchError(f"{m.field} block in a {field} matrix")
+        if r < 0 or c < 0 or r + m.rows > rows or c + m.cols > cols:
+            raise ShapeMismatchError(f"{m.rows}x{m.cols} block at ({r},{c}) outside {rows}x{cols}")
+        scale = den // m._den
+        if m._max_abs() * scale >= _I64_GUARD:
+            raise StructureParseError("entry growth beyond engine bounds")
+        indptr, indices, values = m._arrays()
+        keys.append((_row_ids(indptr) + r) * cols + indices + c)
+        data.append(values * scale)
+    stored = sum(d.size for d in data)
+    indptr, indices, summed = _sorted_coo((rows, cols), np.concatenate(keys), np.concatenate(data))
+    if summed.size != stored:
+        raise ShapeMismatchError("overlapping blocks")
+    return _csr(field, (rows, cols), indptr, indices, summed, den)
+
+
 @st.composite
 def _block_layout(draw):
-    """A grid of row heights and column widths (0 allowed) with some cells filled."""
+    """Blocks in a grid of cells (heights and widths 0-3, up to four cells in a
+    row band), each block drawn inside its cell at a random inset, so offsets
+    are off the grid, with heights and widths from 0 and some blocks all zero;
+    the list comes shuffled."""
     field = draw(st.sampled_from(FIELDS))
     heights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
-    widths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    widths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
     blocks = []
-    for a, h in enumerate(heights):
-        for b, w in enumerate(widths):
-            if draw(st.booleans()):
+    for a, cell_h in enumerate(heights):
+        for b, cell_w in enumerate(widths):
+            if draw(st.integers(0, 3)):
+                # a third of the blocks are inset in their cell, the rest fill it
+                h, w = (draw(st.integers(0, cell_h)), draw(st.integers(0, cell_w))) if draw(st.integers(0, 2)) == 0 else (cell_h, cell_w)
                 m = draw(_matrix(field, h, w))
                 if draw(st.integers(0, 4)) == 0:
                     m = m.scale(0)
-                blocks.append((sum(heights[:a]), sum(widths[:b]), m))
-    return field, sum(heights), sum(widths), blocks
+                r = sum(heights[:a]) + draw(st.integers(0, cell_h - h))
+                c = sum(widths[:b]) + draw(st.integers(0, cell_w - w))
+                blocks.append((r, c, m))
+    return field, sum(heights), sum(widths), draw(st.permutations(blocks))
 
 
 @settings(max_examples=80, deadline=None)
@@ -387,6 +421,47 @@ def test_many_column_solve_equals_column_by_column(field, rows, cols, rank_bound
 def test_from_blocks_matches_fraction_reference(layout):
     field, rows, cols, blocks = layout
     _assert_matches(from_blocks(field, rows, cols, blocks), field, rows, cols, blocks)
+
+
+_BAND_OF_THREE = (  # one row band of three blocks over mixed denominators, listed out of column order
+    QQ, 3, 7,
+    [(1, 4, mat([[Fraction(1, 3), 0, 2], [0, 0, Fraction(-5, 2)]])), (0, 0, mat([[Fraction(1, 2)], [0], [1]])),
+     (1, 1, mat([[0, 7, Fraction(3, 4)], [Fraction(1, 6), 0, 0]]))],
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_block_layout())
+@example(_BAND_OF_THREE)
+def test_from_blocks_matches_the_sorted_assembly(layout):
+    field, rows, cols, blocks = layout
+    got = from_blocks(field, rows, cols, blocks)
+    assert got == _sorted_assembly(field, rows, cols, blocks)
+    assert (got._ptr.dtype, got._idx.dtype, got._data.dtype) == (np.int32, np.int32, np.int64)
+    _assert_matches(got, field, rows, cols, blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_block_layout(), st.data())
+def test_overlapping_rectangles_raise_even_with_disjoint_entries(layout, data):
+    # an intruder covering a cell of a drawn block, with entries only where no
+    # block stores one: the sorted assembly accepted this, the placement raises
+    field, rows, cols, blocks = layout
+    covered = [(r, c, m) for r, c, m in blocks if m.rows and m.cols]
+    assume(covered)
+    r, c, m = data.draw(st.sampled_from(covered))
+    r0, c0 = data.draw(st.integers(r, r + m.rows - 1)), data.draw(st.integers(c, c + m.cols - 1))
+    top, left = data.draw(st.integers(0, r0)), data.draw(st.integers(0, c0))
+    h, w = data.draw(st.integers(r0 - top + 1, rows - top)), data.draw(st.integers(c0 - left + 1, cols - left))
+    stored = {(br + i, bc + j) for br, bc, b in blocks for i, j, _ in b.triples()}
+    free = [(i, j) for i in range(h) for j in range(w) if (top + i, left + j) not in stored]
+    picked = data.draw(st.lists(st.sampled_from(free), unique=True, max_size=3)) if free else []
+    intruder = Mat.from_triples(field, h, w, [(i, j, 1) for i, j in picked])
+    at = data.draw(st.integers(0, len(blocks)))
+    with_intruder = blocks[:at] + [(top, left, intruder)] + blocks[at:]
+    _sorted_assembly(field, rows, cols, with_intruder)
+    with pytest.raises(ShapeMismatchError, match="overlapping"):
+        from_blocks(field, rows, cols, with_intruder)
 
 
 @settings(max_examples=40, deadline=None)
@@ -451,10 +526,23 @@ def test_from_blocks_checks_its_blocks():
         from_blocks(QQ, 1, 1, [(0, 1, one)])
     with pytest.raises(ShapeMismatchError, match="overlapping"):
         from_blocks(QQ, 2, 2, [(0, 0, mat([[1, 1]])), (0, 1, one)])
+    # rectangles that share a cell overlap whatever they store there
+    with pytest.raises(ShapeMismatchError, match="overlapping"):
+        from_blocks(QQ, 2, 2, [(0, 0, mat([[1, 0], [0, 0]])), (1, 1, one)])
+    with pytest.raises(ShapeMismatchError, match="overlapping"):
+        from_blocks(QQ, 1, 3, [(0, 1, one), (0, 0, Mat.zeros(QQ, 1, 2))])
+    # a block of zero height or width covers no cell, and does not hide a
+    # wider block from the one placed after it
+    empty = [(0, 2, Mat.zeros(QQ, 1, 0)), (1, 0, Mat.zeros(QQ, 0, 5))]
+    assert from_blocks(QQ, 1, 5, [(0, 0, mat([[1, 0, 0, 0, 2]])), *empty]) == mat([[1, 0, 0, 0, 2]])
+    with pytest.raises(ShapeMismatchError, match="overlapping"):
+        from_blocks(QQ, 1, 5, [(0, 0, Mat.zeros(QQ, 1, 5)), *empty, (0, 3, one)])
     with pytest.raises(FieldMismatchError):
         from_blocks(QQ, 1, 2, [(0, 0, one), (0, 1, mat([[1]], field=F7))])
     with pytest.raises(ShapeMismatchError):
         hstack([one, mat([[1], [2]])])
+    with pytest.raises(ShapeMismatchError, match="32-bit"):  # a block offset past the int32 indices
+        hstack([Mat.zeros(QQ, 1, 2**30)] * 3)
     with pytest.raises(ShapeMismatchError):
         mat([[1, 2, 3]]).reshape(2, 2)
 

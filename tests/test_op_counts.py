@@ -155,8 +155,8 @@ def test_equivariant_checks_kz5_largest_mat(monkeypatch):
     ids=["sweedler", "z3"],
 )
 def test_cup_builds_each_self_complex_operator_once(monkeypatch, capsys, name, deg, built):
-    # cup reads H^m, H^n and H^{m+n}, each from a complex of its own, but the
-    # complexes share one context's d^n and h^n
+    # cup reads H^m, H^n and H^{m+n} from the context's one complex, which
+    # takes each d^n and h^n from the context's cache
     calls = Counter()
     for what, fn in (("d", complexes.module_differential), ("h", complexes.hopf_contracting_homotopy)):
 
@@ -168,3 +168,22 @@ def test_cup_builds_each_self_complex_operator_once(monkeypatch, capsys, name, d
             monkeypatch.setattr(module, fn.__name__, counting)
     assert main(["cup", str(FIXTURES / f"{name}.json"), "--deg", *map(str, deg)]) == 0
     assert set(calls) == built and set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize(
+    "name, deg, pairs", [("graded-z2", (1, 2), 3), ("sweedler", (1, 1), 2)], ids=["graded-z2", "sweedler"]
+)
+def test_cup_checks_each_differential_pair_once(monkeypatch, capsys, name, deg, pairs):
+    # H^{m+n} is read first, so one complex up to degree m+n+1 serves all three
+    # degrees and d o d = 0 is checked once per pair (d^{k+1}, d^k), k <= m+n-1;
+    # a complex per degree multiplied 6 pairs on graded-z2 and 3 on Sweedler
+    multiplied = []
+    real_init = complexes.CochainComplex.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        multiplied.append(max(self.max_degree - 1, 0))
+
+    monkeypatch.setattr(complexes.CochainComplex, "__init__", init)
+    assert main(["cup", str(FIXTURES / f"{name}.json"), "--deg", *map(str, deg)]) == 0
+    assert sum(multiplied) == pairs
