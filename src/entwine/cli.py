@@ -10,10 +10,10 @@
 Exit codes: 0 all checks passed, 1 a mathematical check failed (the failing
 relation or law is named in the report), 2 I/O or parse error.  Every command
 accepts --json PATH for a machine-readable report and --seed (non-negative,
-default 0) for the few sampled checks; reports are byte-identical across runs for fixed
-input and seed.  cohom, equivariant and deform take --max-degree (default 3);
-degrees above 4 are refused unless --unsafe-degree is given, which those three
-and cup accept.
+default 0) for the one sampled check, deform's random 2-cochain; reports are
+byte-identical across runs for fixed input and seed.  cohom, equivariant and
+deform take --max-degree (default 3); degrees above 4 are refused unless
+--unsafe-degree is given, which those three and cup accept.
 """
 
 from __future__ import annotations

@@ -29,7 +29,9 @@ of x and y.  The per-pair cup/sqcup loop is the oracle in the tests.
 The axiom verifier does not loop over basis tuples: each axiom is multilinear
 in its cochain slots, so it holds for all tuples exactly when a slot-free
 composite of the structure operators holds as one matrix identity.  Those
-identities are what gets checked; a brute-force tuple scan confirms the
+identities are what gets checked, at every degree up to the cap.  Condition
+(2)'s identity reads only the composite degree D and the slots (i, j), so each
+(D, i, j) is decided once per context.  A brute-force tuple scan confirms the
 equivalence at small dimensions in the test-suite and is used here to locate
 a witness tuple when a core identity fails on a small structure.
 """
@@ -40,7 +42,6 @@ from dataclasses import dataclass
 from functools import cache, partial
 from math import prod
 
-from ._rng import Generator
 from .complexes import CochainComplex, cohomology, hopf_contracting_homotopy, module_differential
 from .entwining import EntwiningStructure, dual, rho_L_coaction, rho_R_coaction, translation
 from .errors import (
@@ -303,11 +304,11 @@ def eps_tensor_id(ctx) -> Cochain:
 # -- axiom verification -----------------------------------------------------------
 
 
-def _cond2_core(ctx, m, n, p, i, j) -> bool:
-    """Slot-free matrix identity equivalent to condition (2) at (m,n,p,i,j)."""
+def _cond2_core(ctx, D, i, j) -> bool:
+    """Slot-free matrix identity equivalent to condition (2) at every (m,n,p,i,j)
+    with composite degree m + n + p - 2 = D: it reads nothing but D, i and j."""
     e = ctx.base
     da, dc = e.algebra.dim, e.coalgebra.dim
-    D = m + n + p - 2
     lhs = kron(
         rho_R_coaction(e, i).mat,
         Mat.identity(e.field, da ** (j - i) * dc * da ** (D - j)),
@@ -355,66 +356,38 @@ def _find_violation_brute(ctx, m, n, p, i, j):
     return None
 
 
-def _random_cochain(ctx, degree, rng):
-    dom, cod = ctx.space_shapes(degree)
-    rows, cols = prod(cod), prod(dom)
-    triples = [(k // cols, k % cols, int(v)) for k, v in enumerate(rng.integers(-2, 3, size=rows * cols))]
-    return Cochain(ctx.side, degree, LinearMap(dom, cod, Mat.from_triples(ctx.e.field, rows, cols, triples)))
-
-
 def verify_weak_comp(ctx: CompContext, degree_cap: int = 2, pi: Cochain | None = None) -> CheckReport:
-    """Check the weak comp algebra axioms exhaustively up to degree_cap.
+    """Check the weak comp algebra axioms exhaustively at every degree up to degree_cap.
 
     Conditions are multilinear in their cochain slots, so each is verified as
     a single slot-free operator identity per degree/slot tuple; this covers
-    every basis tuple at once.  degree_cap 3 additionally samples random
-    degree-3 triples directly, from numpy's default_rng(0) stream.
+    every basis tuple at once.  Condition (2)'s identity depends only on the
+    composite degree D and the slots (i, j), so each (D, i, j) is decided once
+    per context and reported for every (m, n, p) that reaches it.
     """
     if degree_cap > 3:
         raise DegreeError("degree_cap tops out at 3")
     pi = pi or ctx.pi
     report = CheckReport(f"weak comp axioms [{ctx.side}]")
 
-    ok1 = True
-    for m in range(degree_cap + 1):
-        for n in range(degree_cap + 1):
-            f = ctx.basis(m)[0]
-            g = ctx.basis(n)[0]
-            if not comp_i(ctx, f, m, g).is_zero or not comp_i(ctx, f, m + 1, g).is_zero:
-                ok1 = False
+    field = ctx.e.field
+    some = [ctx.from_vec(m, Mat.from_triples(field, ctx.space_dim(m), 1, [(0, 0, 1)])) for m in range(degree_cap + 1)]
+    ok1 = all(comp_i(ctx, f, k, g).is_zero for f in some for g in some for k in (f.degree, f.degree + 1))
     report.add("condition (1): out-of-range insertions vanish", ok1)
 
-    cap2 = min(degree_cap, 2)
-    for m in range(1, cap2 + 1):
-        for n in range(cap2 + 1):
-            for p in range(cap2 + 1):
+    for m in range(1, degree_cap + 1):
+        for n in range(degree_cap + 1):
+            for p in range(degree_cap + 1):
+                D = m + n + p - 2
                 for i in range(m):
                     for j in range(i, i + n):
-                        ok = _cond2_core(ctx, m, n, p, i, j)
+                        ok = ctx._cached(("cond2", D, i, j), partial(_cond2_core, ctx, D, i, j))
                         detail = f"m={m} n={n} p={p} i={i} j={j}"
                         if not ok:
                             witness = _find_violation_brute(ctx, m, n, p, i, j)
                             if witness is not None:
                                 detail += f" witness basis tuple {witness}"
                         report.add("condition (2): nested insertions associate", ok, detail)
-    if degree_cap >= 3:
-        rng = Generator(0)
-        for _ in range(4):
-            m = int(rng.integers(1, 4))
-            n = int(rng.integers(0, 4))
-            p = int(rng.integers(0, 4))
-            f = _random_cochain(ctx, m, rng)
-            g = _random_cochain(ctx, n, rng)
-            h = _random_cochain(ctx, p, rng)
-            for i in range(m):
-                for j in range(i, i + n):
-                    lhs = comp_i(ctx, comp_i(ctx, f, i, g), j, h)
-                    rhs = comp_i(ctx, f, i, comp_i(ctx, g, j - i, h))
-                    report.add(
-                        "condition (2): sampled degree-3 triple",
-                        lhs == rhs,
-                        f"m={m} n={n} p={p} i={i} j={j}",
-                    )
 
     for m in range(2, degree_cap + 1):
         for free in range(degree_cap + 1):

@@ -309,9 +309,7 @@ def hochschild_inclusion(e: EntwiningStructure, m: Bimodule, f: LinearMap) -> Li
     da = e.algebra.dim
     if f.domain_shape != (da,) * n or f.codomain_dim != m.dim:
         raise ShapeMismatchError("inclusion expects f: A^n -> M")
-    ida_n = Mat.identity(e.field, da**n)
-    mat = f.mat @ kron(e.coalgebra.counit.mat, ida_n)
-    return LinearMap((e.coalgebra.dim,) + (da,) * n, f.codomain_shape, mat)
+    return unvec(hochschild_inclusion_operator(e, m, n) @ vec(f), (e.coalgebra.dim,) + (da,) * n, f.codomain_shape)
 
 
 def cartier_inclusion_operator(e: EntwiningStructure, v: Bicomodule, n: int) -> Mat:
@@ -326,8 +324,7 @@ def cartier_inclusion(e: EntwiningStructure, v: Bicomodule, f: LinearMap) -> Lin
     dc = e.coalgebra.dim
     if f.codomain_shape != (dc,) * n or f.domain_dim != v.dim:
         raise ShapeMismatchError("inclusion expects f: V -> C^n")
-    mat = kron(e.algebra.unit, Mat.identity(e.field, dc**n)) @ f.mat
-    return LinearMap(f.domain_shape, (e.algebra.dim,) + (dc,) * n, mat)
+    return unvec(cartier_inclusion_operator(e, v, n) @ vec(f), f.domain_shape, (e.algebra.dim,) + (dc,) * n)
 
 
 # -- Hom(C, M) bimodule -----------------------------------------------------------

@@ -92,22 +92,27 @@ def comodule_algebra_entwining(
 def validate_comodule_algebra(c_bialg: Bialgebra, a: FiniteAlgebra, coaction) -> CheckReport:
     c = c_bialg.coalgebra
     ida, idc = a.identity(), c.identity()
+    la = a.basis_labels
     report = CheckReport("comodule algebra")
-    report.add(
+    report.check(
         "coaction coassociativity",
-        compose(tensor(coaction, idc), coaction) == compose(tensor(ida, c.comult), coaction),
+        compose(tensor(coaction, idc), coaction),
+        compose(tensor(ida, c.comult), coaction),
+        [la],
     )
-    report.add("coaction counit", compose(tensor(ida, c.counit), coaction) == ida)
+    report.check("coaction counit", compose(tensor(ida, c.counit), coaction), ida, [la])
     flip = flip_map(a.field, c.dim, a.dim)
     lhs = compose(coaction, a.mult)
     rhs = compose(
         tensor(a.mult, c_bialg.algebra.mult),
         compose(tensor(ida, flip, idc), tensor(coaction, coaction)),
     )
-    report.add("coaction is an algebra map", lhs == rhs)
-    report.add(
+    report.check("coaction is an algebra map", lhs, rhs, [la, la])
+    report.check(
         "coaction of unit",
-        compose(coaction, a.unit_map()) == tensor(a.unit_map(), c_bialg.algebra.unit_map()),
+        compose(coaction, a.unit_map()),
+        tensor(a.unit_map(), c_bialg.algebra.unit_map()),
+        [],
     )
     return report
 

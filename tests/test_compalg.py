@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from math import prod
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,13 +13,13 @@ from entwine import compalg
 from entwine.compalg import (
     ALGEBRA,
     COALGEBRA,
+    Cochain,
     CompContext,
     _commutators,
     _cond2_core,
     _direct_cup,
     _direct_sqcup,
     _pi_grid,
-    _random_cochain,
     check_prelie_identities,
     class_products,
     coboundary,
@@ -43,6 +44,14 @@ from entwine.structures import LinearMap, compose, identity_map, tensor
 from entwine.zoo import load, named_example, sweedler_h4, trivial_entwining
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _random_cochain(ctx, degree, rng):
+    """A degree-`degree` cochain whose entries, in row-major order, are rng.integers(-2, 3)."""
+    dom, cod = ctx.space_shapes(degree)
+    rows, cols = prod(cod), prod(dom)
+    triples = [(k // cols, k % cols, int(v)) for k, v in enumerate(rng.integers(-2, 3, size=rows * cols))]
+    return Cochain(ctx.side, degree, LinearMap(dom, cod, Mat.from_triples(ctx.e.field, rows, cols, triples)))
 
 
 @pytest.fixture(scope="module")
@@ -200,25 +209,31 @@ def test_weak_comp_degree_cap():
     ctx = CompContext(named_example("trivial-k"), ALGEBRA)
     with pytest.raises(DegreeError):
         verify_weak_comp(ctx, 4)
-    assert verify_weak_comp(ctx, 3).ok  # adds seeded degree-3 samples
+    for name in ("trivial-z2", "z2", "graded-z2"):
+        for side in (ALGEBRA, COALGEBRA):
+            report = verify_weak_comp(CompContext(named_example(name), side), 3)
+            cond2 = [item for item in report.items if item[0].startswith("condition (2)")]
+            assert report.ok and len(cond2) == 144, (name, side)
+            assert not any("sampled" in item[0] for item in report.items)
 
 
-def test_sampled_triples_are_numpys_default_rng_stream(monkeypatch):
-    ctx = CompContext(named_example("sweedler"), ALGEBRA)
+def test_weak_comp_decides_each_condition2_identity_once(monkeypatch):
+    # condition (2) reads only (D, i, j): 16 distinct identities cover the 27 items
+    # of degree cap 2, and 54 the 144 of cap 3; a second run decides none again
+    decided = []
 
-    def sampled(make_rng):
-        drawn = []
+    def spy(ctx, D, i, j):
+        decided.append((D, i, j))
+        return _cond2_core(ctx, D, i, j)
 
-        def record(*args):
-            drawn.append(_random_cochain(*args))
-            return drawn[-1]
-
-        monkeypatch.setattr(compalg, "Generator", make_rng)
-        monkeypatch.setattr(compalg, "_random_cochain", record)
-        return verify_weak_comp(ctx, 3).items, drawn
-
-    ours = sampled(compalg.Generator)
-    assert len(ours[1]) == 12 and ours == sampled(np.random.default_rng)
+    monkeypatch.setattr(compalg, "_cond2_core", spy)
+    for cap, count in ((2, 16), (3, 54)):
+        ctx = CompContext(named_example("z2"), ALGEBRA)
+        decided.clear()
+        assert verify_weak_comp(ctx, cap).ok
+        assert len(decided) == len(set(decided)) == count
+        verify_weak_comp(ctx, cap)
+        assert len(decided) == count
 
 
 def test_condition3_fails_for_non_pi(kz2_ctx):
@@ -229,21 +244,23 @@ def test_condition3_fails_for_non_pi(kz2_ctx):
     assert any("condition (3)" in name for name, _ in report.failures)
 
 
-def test_core_identity_matches_brute_force(kz2_ctx, kz2_dual):
+def test_core_identity_matches_brute_force():
     rng = random.Random(0)
-    for ctx in (kz2_ctx, kz2_dual):
-        for _ in range(40):
-            m = rng.randint(1, 2)
-            n = rng.randint(0, 2)
-            p = rng.randint(0, 2)
-            f = ctx.basis(m)[rng.randrange(ctx.space_dim(m))]
-            g = ctx.basis(n)[rng.randrange(ctx.space_dim(n))]
-            h = ctx.basis(p)[rng.randrange(ctx.space_dim(p))]
-            for i in range(m):
-                for j in range(i, i + n):
-                    lhs = comp_i(ctx, comp_i(ctx, f, i, g), j, h)
-                    rhs = comp_i(ctx, f, i, comp_i(ctx, g, j - i, h))
-                    assert (lhs == rhs) and _cond2_core(ctx, m, n, p, i, j)
+    for name in ("z2", "graded-z2"):
+        for side in (ALGEBRA, COALGEBRA):
+            ctx = CompContext(named_example(name), side)
+            for _ in range(40):
+                m = rng.randint(1, 3)
+                n = rng.randint(0, 3)
+                p = rng.randint(0, 3)
+                f = ctx.basis(m)[rng.randrange(ctx.space_dim(m))]
+                g = ctx.basis(n)[rng.randrange(ctx.space_dim(n))]
+                h = ctx.basis(p)[rng.randrange(ctx.space_dim(p))]
+                for i in range(m):
+                    for j in range(i, i + n):
+                        lhs = comp_i(ctx, comp_i(ctx, f, i, g), j, h)
+                        rhs = comp_i(ctx, f, i, comp_i(ctx, g, j - i, h))
+                        assert (lhs == rhs) and _cond2_core(ctx, m + n + p - 2, i, j)
 
 
 def _brute_cond3(ctx, m, free, i, j, pi2, pi_first):

@@ -65,8 +65,14 @@ def test_every_imported_name_is_used_or_reexported():
     assert unused == []
 
 
+def test_only_deform_draws_random_numbers():
+    # the library's checks are exhaustive; deform's random_two_cochain is the one sampled draw
+    drawing = sorted(name for name, (_, tree) in _modules().items() if "_rng" in _entwine_submodules(tree))
+    assert drawing == ["deform"]
+
+
 def test_numpy_random_and_unique_stay_out_of_the_package():
-    # sampled checks draw from entwine._rng, and np.unique loads numpy.ma
+    # the sampled 2-cochain draws from entwine._rng, and np.unique loads numpy.ma
     uses = []
     for name, (_, tree) in _modules().items():
         for node in ast.walk(tree):

@@ -920,7 +920,7 @@ def test_only_scipy_import_is_the_compiled_kernels():
 def test_cli_commands_load_no_module_beyond_the_import():
     # every command runs inside what importing the CLI and building its parser
     # (argparse's gettext loads locale) loads: no scipy.sparse, no numpy.random
-    # (sampled checks use entwine._rng), no numpy.ma (np.unique loads it)
+    # (deform's sampled 2-cochain uses entwine._rng), no numpy.ma (np.unique loads it)
     last = _fresh(
         "import contextlib, io, sys, entwine.cli as cli\n"
         "cli.build_parser()\n"

@@ -1,11 +1,12 @@
 """Example constructors, Hopf data, translation maps, and serialization."""
 
 import json
+import re
 
 import pytest
 
 from entwine.entwining import EntwiningStructure, check_bowtie
-from entwine.errors import BowTieError, PreconditionError, StructureParseError
+from entwine.errors import BowTieError, PreconditionError, StructureParseError, ValidationError
 from entwine.linalg import QQ, FieldSpec, Mat
 from entwine.structures import (
     FiniteCoalgebra,
@@ -27,6 +28,7 @@ from entwine.zoo import (
     translation_map,
     validate_antipode,
     validate_bialgebra,
+    validate_comodule_algebra,
     z2_graded_algebra_entwining,
 )
 
@@ -90,6 +92,46 @@ def test_trivial_coaction_gives_flip():
     )
     e = comodule_algebra_entwining(h, a, coaction)
     assert e.psi == flip_map(QQ, 2, 2)
+
+
+def _graded_z2_coaction(triples):
+    """A map k[x]/(x^2) -> k[x]/(x^2) (x) kZ2 by (row, column, value) triples; graded-z2's
+    coaction 1 -> 1 (x) 1, x -> x (x) g is [(0, 0, 1), (3, 1, 1)]."""
+    return LinearMap((2,), (2, 2), Mat.from_triples(QQ, 4, 2, triples))
+
+
+def test_graded_z2_coaction_passes_comodule_algebra_checks():
+    h, a = group_algebra_hopf(2), named_example("graded-z2").algebra
+    report = validate_comodule_algebra(h, a, _graded_z2_coaction([(0, 0, 1), (3, 1, 1)]))
+    assert report.items == [
+        ("coaction coassociativity", True, ""),
+        ("coaction counit", True, ""),
+        ("coaction is an algebra map", True, ""),
+        ("coaction of unit", True, ""),
+    ]
+
+
+@pytest.mark.parametrize(
+    "triples, failures",
+    [
+        # x -> 2 x (x) g
+        ([(0, 0, 1), (3, 1, 2)], [("coaction coassociativity", ("x",)), ("coaction counit", ("x",))]),
+        # x -> 0
+        ([(0, 0, 1)], [("coaction counit", ("x",))]),
+        # 1 -> 0: the unit's domain is k, so its witness is the empty tuple
+        (
+            [(3, 1, 1)],
+            [("coaction counit", ("1",)), ("coaction is an algebra map", ("1", "x")), ("coaction of unit", ())],
+        ),
+    ],
+)
+def test_comodule_algebra_mutants_fail_with_label_witnesses(triples, failures):
+    h, a = group_algebra_hopf(2), named_example("graded-z2").algebra
+    coaction = _graded_z2_coaction(triples)
+    assert validate_comodule_algebra(h, a, coaction).failures == failures
+    name, witness = failures[0]
+    with pytest.raises(ValidationError, match=re.escape(f"{name} at {witness}")):
+        comodule_algebra_entwining(h, a, coaction)
 
 
 def test_graded_algebra_example_passes():
