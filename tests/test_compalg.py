@@ -17,6 +17,8 @@ from entwine.compalg import (
     CompContext,
     _commutators,
     _cond2_core,
+    _cond3_operators,
+    _cond3_pi_last,
     _direct_cup,
     _direct_sqcup,
     _pi_grid,
@@ -36,10 +38,10 @@ from entwine.compalg import (
     sqcup,
     verify_weak_comp,
 )
-from entwine.entwining import EntwiningStructure, convolution_psi
+from entwine.entwining import EntwiningStructure, convolution_psi, rho_R_coaction
 from entwine.errors import DegreeError, InconsistentQuotientError
 from entwine.homspace import vec
-from entwine.linalg import QQ, FieldSpec, Mat, hstack, kernel_basis, rank
+from entwine.linalg import QQ, FieldSpec, Mat, hstack, kernel_basis, kron, rank
 from entwine.structures import LinearMap, compose, identity_map, tensor
 from entwine.zoo import load, named_example, sweedler_h4, trivial_entwining
 
@@ -207,8 +209,11 @@ def test_weak_comp_over_prime_field():
 
 def test_weak_comp_degree_cap():
     ctx = CompContext(named_example("trivial-k"), ALGEBRA)
+    for cap in (-1, 4):
+        with pytest.raises(DegreeError):
+            verify_weak_comp(ctx, cap)
     with pytest.raises(DegreeError):
-        verify_weak_comp(ctx, 4)
+        equivariant_checks(ctx, -1)
     for name in ("trivial-z2", "z2", "graded-z2"):
         for side in (ALGEBRA, COALGEBRA):
             report = verify_weak_comp(CompContext(named_example(name), side), 3)
@@ -217,23 +222,42 @@ def test_weak_comp_degree_cap():
             assert not any("sampled" in item[0] for item in report.items)
 
 
+def _spy(monkeypatch, name):
+    decided, real = [], getattr(compalg, name)
+
+    def spy(ctx, *key):
+        decided.append(key)
+        return real(ctx, *key)
+
+    monkeypatch.setattr(compalg, name, spy)
+    return decided
+
+
 def test_weak_comp_decides_each_condition2_identity_once(monkeypatch):
-    # condition (2) reads only (D, i, j): 16 distinct identities cover the 27 items
-    # of degree cap 2, and 54 the 144 of cap 3; a second run decides none again
-    decided = []
-
-    def spy(ctx, D, i, j):
-        decided.append((D, i, j))
-        return _cond2_core(ctx, D, i, j)
-
-    monkeypatch.setattr(compalg, "_cond2_core", spy)
-    for cap, count in ((2, 16), (3, 54)):
+    # condition (2) reads only the slots (i, j): 4 distinct identities cover the 27
+    # items of degree cap 2, and 9 the 144 of cap 3; a second run decides none again
+    decided = _spy(monkeypatch, "_cond2_core")
+    for cap, count in ((2, 4), (3, 9)):
         ctx = CompContext(named_example("z2"), ALGEBRA)
         decided.clear()
         assert verify_weak_comp(ctx, cap).ok
         assert len(decided) == len(set(decided)) == count
         verify_weak_comp(ctx, cap)
         assert len(decided) == count
+
+
+def test_weak_comp_decides_each_condition3_identity_once_per_call(monkeypatch):
+    # h = pi reads (i, j) and g = pi reads (i, j, p): 1 and 3 at cap 2, 3 and 12 at
+    # cap 3; both read pi, so another call decides them again, with its own pi
+    pi_last, pi_first = _spy(monkeypatch, "_cond3_pi_last"), _spy(monkeypatch, "_cond3_operators")
+    ctx = CompContext(named_example("z2"), ALGEBRA)
+    for cap, lasts, firsts in ((2, 1, 3), (3, 3, 12)):
+        for pi, ok in ((None, True), (ctx.basis(2)[6], False)):
+            pi_last.clear(), pi_first.clear()
+            report = verify_weak_comp(ctx, cap, pi=pi)
+            assert all(item[1] == ok for item in report.items if item[0].startswith("condition (3)"))
+            assert len(pi_last) == len({key[:-1] for key in pi_last}) == lasts  # key[-1] is pi
+            assert len(pi_first) == len({key[:-1] for key in pi_first}) == firsts
 
 
 def test_condition3_fails_for_non_pi(kz2_ctx):
@@ -260,7 +284,7 @@ def test_core_identity_matches_brute_force():
                     for j in range(i, i + n):
                         lhs = comp_i(ctx, comp_i(ctx, f, i, g), j, h)
                         rhs = comp_i(ctx, f, i, comp_i(ctx, g, j - i, h))
-                        assert (lhs == rhs) and _cond2_core(ctx, m + n + p - 2, i, j)
+                        assert (lhs == rhs) and _cond2_core(ctx, i, j)
 
 
 def _brute_cond3(ctx, m, free, i, j, pi2, pi_first):
@@ -278,17 +302,103 @@ def _brute_cond3(ctx, m, free, i, j, pi2, pi_first):
 
 
 def test_condition3_operators_match_brute_force(kz2_ctx, kz2_dual):
-    # the slot-free operator verdict must agree with a literal tuple scan,
-    # both for pi (holds) and for arbitrary 2-cochains (generally fails)
-    from entwine.compalg import _cond3_operators
-
+    # the slot-free verdicts must agree with a literal tuple scan at every degree
+    # m, both for pi (holds) and for arbitrary 2-cochains (generally fails)
     for ctx in (kz2_ctx, kz2_dual):
         for pi2 in (ctx.pi, ctx.basis(2)[6]):
-            for free in (0, 1, 2):
-                lhs, rhs = _cond3_operators(ctx, 2, free, 1, 0, pi2, pi_first=False)
-                assert (lhs == rhs) == _brute_cond3(ctx, 2, free, 1, 0, pi2, False)
-                lhs, rhs = _cond3_operators(ctx, 2, free, 1, 0, pi2, pi_first=True)
-                assert (lhs == rhs) == _brute_cond3(ctx, 2, free, 1, 0, pi2, True)
+            for m, frees in ((2, (0, 1, 2)), (3, (0,))):
+                for free in frees:
+                    for i in range(1, m):
+                        for j in range(i):
+                            assert _cond3_pi_last(ctx, i, j, pi2) == _brute_cond3(ctx, m, free, i, j, pi2, False)
+                            lhs, rhs = _cond3_operators(ctx, i, j, free, pi2)
+                            assert (lhs == rhs) == _brute_cond3(ctx, m, free, i, j, pi2, True)
+
+
+# -- the weak-comp identities at full size: the oracle for their smallest forms --
+
+
+def _cond2_core_at(ctx, D, i, j) -> bool:
+    """The condition-(2) identity with both sides padded to composite degree D."""
+    e = ctx.base
+    da, dc = e.algebra.dim, e.coalgebra.dim
+    lhs = kron(rho_R_coaction(e, i).mat, Mat.identity(e.field, da ** (j - i) * dc * da ** (D - j))) @ ctx.P(j, D)
+    inner = kron(
+        Mat.identity(e.field, dc * da**i), rho_R_coaction(e, j - i).mat, Mat.identity(e.field, da ** (D - j))
+    )
+    return lhs == inner @ ctx.P(i, D)
+
+
+def _cond3_operators_at(ctx, m, k, i, j, pi, pi_first) -> bool:
+    """Condition (3) as operators in the free cochain of degree k at degree m, j < i:
+    pi_first=False (h = pi): (f o_i g) o_j pi = (f o_j pi) o_{i+1} g with g free;
+    pi_first=True  (g = pi): (f o_i pi) o_j h = (f o_j h) o_{i+k-1} pi with h free."""
+    ident = Mat.identity(ctx.e.field, ctx.base.coalgebra.dim * ctx.base.algebra.dim**m)
+    insert = ctx.insertion_operator
+
+    def then_pi(s, degree):
+        return ctx.K(s, pi, degree) @ ctx.P(s, degree + 1)
+
+    if not pi_first:
+        lhs, rhs = insert(ident, i, m, k, after=then_pi(j, m + k - 1)), insert(then_pi(j, m), i + 1, m + 1, k)
+    else:
+        lhs, rhs = insert(then_pi(i, m), j, m + 1, k), insert(ident, j, m, k, after=then_pi(i + k - 1, m + k - 1))
+    return lhs == rhs
+
+
+def _first_violation_scan(ctx, m, n, p, i, j):
+    """The first basis tuple (f, g, h), in that order, that breaks condition (2)."""
+    for fi, f in enumerate(ctx.basis(m)):
+        for gi, g in enumerate(ctx.basis(n)):
+            for hi, h in enumerate(ctx.basis(p)):
+                if comp_i(ctx, comp_i(ctx, f, i, g), j, h) != comp_i(ctx, f, i, comp_i(ctx, g, j - i, h)):
+                    return (fi, gi, hi)
+    return None
+
+
+@pytest.mark.parametrize("field", (QQ, FieldSpec.prime(7)), ids=str)
+@pytest.mark.parametrize("name", ("trivial-z2", "z2", "graded-z2", "corrupted-psi"))
+def test_smallest_identities_match_the_padded_ones(name, field):
+    # every key verify_weak_comp reaches up to cap 3, for pi and a seeded non-pi 2-cochain
+    verdicts = Counter()
+    for side in (ALGEBRA, COALGEBRA):
+        ctx = CompContext(named_example(name, field), side)
+        cond2 = {(m + n + p - 2, i, j) for m in range(1, 4) for n in range(4) for p in range(4)
+                 for i in range(m) for j in range(i, i + n)}
+        for D, i, j in sorted(cond2):
+            ok = _cond2_core(ctx, i, j)
+            assert ok == _cond2_core_at(ctx, D, i, j), (side, D, i, j)
+            verdicts["cond2", ok] += 1
+        for pi in (ctx.pi, _random_cochain(ctx, 2, np.random.default_rng(3))):
+            for m in (2, 3):
+                for free in range(4):
+                    for i in range(1, m):
+                        for j in range(i):
+                            key = (side, m, free, i, j)
+                            ok = _cond3_pi_last(ctx, i, j, pi)
+                            assert ok == _cond3_operators_at(ctx, m, free, i, j, pi, False), key
+                            verdicts["h = pi", ok] += 1
+                            lhs, rhs = _cond3_operators(ctx, i, j, free, pi)
+                            ok = lhs == rhs
+                            assert ok == _cond3_operators_at(ctx, m, free, i, j, pi, True), key
+                            verdicts["g = pi", ok] += 1
+    # both verdicts occur: corrupted-psi breaks (2) at 33 keys per side, and only the
+    # flip over a cocommutative coalgebra (trivial-z2) keeps (3) for every 2-cochain
+    assert verdicts["cond2", False] == (66 if name == "corrupted-psi" else 0)
+    assert bool(verdicts["h = pi", False]) == bool(verdicts["g = pi", False]) == (name != "trivial-z2")
+
+
+@pytest.mark.parametrize("side", (ALGEBRA, COALGEBRA))
+def test_violation_witness_is_the_first_tuple_of_the_scan(side):
+    ctx = CompContext(named_example("corrupted-psi"), side)
+    report = verify_weak_comp(ctx, 2)
+    failed = [detail for name, ok, detail in report.items if name.startswith("condition (2)") and not ok]
+    assert len(failed) == 9
+    for detail in failed:  # the scan is slow, so only where h has degree 0
+        key, witness = detail.split(" witness basis tuple ")
+        m, n, p, i, j = (int(part.split("=")[1]) for part in key.split())
+        if p == 0:
+            assert witness == str(_first_violation_scan(ctx, m, n, p, i, j)), detail
 
 
 def test_prelie_identities(kz2_ctx):
