@@ -137,6 +137,40 @@ def test_zero_dim_coefficients_exit_2(tmp_path, capsys, side):
     assert err.startswith("error: ") and "dim" in err, err
 
 
+# (side, edit of the regular coefficients of z3, the one stderr line): a coefficients
+# file that breaks a (co)module axiom exits 1 and names each failed axiom at its witness
+BROKEN_COEFFICIENTS = {
+    # m2 . 1 = 2 m2
+    "A": (
+        lambda doc: doc["right"].__setitem__(8, [2, 6, "2"]),
+        "error: bimodule(dim=3): FAILED right associativity at ('m0', 'g2', '1'); right unit at ('m2',); "
+        "actions commute at ('g', 'm1', '1')\n",
+    ),
+    # the left coaction of v1 gains g (x) v2
+    "C": (
+        lambda doc: doc["left"].append([5, 1, "1"]),
+        "error: bicomodule(dim=3): FAILED left coassociativity at ('v1',); left counit at ('v1',); "
+        "coactions commute at ('v1',)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("side", ["A", "C"])
+def test_axiom_breaking_coefficients_exit_1_naming_the_witness(tmp_path, capsys, side):
+    from entwine.structures import regular_bicomodule, regular_bimodule
+    from entwine.zoo import load, save_coefficients
+
+    e = load(FIXTURES / "z3.json")
+    coeff = tmp_path / "coeff.json"
+    save_coefficients(regular_bimodule(e.algebra) if side == "A" else regular_bicomodule(e.coalgebra), coeff, side)
+    edit, message = BROKEN_COEFFICIENTS[side]
+    doc = json.loads(coeff.read_text())
+    edit(doc)
+    coeff.write_text(json.dumps(doc))
+    assert run(["cohom", FIXTURES / "z3.json", "--side", side, "--values", f"file:{coeff}"]) == 1
+    assert capsys.readouterr().err == message
+
+
 def test_cohom_betti_table(tmp_path):
     out = tmp_path / "report.json"
     assert run(["cohom", FIXTURES / "z2.json", "--side", "A", "--values", "self",

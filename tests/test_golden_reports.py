@@ -7,7 +7,9 @@ report change:
     PYTHONPATH=src python tests/test_golden_reports.py --write
 """
 
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -46,10 +48,27 @@ CASES.update(
 CASES["equivariant-2-z2"] = ["equivariant", "z2.json", "--max-degree", "2"]
 CASES.update({f"deform-{name}": ["deform", f"{name}.json"] for name in ("z2", "trivial-z2")})
 
+# fixture copies with one entry edited, as (fixture, edit of the parsed file)
+EDITED = {
+    # Delta(x) = g (x) x + 2 x (x) 1: coassociativity and the right counit fail at x
+    "verify-sweedler-broken-comult": (
+        "sweedler.json",
+        lambda doc: doc["coalgebra"]["comult"].__setitem__(3, [2, 2, 0, "2"]),
+    ),
+}
+CASES.update({name: ["verify", fixture] for name, (fixture, _) in EDITED.items()})
+
 
 def write_report(name, out):
     command, path, *rest = CASES[name]
-    main([command, str(FIXTURES / path), *rest, "--json", str(out)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = FIXTURES / path
+        if name in EDITED:
+            doc = json.loads(path.read_text())
+            EDITED[name][1](doc)
+            path = Path(tmp) / path.name
+            path.write_text(json.dumps(doc))
+        main([command, str(path), *rest, "--json", str(out)])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
