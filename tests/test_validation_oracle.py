@@ -8,6 +8,12 @@ from), and must give the same CheckReport items -- names, flags and witness
 tuples -- on every fixture, every benchmark input, single-entry mutants over
 Q and F_7, a structure over Q whose products pass 2**53, and structures over
 F_{2^31-1}.
+
+validate_bimodule decides the bimodule axioms as the transposed bicomodule
+axioms of the dual.  Its oracle composes the actions directly, and must give
+the same items on the regular bimodule of every fixture, the towers
+A (x) C^n for n = 1, 2, Hom(C, M), and single-entry mutants of either action
+over Q and F_7.
 """
 
 import importlib.util
@@ -21,9 +27,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entwine import structures
-from entwine.entwining import check_bowtie
+from entwine.complexes import hom_CM_bimodule
+from entwine.entwining import bimodule_on_A_Cn, check_bowtie
 from entwine.linalg import FieldSpec, Mat, kron
 from entwine.structures import (
+    Bimodule,
     CheckReport,
     FiniteAlgebra,
     FiniteCoalgebra,
@@ -31,10 +39,13 @@ from entwine.structures import (
     LinearMap,
     compose,
     flip_map,
+    identity_map,
+    regular_bimodule,
     tensor,
     validate_algebra,
     validate_antipode,
     validate_bialgebra,
+    validate_bimodule,
     validate_coalgebra,
 )
 from entwine.zoo import bialgebra_self_entwining, group_algebra_hopf, load, named_example
@@ -121,6 +132,33 @@ def oracle_bowtie(a, c, psi):
         compose(tensor(ida, c.counit), psi),
         tensor(c.counit, ida),
         [c.basis_labels, a.basis_labels],
+    )
+    return report
+
+
+def oracle_bimodule(a, m):
+    report = CheckReport(f"bimodule(dim={m.dim})")
+    ida, idm, unit = a.identity(), identity_map(a.field, (m.dim,)), a.unit_map()
+    la, lm = a.basis_labels, m.labels
+    report.check(
+        "left associativity",
+        compose(m.left, tensor(a.mult, idm)),
+        compose(m.left, tensor(ida, m.left)),
+        [la, la, lm],
+    )
+    report.check("left unit", compose(m.left, tensor(unit, idm)), idm, [lm])
+    report.check(
+        "right associativity",
+        compose(m.right, tensor(m.right, ida)),
+        compose(m.right, tensor(idm, a.mult)),
+        [lm, la, la],
+    )
+    report.check("right unit", compose(m.right, tensor(idm, unit)), idm, [lm])
+    report.check(
+        "actions commute",
+        compose(m.left, tensor(ida, m.right)),
+        compose(m.right, tensor(m.left, ida)),
+        [la, lm, la],
     )
     return report
 
@@ -227,6 +265,48 @@ def test_single_entry_mutants_match_the_oracle(base, target, r, c, value):
     if target == "S" and e.hopf is None:
         target = "psi"
     assert_matches_oracle(*mutated(_parts(e), target, r, c, value))
+
+
+# -- bimodules ---------------------------------------------------------------------------
+
+
+def assert_bimodule_matches_oracle(a, m):
+    got, want = validate_bimodule(a, m), oracle_bimodule(a, m)
+    assert (got.subject, got.items) == (want.subject, want.items)
+    return got.ok
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "fixtures").glob("*.json")), ids=lambda p: p.stem)
+def test_regular_bimodules_match_the_oracle(path):
+    a = load(path, validate=False).algebra
+    assert assert_bimodule_matches_oracle(a, regular_bimodule(a))
+
+
+@pytest.mark.parametrize("field", [FieldSpec.rationals(), F7], ids=["Q", "F7"])
+@pytest.mark.parametrize("name", ["z2", "z3", "graded-z2", "sweedler", "trivial-z2"])
+def test_tower_and_hom_bimodules_match_the_oracle(name, field):
+    e = named_example(name, field)
+    for n in (1, 2):
+        assert assert_bimodule_matches_oracle(e.algebra, bimodule_on_A_Cn(e, n))
+    assert assert_bimodule_matches_oracle(e.algebra, hom_CM_bimodule(e, regular_bimodule(e.algebra)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    base=st.sampled_from(sorted(MUTANT_BASES)),
+    target=st.sampled_from(["left", "right"]),
+    r=st.integers(0, 63),
+    c=st.integers(0, 63),
+    value=st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]),
+)
+def test_single_entry_action_mutants_match_the_oracle(base, target, r, c, value):
+    a = MUTANT_BASES[base].algebra
+    m = regular_bimodule(a)
+    actions = {"left": m.left, "right": m.right}
+    f = actions[target]
+    mutant = _with_entry(f.mat, r % f.mat.rows, c % f.mat.cols, value)
+    actions[target] = LinearMap(f.domain_shape, f.codomain_shape, mutant)
+    assert_bimodule_matches_oracle(a, Bimodule(m.dim, actions["left"], actions["right"], labels=m.labels))
 
 
 # -- coefficient sizes: the integer path and the largest prime ------------------------------
