@@ -8,12 +8,13 @@
     entwine example z2 --out z2.json
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (the failing
-relation or law is named in the report), 2 I/O or parse error.  Every command
-accepts --json PATH for a machine-readable report and --seed (non-negative,
-default 0) for the one sampled check, deform's random 2-cochain; reports are
-byte-identical across runs for fixed input and seed.  cohom, equivariant and
-deform take --max-degree (default 3); degrees above 4 are refused unless
---unsafe-degree is given, which those three and cup accept.
+relation or law is named in the report), 2 I/O, parse or resource error (such
+as running out of memory).  Each command builds one CheckReport of its checks
+and tables, written by --json PATH as a machine-readable report; --seed
+(non-negative, default 0) feeds the one sampled check, deform's random
+2-cochain; reports are byte-identical across runs for fixed input and seed.
+cohom, equivariant and deform take --max-degree (default 3); degrees above 4
+are refused unless --unsafe-degree is given, which those three and cup accept.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .entwining import check_bowtie
 from .errors import EntwineError, StructureParseError
 from .linalg import hstack, vstack
 from .structures import (
+    CheckReport,
     regular_bicomodule,
     regular_bimodule,
     validate_algebra,
@@ -66,33 +68,29 @@ def _max_degree(args):
     return _capped(args, args.max_degree, "--max-degree")
 
 
-def cmd_verify(args) -> dict:
+def cmd_verify(args):
     # load unchecked: this command's whole point is reporting what fails
     e = load(args.path, validate=False)
-    report = rep.new_report("verify", e.summary(), args.seed)
-    alg = validate_algebra(e.algebra)
-    rep.add_check(report, "algebra axioms", alg.ok, str(alg) if not alg.ok else "")
-    coalg = validate_coalgebra(e.coalgebra)
-    rep.add_check(report, "coalgebra axioms", coalg.ok, str(coalg) if not coalg.ok else "")
+    report = CheckReport("verify")
+    alg, coalg = validate_algebra(e.algebra), validate_coalgebra(e.coalgebra)
+    report.add("algebra axioms", alg.ok, str(alg) if not alg.ok else "")
+    report.add("coalgebra axioms", coalg.ok, str(coalg) if not coalg.ok else "")
     if alg.ok and coalg.ok:
         bowtie = check_bowtie(e.algebra, e.coalgebra, e.psi)
-        for name, ok, witness in bowtie.items:
-            rep.add_check(report, f"bow-tie: {name}", ok, "" if ok else f"witness {witness}")
+        report.items += [(f"bow-tie: {name}", ok, "" if ok else f"witness {w}") for name, ok, w in bowtie.items]
         if e.hopf is not None:
-            rep.add_check(report, "bialgebra compatibility", validate_bialgebra(e.hopf).ok)
-            rep.add_check(report, "antipode axioms", validate_antipode(e.hopf).ok)
+            report.add("bialgebra compatibility", validate_bialgebra(e.hopf).ok)
+            report.add("antipode axioms", validate_antipode(e.hopf).ok)
         if bowtie.ok:
-            m = regular_bimodule(e.algebra)
-            v = regular_bicomodule(e.coalgebra)
-            rep.add_check(report, "regular bimodule", validate_bimodule(e.algebra, m).ok)
-            rep.add_check(report, "regular bicomodule", validate_bicomodule(e.coalgebra, v).ok)
-    return report
+            report.add("regular bimodule", validate_bimodule(e.algebra, regular_bimodule(e.algebra)).ok)
+            report.add("regular bicomodule", validate_bicomodule(e.coalgebra, regular_bicomodule(e.coalgebra)).ok)
+    return report, e.summary()
 
 
-def cmd_cohom(args) -> dict:
+def cmd_cohom(args):
     e = load(args.path)
     n_max = _max_degree(args)
-    report = rep.new_report("cohom", e.summary(), args.seed)
+    report = CheckReport("cohom")
     if args.values.startswith("file:"):
         coeff = load_coefficients(args.values[5:], e, args.side)
     elif args.values in ("self", "regular"):
@@ -101,27 +99,23 @@ def cmd_cohom(args) -> dict:
         raise StructureParseError(f"unknown --values {args.values!r} (self | regular | file:PATH)")
     cx = build_CpsiAM(e, coeff, n_max) if args.side == "A" else build_ApsiCV(e, coeff, n_max)
     betti = {n: cohomology(cx, n).betti for n in range(n_max)}
-    rep.add_table(report, "space dimensions", {n: d for n, d in enumerate(cx.space_dims)})
-    rep.add_table(report, "betti numbers", betti)
-    rep.add_check(report, "differentials square to zero", True, "verified at construction")
-    return report
+    report.tables["space dimensions"] = {n: d for n, d in enumerate(cx.space_dims)}
+    report.tables["betti numbers"] = betti
+    report.add("differentials square to zero", True, "verified at construction")
+    return report, e.summary()
 
 
-def cmd_cup(args) -> dict:
+def cmd_cup(args):
     m, n = args.deg
     if min(m, n) < 0:
         raise StructureParseError("--deg must be non-negative")
     _capped(args, m + n + 1, "--deg M N builds degree M+N+1, which")
     e = load(args.path)
-    report = rep.new_report("cup", e.summary(), args.seed)
+    report = CheckReport("cup")
     ctx = CompContext(e, ALGEBRA)
     target = ctx.cohomology_at(m + n)  # first, so its complex serves H^m and H^n too
     hm, hn = ctx.cohomology_at(m), ctx.cohomology_at(n)
-    rep.add_table(
-        report,
-        "class counts",
-        {f"H^{m}": hm.betti, f"H^{n}": hn.betti, f"H^{m + n}": target.betti},
-    )
+    report.tables["class counts"] = {f"H^{m}": hm.betti, f"H^{n}": hn.betti, f"H^{m + n}": target.betti}
     cups, sqcups = class_products(ctx, m, n)
     pairs = cups.cols
     rows, nonzero = [], set()
@@ -141,57 +135,54 @@ def cmd_cup(args) -> dict:
             }
             for k in range(pairs)
         ]
-    rep.add_table(report, "products on classes", rows)
-    rep.add_check(report, "graded sign rule on cohomology", not nonzero, f"degrees ({m},{n})")
-    return report
+    report.tables["products on classes"] = rows
+    report.add("graded sign rule on cohomology", not nonzero, f"degrees ({m},{n})")
+    return report, e.summary()
 
 
-def cmd_equivariant(args) -> dict:
+def cmd_equivariant(args):
     e = load(args.path)
     n_max = _max_degree(args)
-    report = rep.new_report("equivariant", e.summary(), args.seed)
+    report = CheckReport("equivariant")
     ctx = CompContext(e, ALGEBRA)
-    dims = {n: equivariant_basis(ctx, n).cols for n in range(n_max + 1)}
-    rep.add_table(report, "equivariant dimensions", dims)
-    checks = equivariant_checks(ctx, min(n_max, 2))
-    for name, ok, detail in checks.items:
-        rep.add_check(report, name, ok, detail)
-    return report
+    report.tables["equivariant dimensions"] = {n: equivariant_basis(ctx, n).cols for n in range(n_max + 1)}
+    report.items += equivariant_checks(ctx, min(n_max, 2)).items
+    return report, e.summary()
 
 
-def cmd_deform(args) -> dict:
+def cmd_deform(args):
     e = load(args.path)
     n_max = max(3, min(_max_degree(args), 4))  # H^2 needs the degree-3 space
-    report = rep.new_report("deform", e.summary(), args.seed)
+    report = CheckReport("deform")
     tc = TotalComplex(e, n_max)
-    rep.add_table(report, "total complex dimensions", {n: d for n, d in enumerate(tc.dims)})
+    report.tables["total complex dimensions"] = {n: d for n, d in enumerate(tc.dims)}
     h2 = cohomology(tc.complex, 2)
     zs = h2.coboundary_basis
     counts = {"cocycles": h2.cocycle_basis.cols, "coboundaries": zs.cols, "classes": h2.betti}
-    rep.add_table(report, "degree-2 classification", counts)
+    report.tables["degree-2 classification"] = counts
     failures = [f for f in first_order_laws(e).failures(h2.cocycle_basis) if f]
     for failed in failures:
-        rep.add_check(report, "cocycle deforms mod t^2", False, "first-order law failed: " + ", ".join(failed))
-    rep.add_check(report, "every basis cocycle deforms mod t^2", not failures, f"{h2.cocycle_basis.cols} cocycles")
+        report.add("cocycle deforms mod t^2", False, "first-order law failed: " + ", ".join(failed))
+    report.add("every basis cocycle deforms mod t^2", not failures, f"{h2.cocycle_basis.cols} cocycles")
     # one witness per coboundary, checked with one product, then every transport at once
     ws = coboundary_witnesses(tc)
     eq_ok = tc.differential(1) @ ws == zs and not any(transport_laws(e).failures(vstack([ws, zs])))
-    rep.add_check(report, "every basis coboundary is equivalent to trivial", eq_ok, f"{zs.cols} coboundaries")
+    report.add("every basis coboundary is equivalent to trivial", eq_ok, f"{zs.cols} coboundaries")
     z_bad = random_two_cochain(tc, seed=args.seed)
     if (tc.differential(2) @ z_bad).is_zero():
-        rep.add_check(report, "random 2-cochain rejection", True, "sampled a cocycle; nothing to reject")
+        report.add("random 2-cochain rejection", True, "sampled a cocycle; nothing to reject")
     else:
         rejected = bool(first_order_laws(e).failures(z_bad)[0])
-        rep.add_check(report, "random 2-cochain rejection", rejected, "" if rejected else "non-cocycle accepted")
-    return report
+        report.add("random 2-cochain rejection", rejected, "" if rejected else "non-cocycle accepted")
+    return report, e.summary()
 
 
-def cmd_example(args) -> dict:
+def cmd_example(args):
     e = named_example(args.name)
     save(e, args.out)
-    report = rep.new_report("example", e.summary(), args.seed)
-    rep.add_check(report, f"wrote {args.name}", True, str(args.out))
-    return report
+    report = CheckReport("example")
+    report.add(f"wrote {args.name}", True, str(args.out))
+    return report, e.summary()
 
 
 @functools.cache
@@ -248,17 +239,20 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise StructureParseError("--seed must be non-negative")
-        report = args.func(args)
-        rep.render_text(report, elapsed=time.perf_counter() - started)
+        report, structure = args.func(args)
+        rep.render_text(report, structure, elapsed=time.perf_counter() - started)
         if args.json_path:
-            rep.write_json(report, args.json_path)
+            rep.write_json(report, structure, args.seed, args.json_path)
     except (StructureParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:  # numpy's allocation failures included: a resource error, not a failed check
+        print(f"error: out of memory{f' ({exc})' if str(exc) else ''}", file=sys.stderr)
         return EXIT_IO
     except EntwineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
-    return EXIT_OK if rep.all_passed(report) else EXIT_MATH
+    return EXIT_OK if report.ok else EXIT_MATH
 
 
 if __name__ == "__main__":

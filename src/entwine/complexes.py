@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from functools import cache, cached_property, partial
 
-from .entwining import EntwiningStructure, dual, dual_bimodule, splitting
+from .entwining import EntwiningStructure, dual, splitting
 from .errors import (
     DegreeError,
     InconsistentQuotientError,
@@ -62,6 +62,7 @@ from .structures import (
     FiniteCoalgebra,
     LinearMap,
     compose,
+    dual_bimodule,
     identity_map,
     tensor,
     validate_bimodule,

@@ -9,12 +9,14 @@ the four relations, written in alpha-notation psi(c (x) a) = a_alpha (x) c^alpha
                         = a_{beta alpha} (x) c_(1)^alpha (x) c_(2)^beta
     right triangle: a_alpha eps(c^alpha) = a eps(c)
 
-One tower family is built, psi^n : C (x) A^n -> A^n (x) C (move C right past
-n copies of A), which makes C (x) A^n a C-bicomodule.  The mirror family
-psi_n : C^n (x) A -> A (x) C^n (move A left past n copies of C), its actions
-and the A-bimodule A (x) C^n are the transposes of their counterparts on the
-dual entwining (C*, A*, psi^T).  Those structures drive every differential
-downstream, so the towers are cached per structure.
+check_bowtie codes the left two and decides the right two as the left ones of
+the dual entwining (C*, A*, psi^T), transposed.  Likewise one tower family is
+built, psi^n : C (x) A^n -> A^n (x) C (move C right past n copies of A), which
+makes C (x) A^n a C-bicomodule.  The mirror family psi_n : C^n (x) A ->
+A (x) C^n (move A left past n copies of C), its actions and the A-bimodule
+A (x) C^n are the transposes of their counterparts on the dual entwining.
+Those structures drive every differential downstream, so the towers are
+cached per structure.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .structures import (
     _dense,
     _Exact,
     compose,
+    dual_bimodule,
+    dual_coalgebra,
     identity_map,
     tensor,
     translation_map,
@@ -44,38 +48,36 @@ from .structures import (
 )
 
 
-def check_bowtie(a: FiniteAlgebra, c: FiniteCoalgebra, psi: LinearMap) -> CheckReport:
-    """Evaluate the four bow-tie relations as exact identities of dense structure constants."""
-    if psi.domain_shape != (c.dim, a.dim) or psi.codomain_shape != (a.dim, c.dim):
-        raise ShapeMismatchError("psi must map C(x)A -> A(x)C")
-    da, dc, p = a.dim, c.dim, a.field.p
-    mu, unit, delta, eps, ps = _dense(p, a.mult.mat, a.unit, c.comult.mat, c.counit.mat, psi.mat)
+def _left_bowtie(report, mu: _Exact, unit: _Exact, ps: _Exact, a_labels, c_labels, names, transposed=False):
+    """The left pentagon and left triangle of (mu, unit, psi), recorded under names; a witness is
+    read on the domain, or when transposed on the codomain A (x) C."""
+    da, dc, p = len(a_labels), len(c_labels), mu.p
     # psi(e_c (x) e_i) = sum ps[(a, d), (c, i)] e_a (x) e_d; each side below is indexed
     # [codomain factors, domain factors]
-    labels = [c.basis_labels, a.basis_labels, a.basis_labels]
-    report = CheckReport("bow-tie")
+    labels = [a_labels, c_labels] if transposed else [c_labels, a_labels, a_labels]
     # psi o (C (x) mu) = (mu (x) C) o (A (x) psi) o (psi (x) A):
     # sum mu[k, (y, z)] ps[(z, d), (e, j)] ps[(y, e), (c, i)], first over z, then over (y, e)
     lhs = (ps.reshape(-1, da) @ mu).reshape(da, dc, dc, da, da)
     q = (mu.reshape(da * da, da) @ ps.reshape(da, -1)).reshape(da, da, dc, dc, da).transpose(0, 2, 1, 3, 4)
     rhs = ps.transpose() @ q.reshape(da * dc, da * dc, da)  # [(k, d), (c, i), j], one product per (k, d)
-    report.check_exact("left pentagon", lhs, rhs.reshape(da, dc, dc, da, da), labels)
+    report.check_exact(names[0], lhs, rhs.reshape(da, dc, dc, da, da), labels, transposed)
     # psi o (C (x) 1) = 1 (x) C
     lhs = (ps.reshape(-1, da) @ unit).reshape(da, dc, dc)
     rhs = (unit @ _Exact(np.eye(dc).reshape(1, -1), 1, 1, p)).reshape(da, dc, dc)
-    report.check_exact("left triangle", lhs, rhs, labels[:1])
-    # (A (x) Delta) o psi = (psi (x) C) o (C (x) psi) o (Delta (x) A):
-    # sum ps[(a, x), (x1, b)] ps[(b, y), (x2, i)] delta[(x1, x2), c], first over x2, then over (x1, b)
-    by_a = ps.reshape(da, dc, dc * da)  # [a, d, (c, i)]: each product below runs once per a
-    lhs = (delta @ by_a).reshape(da, dc, dc, dc, da)
-    r = delta.reshape(dc, dc, dc).transpose(0, 2, 1).reshape(dc * dc, dc) @ ps.reshape(da * dc, dc, da)
-    r = r.reshape(da, dc, dc, dc, da).transpose(2, 0, 1, 3, 4)  # [x1, b, y, c, i]
-    rhs = (ps @ r.reshape(dc * da, -1)).reshape(da, dc, dc, dc, da)
-    report.check_exact("right pentagon", lhs, rhs, labels[:2])
-    # (A (x) eps) o psi = eps (x) A
-    rhs = (_Exact(np.eye(da).reshape(-1, 1), 1, 1, p) @ eps).reshape(da, da, dc).transpose(0, 2, 1)
-    report.check_exact("right triangle", (eps @ by_a).reshape(da, dc, da), rhs, labels[:2])
+    report.check_exact(names[1], lhs, rhs, labels[: 2 if transposed else 1], transposed)
     return report
+
+
+def check_bowtie(a: FiniteAlgebra, c: FiniteCoalgebra, psi: LinearMap) -> CheckReport:
+    """Evaluate the four bow-tie relations as exact identities of dense structure constants; the
+    right pentagon and triangle are the left ones of the dual entwining (C*, A*, psi^T), transposed."""
+    if psi.domain_shape != (c.dim, a.dim) or psi.codomain_shape != (a.dim, c.dim):
+        raise ShapeMismatchError("psi must map C(x)A -> A(x)C")
+    mu, unit, delta, eps, ps = _dense(a.field.p, a.mult.mat, a.unit, c.comult.mat, c.counit.mat, psi.mat)
+    report = CheckReport("bow-tie")
+    _left_bowtie(report, mu, unit, ps, a.basis_labels, c.basis_labels, ("left pentagon", "left triangle"))
+    mirrored = delta.dual(), eps.dual(), ps.dual(), c.basis_labels, a.basis_labels
+    return _left_bowtie(report, *mirrored, ("right pentagon", "right triangle"), True)
 
 
 class EntwiningStructure:
@@ -140,13 +142,9 @@ def dual(e: EntwiningStructure) -> EntwiningStructure:
     """
 
     def build():
-        a, c = e.algebra, e.coalgebra
-        algebra = FiniteAlgebra(
-            e.field, c.basis_labels, c.comult.transpose(), c.counit.mat.transpose()
-        )
-        coalgebra = FiniteCoalgebra(
-            e.field, a.basis_labels, a.mult.transpose(), a.unit_map().transpose()
-        )
+        c = e.coalgebra
+        algebra = FiniteAlgebra(e.field, c.basis_labels, c.comult.transpose(), c.counit.mat.transpose())
+        coalgebra = dual_coalgebra(e.algebra)
         hopf = e.hopf and HopfAlgebra(algebra, coalgebra, e.hopf.antipode.transpose())  # (C*, A*, S^T)
         return EntwiningStructure.unchecked(algebra, coalgebra, e.psi.transpose(), hopf=hopf)
 
@@ -172,11 +170,6 @@ def splitting(e: EntwiningStructure) -> LinearMap:
         return compose(tensor(a.mult, c.identity(), ida), spread)
 
     return e._cached(("splitting",), build)
-
-
-def dual_bimodule(v: Bicomodule) -> Bimodule:
-    """V* as a C*-bimodule: each coaction transposes into an action."""
-    return Bimodule(v.dim, v.left.transpose(), v.right.transpose(), labels=v.labels)
 
 
 def psi_up(e: EntwiningStructure, n: int) -> LinearMap:

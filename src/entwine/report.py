@@ -1,54 +1,35 @@
-"""Structured reports for the command-line front end.
+"""Rendering and writing of a command's CheckReport (subject: the command).
 
-A report is a plain dict with schema tag "entwine-report/1".  The JSON form
-is byte-deterministic for a fixed input and seed: key order is fixed at
-construction, and wall-clock timing is only ever printed to the human stream,
-never stored in the report.
+The JSON form, schema tag "entwine-report/1", adds the structure summary and
+the seed to the report's checks and tables.  It is byte-deterministic for a
+fixed input and seed: key order is fixed here, and wall-clock timing is only
+ever printed to the human stream, never stored in the report.
 """
 
 from __future__ import annotations
 
 import json
 
+from .structures import CheckReport
 
 SCHEMA = "entwine-report/1"
 
 
-def new_report(command: str, structure_summary: dict | None, seed: int) -> dict:
-    return {
-        "format": SCHEMA,
-        "command": command,
-        "structure": structure_summary or {},
-        "seed": seed,
-        "checks": [],
-        "tables": {},
-    }
-
-
-def add_check(report: dict, name: str, passed: bool, detail: str = ""):
-    report["checks"].append({"name": name, "passed": bool(passed), "detail": detail})
-
-
-def add_table(report: dict, name: str, rows):
-    report["tables"][name] = rows
-
-
-def all_passed(report: dict) -> bool:
-    return all(c["passed"] for c in report["checks"])
-
-
-def write_json(report: dict, path):
-    text = json.dumps(report, indent=1, sort_keys=False) + "\n"
+def write_json(report: CheckReport, structure: dict, seed: int, path):
+    checks = [{"name": name, "passed": ok, "detail": detail} for name, ok, detail in report.items]
+    document = {"format": SCHEMA, "command": report.subject, "structure": structure, "seed": seed,
+                "checks": checks, "tables": report.tables}
+    text = json.dumps(document, indent=1, sort_keys=False) + "\n"
     with open(path, "w") as fh:
         fh.write(text)  # one write: json.dump with indent writes chunk by chunk
 
 
-def render_text(report: dict, elapsed: float):
-    print(f"== {report['command']} ==")
-    if report["structure"]:
-        summary = ", ".join(f"{k}={v}" for k, v in report["structure"].items())
+def render_text(report: CheckReport, structure: dict, elapsed: float):
+    print(f"== {report.subject} ==")
+    if structure:
+        summary = ", ".join(f"{k}={v}" for k, v in structure.items())
         print(f"structure: {summary}")
-    for name, rows in report["tables"].items():
+    for name, rows in report.tables.items():
         print(f"-- {name} --")
         if isinstance(rows, dict):
             for k, v in rows.items():
@@ -56,10 +37,7 @@ def render_text(report: dict, elapsed: float):
         else:
             for row in rows:
                 print(f"  {row}")
-    for check in report["checks"]:
-        mark = "pass" if check["passed"] else "FAIL"
-        detail = f"  ({check['detail']})" if check["detail"] else ""
-        print(f"[{mark}] {check['name']}{detail}")
-    verdict = "all checks passed" if all_passed(report) else "CHECKS FAILED"
-    print(verdict)
+    for name, ok, detail in report.items:
+        print(f"[{'pass' if ok else 'FAIL'}] {name}" + (f"  ({detail})" if detail else ""))
+    print("all checks passed" if report.ok else "CHECKS FAILED")
     print(f"(elapsed {elapsed:.2f}s)")

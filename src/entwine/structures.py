@@ -6,15 +6,18 @@ with the leftmost factor most significant, matching left-to-right tensor
 notation; Kronecker products follow the same convention.
 
 Validators check the defining axioms as exact identities and return a
-CheckReport, the one report type of the package, with a witness basis tuple
-for every failed identity.  The algebra, coalgebra, bialgebra and antipode
-axioms (and entwining.check_bowtie) are decided on the dense structure
-constants: each side is one to three products of reshaped numerator arrays
-(_Exact), in float64 while every partial sum stays below 2**53, else on Python
-ints, with the denominators cross-multiplied and, over F_p, compared mod p.
-The arrays reach dim(A)^3 dim(C)^2 entries, which beats sparse composition
-only on small structures; the (bi)module axioms still compose sparse maps.
-Constructors of higher layers demand validated inputs.
+CheckReport, the one report type of the package (the CLI's too), with a
+witness basis tuple for every failed identity.  The algebra, coalgebra,
+bialgebra and antipode axioms (and entwining.check_bowtie) are decided on the
+dense structure constants: each side is one to three products of reshaped
+numerator arrays (_Exact), in float64 while every partial sum stays below
+2**53, else on Python ints, with the denominators cross-multiplied and, over
+F_p, compared mod p.  The arrays reach dim(A)^3 dim(C)^2 entries, which beats
+sparse composition only on small structures; the (bi)module axioms still
+compose sparse maps.  Each mirrored family is coded once: the coalgebra
+axioms are the algebra axioms of C* and the bimodule axioms the bicomodule
+axioms of M* over A*, transposed, with each witness read on the codomain of
+the coded identity.  Constructors of higher layers demand validated inputs.
 """
 
 from __future__ import annotations
@@ -145,6 +148,10 @@ class _Exact:
     def transpose(self, *axes):
         return _Exact(self.a.transpose(*axes), self.den, self.bound, self.p)
 
+    def dual(self):
+        """The transpose, stored C-contiguous: products on a transposed view take other BLAS kernels."""
+        return _Exact(np.ascontiguousarray(self.a.T), self.den, self.bound, self.p)
+
     def __matmul__(self, other):
         """The exact product (2-D, or stacked on the right), in float64 while every partial sum (at most
         bound * bound * terms) stays below 2**53; over F_p, reducing the operands first may keep it there."""
@@ -166,30 +173,37 @@ def _dense(p, *mats):
 
 
 class CheckReport:
-    """Named checks on one subject, recorded in order as (name, ok, detail).
+    """Named checks on one subject, recorded in order as (name, ok, detail), and named tables.
 
     detail is free text, or for a failed identity of maps the first basis
-    tuple (as labels) where the two sides differ.
+    tuple (as labels) where the two sides differ: on the domain, or with
+    _transposed (a family derived as the transpose of the one coded) on the
+    codomain, the domain of the derived identity.
     """
 
     def __init__(self, subject):
         self.subject = subject
         self.items: list[tuple[str, bool, object]] = []
+        self.tables: dict = {}
 
     def add(self, name, ok, detail=""):
         self.items.append((name, bool(ok), detail))
 
-    def check(self, name, lhs: LinearMap, rhs: LinearMap, labels_per_factor):
+    def check(self, name, lhs: LinearMap, rhs: LinearMap, labels_per_factor, _transposed=False):
         """Record lhs == rhs, with the first differing basis tuple on failure."""
         if lhs.mat == rhs.mat:  # canonical storage: no arithmetic
             self.add(name, True)
             return
-        idx = decode_index(lhs.domain_shape, (lhs.mat - rhs.mat).nonzero_columns()[0])
+        diff, shape = lhs.mat - rhs.mat, lhs.domain_shape
+        if _transposed:
+            diff, shape = diff.transpose(), lhs.codomain_shape
+        idx = decode_index(shape, diff.nonzero_columns()[0])
         self.add(name, False, tuple(labels[k] for labels, k in zip(labels_per_factor, idx)))
 
-    def check_exact(self, name, lhs: _Exact, rhs: _Exact, labels_per_factor=None):
-        """Record lhs == rhs (one shape, one trailing axis per labels entry for the domain) with the
-        denominators cross-multiplied, mod p over F_p, and on failure the first differing domain tuple."""
+    def check_exact(self, name, lhs: _Exact, rhs: _Exact, labels_per_factor=None, _transposed=False):
+        """Record lhs == rhs (one shape, one trailing axis per labels entry for the domain, or one
+        leading axis for the codomain) with the denominators cross-multiplied, mod p over F_p, and on
+        failure the first differing tuple."""
         kx, ky = rhs.den // (g := math.gcd(lhs.den, rhs.den)), lhs.den // g
         x, y = (lhs.a, rhs.a) if lhs.bound * kx + rhs.bound * ky < 2**53 else (_ints(lhs.a), _ints(rhs.a))
         diff = (x if kx == 1 else x * kx) - (y if ky == 1 else y * ky)
@@ -198,8 +212,9 @@ class CheckReport:
         ok = not diff.any()
         if ok or labels_per_factor is None:
             return self.add(name, ok)
-        first = np.nonzero(diff.any(axis=tuple(range(diff.ndim - len(labels_per_factor)))))
-        self.add(name, False, tuple(labels[k[0]] for labels, k in zip(labels_per_factor, first)))
+        k = len(labels_per_factor)
+        first = np.nonzero(diff.any(axis=tuple(range(k, diff.ndim) if _transposed else range(diff.ndim - k))))
+        self.add(name, False, tuple(labels[i[0]] for labels, i in zip(labels_per_factor, first)))
 
     @property
     def ok(self) -> bool:
@@ -264,17 +279,25 @@ class FiniteAlgebra:
         return f"FiniteAlgebra(dim={self.dim}, field={self.field})"
 
 
-def validate_algebra(a: FiniteAlgebra) -> CheckReport:
-    report = CheckReport(f"algebra(dim={a.dim})")
-    d, p, labels = a.dim, a.field.p, [a.basis_labels]
-    (mu, unit), eye = _dense(p, a.mult.mat, a.unit), _Exact(np.eye(d), 1, 1, p)
+def _algebra_axioms(report, mu: _Exact, unit: _Exact, labels, names, transposed=False) -> CheckReport:
+    """The associativity, left unit and right unit identities of (mu, unit), recorded under names;
+    a witness is read on the domain, or when transposed on the codomain."""
+    d, p = len(labels), mu.p
+    eye = _Exact(np.eye(d), 1, 1, p)
     # e_i e_j = sum_k mu[k, (i, j)] e_k; outer[(k, j), x] = mu[k, (x, j)], inner[(k, i), x] = mu[k, (i, x)]
     outer, inner = mu.reshape(d, d, d).transpose(0, 2, 1).reshape(d * d, d), mu.reshape(d * d, d)
     lhs = (outer @ mu).reshape(d, d, d, d).transpose(0, 2, 3, 1)  # [k, i, j, l] = sum_x mu[k, (x, l)] mu[x, (i, j)]
-    report.check_exact("associativity", lhs, (inner @ mu).reshape(d, d, d, d), labels * 3)
-    report.check_exact("left unit", (outer @ unit).reshape(d, d), eye, labels)
-    report.check_exact("right unit", (inner @ unit).reshape(d, d), eye, labels)
+    rhs = (inner @ mu).reshape(d, d, d, d)
+    report.check_exact(names[0], lhs, rhs, [labels] * (1 if transposed else 3), transposed)
+    report.check_exact(names[1], (outer @ unit).reshape(d, d), eye, [labels], transposed)
+    report.check_exact(names[2], (inner @ unit).reshape(d, d), eye, [labels], transposed)
     return report
+
+
+def validate_algebra(a: FiniteAlgebra) -> CheckReport:
+    mu, unit = _dense(a.field.p, a.mult.mat, a.unit)
+    report = CheckReport(f"algebra(dim={a.dim})")
+    return _algebra_axioms(report, mu, unit, a.basis_labels, ("associativity", "left unit", "right unit"))
 
 
 # -- coalgebras ----------------------------------------------------------------
@@ -323,17 +346,10 @@ class FiniteCoalgebra:
 
 
 def validate_coalgebra(c: FiniteCoalgebra) -> CheckReport:
-    report = CheckReport(f"coalgebra(dim={c.dim})")
-    d, p, labels = c.dim, c.field.p, [c.basis_labels]
-    (delta, eps), eye = _dense(p, c.comult.mat, c.counit.mat), _Exact(np.eye(d), 1, 1, p)
-    # Delta(e_i) = sum delta[(a, b), i] e_a (x) e_b; left[a, (b, i)] and right[b, (a, i)] are delta[(a, b), i]
-    left, right = delta.reshape(d, d * d), delta.reshape(d, d, d).transpose(1, 0, 2).reshape(d, d * d)
-    lhs = (delta @ left).reshape(d, d, d, d)  # [a, b, c, i] = sum_x delta[(a, b), x] delta[(x, c), i]
-    rhs = (delta @ right).reshape(d, d, d, d).transpose(2, 0, 1, 3)  # sum_x delta[(b, c), x] delta[(a, x), i]
-    report.check_exact("coassociativity", lhs, rhs, labels)
-    report.check_exact("left counit", (eps @ left).reshape(d, d), eye, labels)
-    report.check_exact("right counit", (eps @ right).reshape(d, d), eye, labels)
-    return report
+    """The algebra axioms of C*, whose product and unit are Delta^T and eps^T, transposed."""
+    delta, eps = _dense(c.field.p, c.comult.mat, c.counit.mat)
+    report, names = CheckReport(f"coalgebra(dim={c.dim})"), ("coassociativity", "left counit", "right counit")
+    return _algebra_axioms(report, delta.dual(), eps.dual(), c.basis_labels, names, True)
 
 
 # -- bialgebras and antipodes --------------------------------------------------------
@@ -438,32 +454,25 @@ def regular_bimodule(a: FiniteAlgebra) -> Bimodule:
 
 
 def validate_bimodule(a: FiniteAlgebra, m: Bimodule) -> CheckReport:
+    """The bicomodule axioms of M* over A*, transposed."""
+    names = ("left associativity", "left unit", "right associativity", "right unit", "actions commute")
     report = CheckReport(f"bimodule(dim={m.dim})")
-    ida = a.identity()
-    idm = identity_map(a.field, (m.dim,))
-    unit = a.unit_map()
-    la, lm = a.basis_labels, m.labels
-    report.check(
-        "left associativity",
-        compose(m.left, tensor(a.mult, idm)),
-        compose(m.left, tensor(ida, m.left)),
-        [la, la, lm],
-    )
-    report.check("left unit", compose(m.left, tensor(unit, idm)), idm, [lm])
-    report.check(
-        "right associativity",
-        compose(m.right, tensor(m.right, ida)),
-        compose(m.right, tensor(idm, a.mult)),
-        [lm, la, la],
-    )
-    report.check("right unit", compose(m.right, tensor(idm, unit)), idm, [lm])
-    report.check(
-        "actions commute",
-        compose(m.left, tensor(ida, m.right)),
-        compose(m.right, tensor(m.left, ida)),
-        [la, lm, la],
-    )
-    return report
+    return _bicomodule_axioms(report, dual_coalgebra(a), dual_bicomodule(m), names, True)
+
+
+def dual_coalgebra(a: FiniteAlgebra) -> FiniteCoalgebra:
+    """A* as a coalgebra: the product and unit transpose into the coproduct and counit."""
+    return FiniteCoalgebra(a.field, a.basis_labels, a.mult.transpose(), a.unit_map().transpose())
+
+
+def dual_bicomodule(m: Bimodule) -> Bicomodule:
+    """M* as an A*-bicomodule: each action transposes into a coaction."""
+    return Bicomodule(m.dim, m.left.transpose(), m.right.transpose(), labels=m.labels)
+
+
+def dual_bimodule(v: Bicomodule) -> Bimodule:
+    """V* as a C*-bimodule: each coaction transposes into an action."""
+    return Bimodule(v.dim, v.left.transpose(), v.right.transpose(), labels=v.labels)
 
 
 class Bicomodule:
@@ -489,29 +498,23 @@ def regular_bicomodule(c: FiniteCoalgebra) -> Bicomodule:
     return Bicomodule(c.dim, c.comult, c.comult, labels=c.basis_labels)
 
 
-def validate_bicomodule(c: FiniteCoalgebra, v: Bicomodule) -> CheckReport:
-    report = CheckReport(f"bicomodule(dim={v.dim})")
-    idc = c.identity()
-    idv = identity_map(c.field, (v.dim,))
-    lv = [v.labels]
-    report.check(
-        "left coassociativity",
-        compose(tensor(c.comult, idv), v.left),
-        compose(tensor(idc, v.left), v.left),
-        lv,
-    )
-    report.check("left counit", compose(tensor(c.counit, idv), v.left), idv, lv)
-    report.check(
-        "right coassociativity",
-        compose(tensor(v.right, idc), v.right),
-        compose(tensor(idv, c.comult), v.right),
-        lv,
-    )
-    report.check("right counit", compose(tensor(idv, c.counit), v.right), idv, lv)
-    report.check(
-        "coactions commute",
-        compose(tensor(idc, v.right), v.left),
-        compose(tensor(v.left, idc), v.right),
-        lv,
-    )
+def _bicomodule_axioms(report, c: FiniteCoalgebra, v: Bicomodule, names, transposed=False) -> CheckReport:
+    """The bicomodule identities of v over c, recorded under names; a witness is read on the
+    domain V, or when transposed on the codomain, labelled by the factors each check lists."""
+    idc, idv = c.identity(), identity_map(c.field, (v.dim,))
+    lc, lv = c.basis_labels, v.labels
+
+    def check(name, lhs, rhs, *codomain):
+        report.check(name, lhs, rhs, codomain if transposed else [lv], transposed)
+
+    check(names[0], compose(tensor(c.comult, idv), v.left), compose(tensor(idc, v.left), v.left), lc, lc, lv)
+    check(names[1], compose(tensor(c.counit, idv), v.left), idv, lv)
+    check(names[2], compose(tensor(v.right, idc), v.right), compose(tensor(idv, c.comult), v.right), lv, lc, lc)
+    check(names[3], compose(tensor(idv, c.counit), v.right), idv, lv)
+    check(names[4], compose(tensor(idc, v.right), v.left), compose(tensor(v.left, idc), v.right), lc, lv, lc)
     return report
+
+
+def validate_bicomodule(c: FiniteCoalgebra, v: Bicomodule) -> CheckReport:
+    names = ("left coassociativity", "left counit", "right coassociativity", "right counit", "coactions commute")
+    return _bicomodule_axioms(CheckReport(f"bicomodule(dim={v.dim})"), c, v, names)

@@ -46,6 +46,32 @@ def test_unwritable_json_path_is_io_error(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError(), "error: out of memory\n"),
+        # the text of numpy's allocation failure, which subclasses MemoryError
+        (
+            MemoryError("Unable to allocate 8.00 GiB for an array with shape (1073741824,) and data type int64"),
+            "error: out of memory (Unable to allocate 8.00 GiB for an array with shape (1073741824,) "
+            "and data type int64)\n",
+        ),
+    ],
+)
+def test_memory_exhaustion_is_a_resource_error(monkeypatch, tmp_path, capsys, exc, line):
+    # running out of memory is not a failed check: one error line and exit 2, no report
+    import entwine.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "TotalComplex", exhausted)
+    out = tmp_path / "report.json"
+    assert run(["deform", FIXTURES / "z2.json", "--json", out]) == 2
+    assert capsys.readouterr().err == line
+    assert not out.exists()
+
+
 def test_malformed_file_is_io_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
