@@ -726,19 +726,17 @@ def from_blocks(field, rows, cols, blocks) -> Mat:
 
 
 def hstack(mats: list[Mat]) -> Mat:
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise ShapeMismatchError("mixed heights in hstack")
+    if not mats or any(m.rows != mats[0].rows for m in mats):
+        raise ShapeMismatchError("hstack needs one or more matrices of one height")
     offsets = list(accumulate((m.cols for m in mats), initial=0))
-    return from_blocks(mats[0].field, rows, offsets[-1], [(0, off, m) for off, m in zip(offsets, mats)])
+    return from_blocks(mats[0].field, mats[0].rows, offsets[-1], [(0, off, m) for off, m in zip(offsets, mats)])
 
 
 def vstack(mats: list[Mat]) -> Mat:
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ShapeMismatchError("mixed widths in vstack")
+    if not mats or any(m.cols != mats[0].cols for m in mats):
+        raise ShapeMismatchError("vstack needs one or more matrices of one width")
     offsets = list(accumulate((m.rows for m in mats), initial=0))
-    return from_blocks(mats[0].field, offsets[-1], cols, [(off, 0, m) for off, m in zip(offsets, mats)])
+    return from_blocks(mats[0].field, offsets[-1], mats[0].cols, [(off, 0, m) for off, m in zip(offsets, mats)])
 
 
 def _is_identity(m: Mat) -> bool:

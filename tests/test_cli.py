@@ -234,6 +234,50 @@ def test_cohom_coefficients_file(tmp_path):
     assert doc["tables"]["betti numbers"]["0"] == 2
 
 
+def _side_c_inputs(tmp_path, name, field):
+    """A fixture over field saved to a file, with the --values of its regular and C (x) A coefficients."""
+    from entwine.entwining import bicomodule_on_C_An
+    from entwine.structures import regular_bicomodule
+    from entwine.zoo import named_example, save, save_coefficients
+
+    e = named_example(name, field)
+    path, tower = tmp_path / f"{name}.json", tmp_path / f"{name}-tower.json"
+    save(e, path)
+    save_coefficients(bicomodule_on_C_An(e, 1), tower, "C")
+    return e, path, {"self": regular_bicomodule(e.coalgebra), f"file:{tower}": bicomodule_on_C_An(e, 1)}
+
+
+def test_cohom_side_c_builds_no_comodule_differential(monkeypatch, tmp_path):
+    # side C is side A of dual(e): no operator is re-indexed into vec(f) coordinates
+    from entwine import complexes
+    from entwine.linalg import QQ
+
+    _, path, coefficients = _side_c_inputs(tmp_path, "sweedler", QQ)
+    fns = [complexes.build_ApsiCV, complexes.comodule_differential, complexes.build_CpsiAM]
+    for values in ("regular", *coefficients):
+        argv = ["cohom", path, "--side", "C", "--values", values, "--max-degree", "3"]
+        with monkeypatch.context() as patch:
+            counts = count_bound_calls(patch, argv, fns)
+        assert counts == {"build_ApsiCV": 0, "comodule_differential": 0, "build_CpsiAM": 1}, values
+
+
+@pytest.mark.parametrize("field", ["Q", "F7"])
+@pytest.mark.parametrize("name", ["trivial-k", "trivial-z2", "z2", "z3", "graded-z2", "sweedler"])
+def test_cohom_side_c_matches_the_comodule_valued_complex(tmp_path, name, field):
+    # the report's dimensions and betti numbers are those of A_psi(C, V), built in vec(f) coordinates
+    from entwine.complexes import build_ApsiCV, cohomology
+    from entwine.linalg import QQ, FieldSpec
+
+    e, path, coefficients = _side_c_inputs(tmp_path, name, QQ if field == "Q" else FieldSpec.prime(7))
+    for values, v in coefficients.items():
+        cx = build_ApsiCV(e, v, 4)
+        out = tmp_path / "r.json"
+        assert run(["cohom", path, "--side", "C", "--values", values, "--max-degree", "4", "--json", out]) == 0
+        tables = json.loads(out.read_text())["tables"]
+        assert tables["space dimensions"] == {str(n): d for n, d in enumerate(cx.space_dims)}, values
+        assert tables["betti numbers"] == {str(n): cohomology(cx, n).betti for n in range(4)}, values
+
+
 def test_cohom_rejects_bad_values_flag():
     assert run(["cohom", FIXTURES / "z2.json", "--values", "bogus"]) == 2
 
@@ -408,9 +452,10 @@ def test_reports_are_byte_identical(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def count_eliminations(monkeypatch, argv):
-    """Run the CLI on argv, counting _rref and basis/quotient calls."""
-    counts = {"_rref": 0, "kernel_basis": 0, "image_basis": 0, "quotient_with_projection": 0}
+def count_bound_calls(monkeypatch, argv, fns):
+    """Run the CLI on argv, counting calls of each function in fns through every
+    entwine module that binds it."""
+    counts = {fn.__name__: 0 for fn in fns}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -419,9 +464,8 @@ def count_eliminations(monkeypatch, argv):
 
         return wrapper
 
-    for name in counts:
-        fn = getattr(linalg, name)
-        wrapper = counting(name, fn)
+    for fn in fns:
+        wrapper = counting(fn.__name__, fn)
         for modname, module in list(sys.modules.items()):
             if modname.split(".")[0] == "entwine":
                 for attr, value in list(vars(module).items()):
@@ -429,6 +473,12 @@ def count_eliminations(monkeypatch, argv):
                         monkeypatch.setattr(module, attr, wrapper)
     assert run(argv) == 0
     return counts
+
+
+def count_eliminations(monkeypatch, argv):
+    """Run the CLI on argv, counting _rref and basis/quotient calls."""
+    names = ("_rref", "kernel_basis", "image_basis", "quotient_with_projection")
+    return count_bound_calls(monkeypatch, argv, [getattr(linalg, name) for name in names])
 
 
 def test_cohom_command_eliminates_nothing_on_hopf_data(monkeypatch, tmp_path):

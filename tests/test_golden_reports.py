@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 from entwine.cli import main
+from entwine.entwining import bicomodule_on_C_An
+from entwine.zoo import load, save_coefficients
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -58,6 +60,13 @@ EDITED = {
 }
 CASES.update({name: ["verify", fixture] for name, (fixture, _) in EDITED.items()})
 
+# side-C coefficients that are not the regular bicomodule: C (x) A, saved to a temporary
+# coefficients file and passed as --values file:PATH
+TOWER = {f"cohom-C-{name}-tower-1": name for name in ("graded-z2", "sweedler", "trivial-z2")}
+CASES.update(
+    {case: ["cohom", f"{name}.json", "--side", "C", "--max-degree", "3"] for case, name in TOWER.items()}
+)
+
 
 def write_report(name, out):
     command, path, *rest = CASES[name]
@@ -68,6 +77,10 @@ def write_report(name, out):
             EDITED[name][1](doc)
             path = Path(tmp) / path.name
             path.write_text(json.dumps(doc))
+        if name in TOWER:
+            values = Path(tmp) / "tower.json"
+            save_coefficients(bicomodule_on_C_An(load(path), 1), values, "C")
+            rest = [*rest, "--values", f"file:{values}"]
         main([command, str(path), *rest, "--json", str(out)])
 
 

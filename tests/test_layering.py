@@ -46,6 +46,18 @@ def test_core_modules_do_not_import_report():
     assert _core_imports_of({"report"}) == {name: [] for name in CORE}
 
 
+def test_cli_builds_cohomology_with_one_builder():
+    # cohom --side C runs as side A of dual(e), so the CLI needs only the module-valued builder
+    imported = {
+        alias.name
+        for node in ast.walk(_modules()["cli"][1])
+        if isinstance(node, ast.ImportFrom) and node.module in ("complexes", "entwine.complexes")
+        for alias in node.names
+    }
+    assert "build_CpsiAM" in imported
+    assert imported.isdisjoint({"build_ApsiCV", "comodule_differential"})
+
+
 def _reexports(path, tree):
     """Names a module imports to pass on: listed in __all__, or imported by a
     statement marked re-export."""

@@ -276,6 +276,15 @@ def test_hstack_of_columns():
     assert hstack([c1, c2]) == mat([[1, 3], [2, 4]])
 
 
+@pytest.mark.parametrize("stack", [hstack, vstack])
+def test_stacking_nothing_is_a_shape_error(stack):
+    # an empty list has no field, height or width to take: a typed error, not an IndexError
+    with pytest.raises(ShapeMismatchError, match="one or more matrices"):
+        stack([])
+    with pytest.raises(ShapeMismatchError, match="one or more matrices"):
+        stack([mat([[1, 2]]), mat([[1], [2]])])
+
+
 @pytest.mark.parametrize("field", [QQ, F7])
 def test_scale_by_zero_stores_nothing(field):
     m = mat([[1, 2], [0, 3]], field=field)

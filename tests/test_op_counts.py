@@ -102,8 +102,9 @@ def test_cohom_sweedler_side_c_op_counts(monkeypatch, capsys):
     argv = ["cohom", FIXTURES / "sweedler.json", "--side", "C", "--max-degree", "4"]
     code, counts, builds = _counted_run(monkeypatch, argv)
     assert code == 0 and "-- betti numbers --\n  0: 4\n  1: 0\n  2: 0\n  3: 0\n" in capsys.readouterr().out
-    assert counts == {"Mat": 90, "kron": 17}
-    # side C runs on dual(e): h^1..h^4 come from one translation map and one X of it
+    # side C is side A of dual(e): no d^n or h^n is re-indexed into vec(f) coordinates
+    assert counts == {"Mat": 74, "kron": 17}
+    # h^1..h^4 come from one translation map and one X of dual(e)
     assert sorted(what for what, _ in builds) == ["splitting", "translation_map"]
     assert set(builds.values()) == {1}
 

@@ -14,9 +14,17 @@ axioms of the dual.  Its oracle composes the actions directly, and must give
 the same items on the regular bimodule of every fixture, the towers
 A (x) C^n for n = 1, 2, Hom(C, M), and single-entry mutants of either action
 over Q and F_7.
+
+The regular bimodule's five identities are the associativity and unit laws of
+its algebra, and the regular bicomodule's those of its coalgebra, so `verify`
+reads their items off validate_algebra and validate_coalgebra; a property over
+single-entry mutants of every fixture's algebra and coalgebra holds it to that.
 """
 
+import importlib
 import importlib.util
+import json
+import pkgutil
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -26,7 +34,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entwine
 from entwine import structures
+from entwine.cli import main
 from entwine.complexes import hom_CM_bimodule
 from entwine.entwining import bimodule_on_A_Cn, check_bowtie
 from entwine.linalg import FieldSpec, Mat, kron
@@ -40,11 +50,13 @@ from entwine.structures import (
     compose,
     flip_map,
     identity_map,
+    regular_bicomodule,
     regular_bimodule,
     tensor,
     validate_algebra,
     validate_antipode,
     validate_bialgebra,
+    validate_bicomodule,
     validate_bimodule,
     validate_coalgebra,
 )
@@ -308,6 +320,44 @@ def test_single_entry_action_mutants_match_the_oracle(base, target, r, c, value)
     actions[target] = LinearMap(f.domain_shape, f.codomain_shape, mutant)
     assert_bimodule_matches_oracle(a, Bimodule(m.dim, actions["left"], actions["right"], labels=m.labels))
 
+
+# -- the regular (bi)module verdicts are the (co)algebra verdicts ----------------------------
+
+FIXTURE_NAMES = sorted(path.stem for path in (ROOT / "fixtures").glob("*.json"))
+FIELDS = {"Q": FieldSpec.rationals(), "F7": F7}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(FIXTURE_NAMES),
+    field=st.sampled_from(sorted(FIELDS)),
+    target=st.sampled_from(["mu", "eta", "delta", "eps"]),
+    r=st.integers(0, 63),
+    c=st.integers(0, 63),
+    value=st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]),
+)
+def test_regular_module_verdicts_are_the_algebra_and_coalgebra_verdicts(name, field, target, r, c, value):
+    e = named_example(name, FIELDS[field])
+    a, co, _, _ = mutated((e.algebra, e.coalgebra, e.psi, None), target, r, c, value)
+    assert validate_bimodule(a, regular_bimodule(a)).ok == validate_algebra(a).ok
+    assert validate_bicomodule(co, regular_bicomodule(co)).ok == validate_coalgebra(co).ok
+
+
+def test_verify_runs_no_module_validator(monkeypatch, tmp_path, capsys):
+    # verify's "regular bimodule" and "regular bicomodule" items read the (co)algebra verdicts
+    calls = []
+    for info in pkgutil.iter_modules(entwine.__path__):  # a validator is bound by name in each importer
+        module = importlib.import_module(f"entwine.{info.name}")
+        for name in ("validate_bimodule", "validate_bicomodule"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *args, _name=name: calls.append(_name))
+    for path in sorted((ROOT / "fixtures").glob("*.json")):
+        out = tmp_path / f"{path.stem}.json"
+        assert main(["verify", str(path), "--json", str(out)]) == (path.stem == "corrupted-psi")
+        checks = {check["name"]: check["passed"] for check in json.loads(out.read_text())["checks"]}
+        if path.stem != "corrupted-psi":
+            assert checks["regular bimodule"] and checks["regular bicomodule"], path.stem
+    assert calls == []
 
 # -- coefficient sizes: the integer path and the largest prime ------------------------------
 
